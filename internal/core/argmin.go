@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // This file is the large-slate argmin of the greedy family: an indexed
 // binary min-heap under scoreLess. The linear argmin pass in Pick costs
 // O(|eligible|) per decision, which is fine at paper scale (P = 20) but
@@ -13,27 +11,34 @@ import "sort"
 // corrected modes possibly the shared communication factors, which force a
 // rebuild when they move).
 //
-// PR 5 profiled exactly this structure at P = 20 and dropped it: the heap
-// bookkeeping cost ~10x the score evaluations it avoided. It therefore
-// engages only when the slate reaches greedyHeapMinEligible; below that,
-// Pick keeps the linear pass. scoreLess is a strict total order, so the
-// heap minimum IS the linear argmin — pick-for-pick identical, which the
-// equivalence property tests pin by forcing the threshold to 1.
+// An earlier profile of this structure on Table 2's own P = 20 rounds
+// found the heap bookkeeping cost ~10x the score evaluations it avoided
+// (a full round, as benchmarked below, favours the heap even at n = 20),
+// so it engages only when the slate reaches greedyHeapMinEligible.
+// scoreLess is a strict total order, so the heap minimum IS the linear
+// argmin — pick-for-pick identical, which the equivalence property tests
+// pin by forcing the threshold to 1.
+//
+// Entries hold their score inline ({score, k}), so a comparison reads one
+// array, and sifts move a hole, writing each displaced entry once. A 4-ary
+// fan-out measured within noise of binary at n = 1k and 10k.
+// BenchmarkGreedyArgmin, ns per pick over one full originals-phase round
+// (emct*, ncom = n/4; 2-vCPU 2.1 GHz Xeon, medians of three runs, ±30%
+// host noise), linear / heap: n = 20: ~600 / 292; n = 128: ~3.6k / 346;
+// n = 1k: ~27k / 540; n = 10k: ~220k / 908.
 
 // greedyHeapMinEligible is the slate size at which Pick switches from the
-// linear argmin to the heap. Measured crossover (BenchmarkGreedyArgmin):
-// the heap's rebuild is as cheap as one linear pass, but its win needs
-// several same-round Picks over a slate large enough that O(log n)
-// resifts beat O(n) rescans; 128 is comfortably past the crossover and far
-// below volunteer-grid slates. A package variable so tests can force the
-// heap path on small slates.
+// linear argmin to the heap: above Table 2's slate of 20, and already a
+// large per-pick win on a full round. A package variable so tests can
+// force the heap path on small slates.
 var greedyHeapMinEligible = 128
 
 // scoreHeap is an indexed binary min-heap over a build-time copy of the
-// eligible slate. Entries are slate indices (into the copy, which is
+// eligible slate. Entries carry a slate index k into the copy, which is
 // stable for the heap's lifetime even though the engine compacts its own
-// slate between replica picks); pos tracks each entry's heap position so
-// rescoring or deleting one entry is O(log n).
+// slate between replica picks; the copy is ascending, so ordering ties by
+// k is ordering them by worker ID. pos tracks each entry's heap position
+// so rescoring or deleting one entry is O(log n).
 //
 // Continuation state: a heap built during one Pick remains valid for the
 // next exactly when nothing outside the recorded deltas changed. The
@@ -45,57 +50,75 @@ var greedyHeapMinEligible = 128
 // two hoisted communication factors (a factor move invalidates every
 // engaged candidate at once, so the heap rebuilds).
 type scoreHeap struct {
-	slate []int     // ascending worker IDs, copied at rebuild
-	score []float64 // score[k] of slate[k]
-	heap  []int32   // heap of slate indices
-	pos   []int32   // pos[k]: heap position of slate index k, -1 = deleted
+	slate []int        // ascending worker IDs, copied at rebuild
+	heap  []scoreEntry // heap entries
+	pos   []int32      // pos[k]: heap position of slate index k, -1 = deleted
 
 	valid                      bool
 	epoch                      int64
 	slatePtr                   *int
 	slateLen                   int
 	expectPicks                int
-	lastPick                   int
+	lastK                      int32 // slate index of the last pick (the root it returned)
 	factorEngaged, factorFresh int
 }
 
-func (h *scoreHeap) less(a, b int32) bool {
-	return scoreLess(h.score[a], h.slate[a], h.score[b], h.slate[b])
+// scoreEntry is one heap entry: slate index k and its score.
+type scoreEntry struct {
+	score float64
+	k     int32
 }
 
-func (h *scoreHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i)
-	h.pos[h.heap[j]] = int32(j)
+func (a scoreEntry) less(b scoreEntry) bool {
+	return scoreLess(a.score, int(a.k), b.score, int(b.k))
 }
 
-func (h *scoreHeap) siftUp(i int) {
+// place writes entry e at heap position i.
+func (h *scoreHeap) place(i int, e scoreEntry) {
+	h.heap[i] = e
+	h.pos[e.k] = int32(i)
+}
+
+// siftUp moves e up from the hole at position i.
+func (h *scoreHeap) siftUp(i int, e scoreEntry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.heap[i], h.heap[parent]) {
-			return
+		if !e.less(h.heap[parent]) {
+			break
 		}
-		h.swap(i, parent)
+		h.place(i, h.heap[parent])
 		i = parent
 	}
+	h.place(i, e)
 }
 
-func (h *scoreHeap) siftDown(i int) {
+// siftDown moves e down from the hole at position i.
+func (h *scoreHeap) siftDown(i int, e scoreEntry) {
 	n := len(h.heap)
 	for {
-		left, right := 2*i+1, 2*i+2
-		least := i
-		if left < n && h.less(h.heap[left], h.heap[least]) {
-			least = left
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		if right < n && h.less(h.heap[right], h.heap[least]) {
-			least = right
+		if right := child + 1; right < n && h.heap[right].less(h.heap[child]) {
+			child = right
 		}
-		if least == i {
-			return
+		if !h.heap[child].less(e) {
+			break
 		}
-		h.swap(i, least)
-		i = least
+		h.place(i, h.heap[child])
+		i = child
+	}
+	h.place(i, e)
+}
+
+// replace puts e at position i in place of the entry there and restores
+// the order: at most one direction can move.
+func (h *scoreHeap) replace(i int, e scoreEntry) {
+	if e.less(h.heap[i]) {
+		h.siftUp(i, e)
+	} else {
+		h.siftDown(i, e)
 	}
 }
 
@@ -105,57 +128,37 @@ func (h *scoreHeap) siftDown(i int) {
 func (h *scoreHeap) rebuild(eligible []int, score func(q int) float64) {
 	n := len(eligible)
 	h.slate = append(h.slate[:0], eligible...)
-	h.score = h.score[:0]
 	h.heap = h.heap[:0]
 	h.pos = h.pos[:0]
 	for k, q := range eligible {
-		h.score = append(h.score, score(q))
-		h.heap = append(h.heap, int32(k))
+		h.heap = append(h.heap, scoreEntry{score(q), int32(k)})
 		h.pos = append(h.pos, int32(k))
 	}
 	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+		h.siftDown(i, h.heap[i])
 	}
 	h.slatePtr = &eligible[0]
 	h.slateLen = n
 	h.valid = true
 }
 
-// indexOf locates worker q in the build slate (ascending, so binary
-// search), or -1.
-func (h *scoreHeap) indexOf(q int) int {
-	k := sort.SearchInts(h.slate, q)
-	if k < len(h.slate) && h.slate[k] == q {
-		return k
-	}
-	return -1
-}
-
 // update rescores slate index k and restores the heap order.
-func (h *scoreHeap) update(k int, score float64) {
-	h.score[k] = score
-	i := int(h.pos[k])
-	h.siftDown(i)
-	h.siftUp(int(h.pos[k]))
+func (h *scoreHeap) update(k int32, score float64) {
+	h.replace(int(h.pos[k]), scoreEntry{score, k})
 }
 
 // delete removes slate index k from the heap (the engine removed its worker
-// from the slate).
-func (h *scoreHeap) delete(k int) {
-	i := int(h.pos[k])
-	last := len(h.heap) - 1
-	h.swap(i, last)
+// from the slate): the last entry fills its position.
+func (h *scoreHeap) delete(k int32) {
+	i, last := int(h.pos[k]), len(h.heap)-1
+	e := h.heap[last]
 	h.heap = h.heap[:last]
 	h.pos[k] = -1
 	if i < last {
-		// Fix position i for the swapped-in entry: at most one of the two
-		// sifts moves (a descendant promoted by siftDown already satisfies
-		// the upward order).
-		h.siftDown(i)
-		h.siftUp(int(h.pos[h.heap[i]]))
+		h.replace(i, e)
 	}
 }
 
 // minWorker returns the worker holding the heap minimum — the unique
 // scoreLess argmin over the live entries.
-func (h *scoreHeap) minWorker() int { return h.slate[h.heap[0]] }
+func (h *scoreHeap) minWorker() int { return h.slate[h.heap[0].k] }

@@ -1,18 +1,20 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/avail"
 	"repro/internal/sim"
 )
 
 // forceHeapArgmin lowers the heap threshold so every cached Pick routes
 // through the heap path, restoring it when the test ends.
-func forceHeapArgmin(t *testing.T, n int) {
+func forceHeapArgmin(t testing.TB, n int) {
 	t.Helper()
 	old := greedyHeapMinEligible
 	greedyHeapMinEligible = n
@@ -89,13 +91,18 @@ func TestHeapArgminSlowCheckOracle(t *testing.T) {
 // TestScoreHeapOrder drives the bare heap against a reference linear argmin
 // over random score vectors that deliberately include exact ties (shared
 // values drawn from a tiny set), +Inf and NaN — the cases scoreLess orders
-// by ID, sentinel-last. After every mutation (rescore or delete) the heap
-// minimum must equal the scan minimum over the live entries.
+// by ID, sentinel-last. Slates run from a single entry to ~300 (nine
+// levels of the binary heap). After every mutation (rescore or delete) the
+// heap minimum must equal the scan minimum over the live entries, every
+// entry must order after its parent, and pos must locate every entry.
 func TestScoreHeapOrder(t *testing.T) {
 	scorePool := []float64{0, 1, 1, 2.5, 2.5, math.Inf(1), math.NaN()}
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60)
+		if seed%3 == 0 {
+			n = 100 + r.Intn(200)
+		}
 		slate := make([]int, n)
 		scores := make([]float64, n)
 		id := 0
@@ -125,24 +132,103 @@ func TestScoreHeapOrder(t *testing.T) {
 			}
 			return best
 		}
-		if got, want := h.minWorker(), refMin(); got != want {
-			t.Fatalf("seed %d: initial min %d, reference %d", seed, got, want)
+		check := func(op int) {
+			t.Helper()
+			if got, want := h.minWorker(), refMin(); got != want {
+				t.Fatalf("seed %d op %d: heap min %d, reference %d", seed, op, got, want)
+			}
+			for i, e := range h.heap {
+				if int(h.pos[e.k]) != i {
+					t.Fatalf("seed %d op %d: pos[%d] = %d, entry sits at %d", seed, op, e.k, h.pos[e.k], i)
+				}
+				if i > 0 && e.less(h.heap[(i-1)/2]) {
+					t.Fatalf("seed %d op %d: entry %d orders before its parent", seed, op, i)
+				}
+			}
 		}
+		check(-1)
 		for op := 0; len(live) > 1 && op < 4*n; op++ {
 			k := r.Intn(n)
 			if !live[slate[k]] {
 				continue
 			}
 			if r.Intn(3) == 0 {
-				h.delete(k)
+				h.delete(int32(k))
 				delete(live, slate[k])
 			} else {
 				scores[k] = scorePool[r.Intn(len(scorePool))]
-				h.update(k, scores[k])
+				h.update(int32(k), scores[k])
 			}
-			if got, want := h.minWorker(), refMin(); got != want {
-				t.Fatalf("seed %d op %d: heap min %d, reference %d", seed, op, got, want)
-			}
+			check(op)
 		}
 	}
+}
+
+// BenchmarkGreedyArgmin times one originals-phase scheduling round on each
+// argmin path: n picks over a slate of n UP workers, in largep's shape
+// (m = n tasks, ncom = n/4, emct*). Each op opens a fresh round on a fresh
+// view revision, so the first pick scores the whole slate on both paths
+// and the corrected mode's factor steps force the heap's mid-round
+// rebuilds as they do in a real round.
+func BenchmarkGreedyArgmin(b *testing.B) {
+	for _, n := range []int{20, 128, 1000, 10000} {
+		for _, path := range []string{"linear", "heap"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) {
+				if path == "heap" {
+					forceHeapArgmin(b, 1)
+				} else {
+					forceHeapArgmin(b, n+1)
+				}
+				v, eligible := argminBenchView(n)
+				s := NewEMCT(true)
+				rs := freshRound(n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v.Epoch = int64(i + 1)
+					for q := range v.ProcEpochs {
+						v.ProcEpochs[q] = v.Epoch
+					}
+					clear(rs.NQ)
+					rs.NActive, rs.Picks = 0, 0
+					for task := 0; task < n; task++ {
+						q := s.Pick(v, eligible, rs, sim.TaskInfo{Task: task})
+						if rs.NQ[q] == 0 && !v.Procs[q].Busy() {
+							rs.NActive++
+						}
+						rs.NQ[q]++
+						rs.Picks++
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pick")
+			})
+		}
+	}
+}
+
+// argminBenchView builds a change-tracked view of n UP workers with mixed
+// speeds, models and pipeline states, and the full ascending slate.
+func argminBenchView(n int) (*sim.View, []int) {
+	ncom := n / 4
+	if ncom < 1 {
+		ncom = 1
+	}
+	models := []*avail.Markov3{reliableModel(), flakyModel()}
+	v := &sim.View{
+		Params:     params(ncom, 10, 3),
+		Procs:      make([]sim.ProcView, n),
+		ProcEpochs: make([]int64, n),
+	}
+	eligible := make([]int, n)
+	for q := range v.Procs {
+		v.Procs[q] = sim.ProcView{
+			ID: q, W: 3 + q%11, State: avail.Up, Model: models[q%2],
+			RemProgram: 10 * (q % 3 / 2),
+		}
+		if q%5 == 0 {
+			v.Procs[q].HasComputing, v.Procs[q].ComputingRem = true, 1+q%4
+		}
+		eligible[q] = q
+	}
+	v.FillAnalytics()
+	return v, eligible
 }

@@ -233,16 +233,16 @@ func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *si
 		h.factorEngaged == factorEngaged && h.factorFresh == factorFresh &&
 		h.slatePtr == &eligible[0]
 	if cont {
-		k := h.indexOf(h.lastPick)
+		k, q := h.lastK, h.slate[h.lastK]
 		switch {
-		case k < 0 || h.pos[k] < 0:
+		case h.pos[k] < 0:
 			cont = false
 		case len(eligible) == h.slateLen:
 			// Originals phase: the slate is unchanged and only the picked
 			// worker's NQ (and with it, possibly its factor choice) moved.
-			factor := s.candidateFactor(v, rs, h.lastPick, factorEngaged, factorFresh)
-			h.update(k, s.cachedScore(c, v, rs, h.lastPick, factor))
-		case len(eligible) == h.slateLen-1 && h.pos[k] >= 0 && !slateContains(eligible, h.lastPick):
+			factor := s.candidateFactor(v, rs, q, factorEngaged, factorFresh)
+			h.update(k, s.cachedScore(c, v, rs, q, factor))
+		case len(eligible) == h.slateLen-1 && !slateContains(eligible, q):
 			// Replica phase: the engine compacted the picked worker out of
 			// the slate (order-preserving, so ascending order holds).
 			h.delete(k)
@@ -259,7 +259,7 @@ func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *si
 		h.factorEngaged, h.factorFresh = factorEngaged, factorFresh
 	}
 	best := h.minWorker()
-	h.lastPick = best
+	h.lastK = h.heap[0].k
 	h.expectPicks = rs.Picks + 1
 	return best
 }

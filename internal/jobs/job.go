@@ -179,9 +179,11 @@ func (j *Job) hasSubscribers() bool {
 // Subscribe replays the job's event log from the start and then follows it
 // live; the channel closes after the terminal event (or on cancel). Safe to
 // call at any point in the job's life, including after completion. While a
-// subscriber is attached the job is pinned against results-TTL eviction.
+// subscriber is attached the job is pinned against results-TTL eviction:
+// the channel is unbuffered, so the pin holds until the consumer has
+// received the last event or cancelled.
 func (j *Job) Subscribe() (<-chan Event, func()) {
-	ch := make(chan Event, 16)
+	ch := make(chan Event)
 	cancelCh := make(chan struct{})
 	var cancelOnce sync.Once
 	cancel := func() {

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -356,7 +357,8 @@ func (s *Scheduler) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List snapshots every job's status, newest submission first.
+// List snapshots every job's status, newest submission first; jobs
+// submitted at the same instant list in digest order.
 func (s *Scheduler) List() []Status {
 	s.mu.Lock()
 	js := make([]*Job, 0, len(s.jobs))
@@ -368,13 +370,12 @@ func (s *Scheduler) List() []Status {
 	for i, j := range js {
 		out[i] = j.Status()
 	}
-	for i := 0; i < len(out); i++ {
-		for k := i + 1; k < len(out); k++ {
-			if out[k].SubmittedAt.After(out[i].SubmittedAt) {
-				out[i], out[k] = out[k], out[i]
-			}
+	sort.Slice(out, func(a, b int) bool {
+		if !out[a].SubmittedAt.Equal(out[b].SubmittedAt) {
+			return out[a].SubmittedAt.After(out[b].SubmittedAt)
 		}
-	}
+		return out[a].ID < out[b].ID
+	})
 	return out
 }
 

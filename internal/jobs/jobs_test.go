@@ -3,6 +3,7 @@ package jobs
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -466,5 +467,36 @@ func TestSchedulerStopInterruptsQueuedAndRunning(t *testing.T) {
 	}
 	if _, _, err := s.Submit(fastReq()); err != ErrShuttingDown {
 		t.Fatalf("post-Stop submission returned %v, want ErrShuttingDown", err)
+	}
+}
+
+// TestListOrder pins List's order: newest submission first, and jobs
+// submitted at the same instant in ascending digest order.
+func TestListOrder(t *testing.T) {
+	s := newTestScheduler(t, t.TempDir(), -1)
+	defer s.Stop()
+	t0 := time.Unix(1_000_000, 0).UTC()
+	jobs := []struct {
+		digest string
+		at     time.Time
+	}{
+		{"c", t0},
+		{"e", t0.Add(time.Second)},
+		{"a", t0},
+		{"d", t0.Add(2 * time.Second)},
+		{"b", t0.Add(time.Second)},
+		{"f", t0.Add(-time.Second)},
+	}
+	s.mu.Lock()
+	for _, j := range jobs {
+		s.jobs[j.digest] = &Job{Digest: j.digest, state: StateDone, submittedAt: j.at}
+	}
+	s.mu.Unlock()
+	var got []string
+	for _, st := range s.List() {
+		got = append(got, st.ID)
+	}
+	if want := []string{"d", "b", "e", "a", "c", "f"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("List order %v, want %v", got, want)
 	}
 }

@@ -28,73 +28,72 @@ import (
 // ordered by (slot, worker). Same-slot entries pop in ascending worker
 // order, matching advanceStates' ascending-worker loop, so simultaneous
 // transitions apply in the identical order and crash event streams stay
-// bit-identical across modes.
-type transitionHeap struct {
-	slot   []int
-	worker []int
+// bit-identical across modes. Sifts move a hole, writing each displaced
+// entry once.
+type transitionHeap struct{ q []transition }
+
+// transition is one queued availability change: worker enters its pending
+// state at slot.
+type transition struct{ slot, worker int }
+
+func (a transition) less(b transition) bool {
+	return a.slot < b.slot || (a.slot == b.slot && a.worker < b.worker)
 }
 
-func (h *transitionHeap) reset() {
-	h.slot = h.slot[:0]
-	h.worker = h.worker[:0]
-}
+func (h *transitionHeap) reset() { h.q = h.q[:0] }
 
-func (h *transitionHeap) len() int { return len(h.slot) }
-
-func (h *transitionHeap) less(a, b int) bool {
-	return h.slot[a] < h.slot[b] ||
-		(h.slot[a] == h.slot[b] && h.worker[a] < h.worker[b])
-}
-
-func (h *transitionHeap) swap(a, b int) {
-	h.slot[a], h.slot[b] = h.slot[b], h.slot[a]
-	h.worker[a], h.worker[b] = h.worker[b], h.worker[a]
-}
-
-func (h *transitionHeap) push(slot, worker int) {
-	h.slot = append(h.slot, slot)
-	h.worker = append(h.worker, worker)
-	for i := len(h.slot) - 1; i > 0; {
+func (h *transitionHeap) push(t transition) {
+	h.q = append(h.q, t)
+	i := len(h.q) - 1
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !t.less(h.q[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h.q[i] = h.q[parent]
 		i = parent
 	}
+	h.q[i] = t
 }
 
-// min returns the earliest queued transition slot.
-func (h *transitionHeap) min() (slot int, ok bool) {
-	if len(h.slot) == 0 {
-		return 0, false
+// min returns the earliest queued transition.
+func (h *transitionHeap) min() (transition, bool) {
+	if len(h.q) == 0 {
+		return transition{}, false
 	}
-	return h.slot[0], true
+	return h.q[0], true
 }
 
 // pop removes and returns the root entry.
-func (h *transitionHeap) pop() (slot, worker int) {
-	slot, worker = h.slot[0], h.worker[0]
-	last := len(h.slot) - 1
-	h.swap(0, last)
-	h.slot = h.slot[:last]
-	h.worker = h.worker[:last]
-	for i := 0; ; {
-		left, right := 2*i+1, 2*i+2
-		least := i
-		if left < last && h.less(left, least) {
-			least = left
-		}
-		if right < last && h.less(right, least) {
-			least = right
-		}
-		if least == i {
+func (h *transitionHeap) pop() transition {
+	root, last := h.q[0], h.q[len(h.q)-1]
+	h.q = h.q[:len(h.q)-1]
+	if len(h.q) > 0 {
+		h.replaceTop(last)
+	}
+	return root
+}
+
+// replaceTop replaces the root entry with t and sifts it down as a hole:
+// one sift where a pop followed by a push would take two.
+func (h *transitionHeap) replaceTop(t transition) {
+	n := len(h.q)
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		h.swap(i, least)
-		i = least
+		if right := child + 1; right < n && h.q[right].less(h.q[child]) {
+			child = right
+		}
+		if !h.q[child].less(t) {
+			break
+		}
+		h.q[i] = h.q[child]
+		i = child
 	}
-	return slot, worker
+	h.q[i] = t
 }
 
 // initEventClock sizes and fills the event clock after reset: one
@@ -134,7 +133,7 @@ func (e *engine) initEventClock() error {
 			return fmt.Errorf("sim: availability trajectory %d: transition slot %d not after 0", i, nat)
 		}
 		e.pendState[i] = ns
-		e.evq.push(nat, i)
+		e.evq.push(transition{nat, i})
 	}
 	_, canceller := e.cfg.Scheduler.(Canceller)
 	e.skipQuiet = !canceller
@@ -147,26 +146,24 @@ func (e *engine) initEventClock() error {
 // leave every state untouched — exactly what advanceStates computes one
 // Next call at a time, at O(changes) instead of O(P) cost.
 func (e *engine) advanceStatesEvent() error {
-	for {
-		at, ok := e.evq.min()
-		if !ok || at > e.slot {
-			return nil
-		}
-		_, i := e.evq.pop()
+	for t, ok := e.evq.min(); ok && t.slot <= e.slot; t, ok = e.evq.min() {
+		i := t.worker
 		next := e.pendState[i]
 		if next != e.states[i] {
 			e.applyState(i, next)
 		}
 		ns, nat := e.trajs[i].NextTransition()
 		if nat == avail.Forever {
-			continue // the worker's state holds for the rest of the run
+			e.evq.pop() // the worker's state holds for the rest of the run
+			continue
 		}
-		if nat <= at {
-			return fmt.Errorf("sim: availability trajectory %d: transition slot %d not after %d", i, nat, at)
+		if nat <= t.slot {
+			return fmt.Errorf("sim: availability trajectory %d: transition slot %d not after %d", i, nat, t.slot)
 		}
 		e.pendState[i] = ns
-		e.evq.push(nat, i)
+		e.evq.replaceTop(transition{nat, i})
 	}
+	return nil
 }
 
 // nextSlot returns the slot the run executes after the current one. Slot
@@ -186,8 +183,8 @@ func (e *engine) nextSlot(maxSlots int) int {
 		return e.slot + 1
 	}
 	target := maxSlots
-	if at, ok := e.evq.min(); ok && at < maxSlots {
-		target = at
+	if t, ok := e.evq.min(); ok && t.slot < maxSlots {
+		target = t.slot
 	}
 	if target <= e.slot+1 {
 		return e.slot + 1

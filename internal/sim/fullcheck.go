@@ -338,10 +338,10 @@ func (e *engine) verifySkip(target int) {
 		panic(fmt.Sprintf("sim: slot %d: quiet skip to %d but the reference test says a copy could bind",
 			e.slot, target))
 	}
-	for k := 0; k < e.evq.len(); k++ {
-		if e.evq.slot[k] < target {
+	for _, t := range e.evq.q {
+		if t.slot < target {
 			panic(fmt.Sprintf("sim: slot %d: quiet skip to %d over a transition queued at %d",
-				e.slot, target, e.evq.slot[k]))
+				e.slot, target, t.slot))
 		}
 	}
 }
