@@ -27,6 +27,27 @@ import (
 	"repro/internal/jobs"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and a keep-alive connection may sit idle for idleTimeout, so
+// clients that never finish a request cannot pin connections forever.
+// There is deliberately no write timeout: /jobs/{id}/events streams for as
+// long as the sweep runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the server for handler h on addr, giving clients
+// headerTimeout to finish their request headers.
+func newHTTPServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data", "volaserved-data", "directory for checkpoints and cached results")
@@ -66,7 +87,7 @@ func main() {
 		fmt.Printf("volaserved: resumed %d interrupted job(s) from checkpoints\n", n)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: newServer(sched)}
+	srv := newHTTPServer(*addr, newServer(sched), readHeaderTimeout)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Printf("volaserved: listening on %s (data: %s)\n", *addr, *dataDir)

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -436,4 +438,50 @@ func TestEverySweepFamilyEndToEnd(t *testing.T) {
 	if n := sched.SweepsStarted(); n != int64(len(seen)) {
 		t.Fatalf("SweepsStarted = %d, want %d", n, len(seen))
 	}
+}
+
+// TestSlowHeadersDisconnected checks the server's header timeout: a client
+// that opens a connection and never finishes its request headers is
+// disconnected, while a complete request on the same server is answered.
+// The server sets no write timeout, which would cut off event streams.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	const headerTimeout = 200 * time.Millisecond
+	srv := newHTTPServer("", http.NotFoundHandler(), headerTimeout)
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want none (it would cut off /events streams)", srv.WriteTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want a bound on idle keep-alive connections", srv.IdleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("complete request: status %d, want 404", resp.StatusCode)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\nHost: volaserved\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(20 * headerTimeout))
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection with unfinished headers still open after %v", time.Since(start))
+	}
+	t.Logf("unfinished-header connection closed after %v", time.Since(start))
 }

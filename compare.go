@@ -206,15 +206,15 @@ func compareSharded(cfg CompareConfig, heuristics []string) (*SweepResult, error
 
 // runBatch executes one batch run on the trajectories the given trial seed
 // denotes — the same world every fractional heuristic of that (scenario,
-// trial) instance faces. rn supplies the pooled trial resources (RNG +
-// availability processes), brn the pooled batch engine.
+// trial) instance faces. rn supplies the pooled trial resources: the batch
+// engine samples slot by slot, so it replays rn's per-slot tape, shared
+// with slot-mode contenders of the same instance. brn is the pooled batch
+// engine.
 func (s *Scenario) runBatch(rn *Runner, brn *batch.Runner, d batch.Discipline, trialSeed uint64) (*batch.Result, error) {
-	rn.trialRng.Reseed(trialSeed)
-	procs := rn.trials.Trial(s.inner, &rn.trialRng)
 	return brn.Run(batch.Config{
 		Platform:   s.inner.Platform,
 		Params:     s.inner.Params,
-		Procs:      procs,
+		Procs:      rn.trial(s, trialSeed, ModeSlot),
 		Discipline: d,
 	})
 }

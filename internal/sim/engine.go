@@ -10,15 +10,24 @@ import (
 )
 
 // runCounter and epochCounter feed View.Run and View.Epoch/ProcEpochs with
-// process-wide unique, strictly increasing stamps. Global (rather than
-// per-engine) counters make the stamps collision-free even when a scheduler
-// instance migrates between engines, so equality of stamps always means
-// "same revision". The values themselves never influence scheduling — they
-// are only ever compared for equality — so results stay deterministic.
+// process-wide unique, non-zero stamps. Global (rather than per-engine)
+// counters make the stamps collision-free even when a scheduler instance
+// migrates between engines, so equality of stamps always means "same
+// revision". The values themselves never influence scheduling — they are
+// only ever compared for equality — so results stay deterministic.
+//
+// Every view revision takes an epoch, so engines reserve them from
+// epochCounter epochBlock at a time and hand them out locally: concurrent
+// sweep workers then touch the shared counter once per block instead of
+// contending for it on every revision. Within one engine the epochs still
+// strictly increase.
 var (
 	runCounter   atomic.Int64
 	epochCounter atomic.Int64
 )
+
+// epochBlock is how many epochs an engine reserves at once.
+const epochBlock = 1 << 12
 
 // Config assembles everything one simulation run needs.
 type Config struct {
@@ -39,9 +48,11 @@ type Config struct {
 	// fixed model — every iteration runs exactly Params.M tasks — on the
 	// engine's original code path, byte for byte.
 	Alloc AllocationPolicy
-	// Mode selects the engine's time base: ModeSlot (the default) ticks
-	// every slot; ModeEvent samples availability at sojourn granularity and
-	// skips quiet spans (requires Procs that implement avail.Trajectory).
+	// Mode selects the engine's time base: ModeSlot (the default) executes
+	// every slot on the per-slot (Next) trajectories; ModeEvent reads
+	// availability at sojourn granularity (requires Procs that implement
+	// avail.Trajectory) and skips quiet spans. Both advance states through
+	// the same transition heap (eventclock.go).
 	Mode Mode
 	// Observer, when non-nil, is invoked after every slot.
 	Observer func(*SlotReport)
@@ -184,13 +195,16 @@ type engine struct {
 	// maintained at the pipeline mutation sites so the scheduling round
 	// reads its n_active base in O(1) instead of recounting all P workers.
 	nBusy int
-	// trajs/pendState/evq implement the event-mode clock (eventclock.go):
-	// trajs are the trajectory views of cfg.Procs, pendState[i] is the
-	// state worker i enters at its queued transition slot, and evq is the
-	// (slot, worker) min-heap of pending transitions.
+	// trajs/pendState/evq advance availability on both clocks
+	// (eventclock.go): trajs are the run-level views of cfg.Procs,
+	// pendState[i] is the state worker i enters at its queued transition
+	// slot, and evq is the (slot, worker) min-heap of pending transitions.
 	trajs     []avail.Trajectory
 	pendState []avail.State
 	evq       transitionHeap
+	// tape records, in slot mode, the per-slot trajectory of every process
+	// that is not already a run-level view of it (see initClock).
+	tape avail.Tape
 	// skipQuiet permits quiet-span skipping: event mode with a scheduler
 	// that does not implement Canceller (a Canceller may act on slots where
 	// no engine state changed, so its slots cannot be skipped).
@@ -207,6 +221,9 @@ type engine struct {
 	iterTasks []int
 	// runID stamps View.Run; drawn from runCounter at reset.
 	runID int64
+	// epoch is the last epoch handed out; epochs up to epochEnd are
+	// reserved for this engine (see epochBlock).
+	epoch, epochEnd int64
 	// mutateSkipDirty suppresses markDirty for worker mutateSkipDirty-1
 	// (mutation hook for the oracle tests; 0 — the zero value — disables
 	// the mutation). It survives reset, like slowChecks.
@@ -261,13 +278,11 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	}
 	e := &r.e
 	e.reset(cfg)
-	if cfg.Mode == ModeEvent {
-		if err := e.initEventClock(); err != nil {
-			return nil, err
-		}
+	maxSlots := cfg.Params.EffectiveMaxSlots()
+	if err := e.initClock(maxSlots); err != nil {
+		return nil, err
 	}
 
-	maxSlots := cfg.Params.EffectiveMaxSlots()
 	for e.slot = 0; e.slot < maxSlots; {
 		if err := e.step(); err != nil {
 			return nil, err
@@ -449,12 +464,8 @@ func (e *engine) releaseCopy(c *copyState) {
 
 // step executes one time slot.
 func (e *engine) step() error {
-	if e.cfg.Mode == ModeEvent {
-		if err := e.advanceStatesEvent(); err != nil {
-			return err
-		}
-	} else {
-		e.advanceStates()
+	if err := e.applyTransitions(); err != nil {
+		return err
 	}
 	if e.allocPending {
 		// Moldable runs size iteration 0 here — after the slot's
@@ -490,17 +501,6 @@ func (e *engine) step() error {
 		})
 	}
 	return nil
-}
-
-// advanceStates samples this slot's availability states and applies crash
-// consequences.
-func (e *engine) advanceStates() {
-	for i := range e.workers {
-		next := e.cfg.Procs[i].Next()
-		if next != e.states[i] {
-			e.applyState(i, next)
-		}
-	}
 }
 
 // availKey encodes worker i's membership in the availability-derived
@@ -546,8 +546,8 @@ func (e *engine) reindexAvail(i int, was uint8) {
 
 // applyState transitions worker i to next — which callers guarantee differs
 // from its current state — applying crash consequences. It is the single
-// mutation site shared by the slot-mode per-slot scan and the event-mode
-// transition queue, so the two time bases cannot drift on crash semantics.
+// mutation site of the transition queue both time bases drain, so they
+// cannot drift on crash semantics.
 func (e *engine) applyState(i int, next avail.State) {
 	w := &e.workers[i]
 	was := e.availKey(i)
@@ -868,7 +868,7 @@ func (e *engine) buildView() {
 	e.view.UpWorkers = e.nUp
 	e.view.FreeWorkers = e.nFreeUp
 	e.view.IdleWorkers = e.nIdleUp
-	e.view.Epoch = epochCounter.Add(1)
+	e.view.Epoch = e.nextEpoch()
 	e.view.SlowChecks = e.slowChecks
 	for _, i := range e.dirtyProcs {
 		e.fillProcView(i, &e.view.Procs[i])
@@ -879,6 +879,17 @@ func (e *engine) buildView() {
 	if e.slowChecks {
 		e.verifyView()
 	}
+}
+
+// nextEpoch hands out the engine's next reserved epoch, reserving a new
+// block when the current one is spent.
+func (e *engine) nextEpoch() int64 {
+	if e.epoch == e.epochEnd {
+		e.epochEnd = epochCounter.Add(epochBlock)
+		e.epoch = e.epochEnd - epochBlock
+	}
+	e.epoch++
+	return e.epoch
 }
 
 // fillProcView computes worker i's scheduler snapshot from its live state,

@@ -1,8 +1,11 @@
 package sim_test
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/avail"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -132,5 +135,76 @@ func TestSlowCheckOracleCatchesMissedDirtyMark(t *testing.T) {
 	}
 	if !caughtOne {
 		t.Fatal("oracle never caught the suppressed dirty mark")
+	}
+}
+
+// epochRecorder is a scheduler that records every distinct View.Epoch its
+// Picks see, in order.
+type epochRecorder struct{ epochs []int64 }
+
+func (r *epochRecorder) Name() string { return "epoch-recorder" }
+
+func (r *epochRecorder) Pick(v *sim.View, eligible []int, _ *sim.RoundState, _ sim.TaskInfo) int {
+	if n := len(r.epochs); n == 0 || r.epochs[n-1] != v.Epoch {
+		r.epochs = append(r.epochs, v.Epoch)
+	}
+	return eligible[0]
+}
+
+// TestEpochBlocksUnique runs engines on concurrent goroutines, each
+// reserving its epochs from the shared counter a block at a time, and
+// requires every epoch any of them hands out to be non-zero, strictly
+// increasing within its engine and unique across all of them — the
+// collision-freedom incremental scorers rely on when a scheduler instance
+// moves between engines. Each engine runs until it has crossed several
+// blocks, so block refills race with the other engines' refills.
+func TestEpochBlocksUnique(t *testing.T) {
+	const engines = 4
+	var cfgs []sim.Config
+	for seed := uint64(0); seed < 40; seed++ {
+		cfgs = append(cfgs, randomScenarioConfig(t, seed, "emct"))
+	}
+	recs := make([]*epochRecorder, engines)
+	errs := make([]error, engines)
+	var wg sync.WaitGroup
+	for g := range recs {
+		recs[g] = &epochRecorder{}
+		wg.Add(1)
+		go func(rec *epochRecorder, errp *error) {
+			defer wg.Done()
+			runner := sim.NewRunner()
+			for i := 0; len(rec.epochs) < 3*sim.EpochBlock; i++ {
+				cfg := cfgs[i%len(cfgs)]
+				r := rng.New(uint64(i))
+				cfg.Procs = make([]avail.Process, cfg.Platform.P())
+				for q, proc := range cfg.Platform.Processors {
+					cfg.Procs[q] = proc.Avail.NewProcess(r.Split(), avail.Up)
+				}
+				cfg.Scheduler = rec
+				if _, err := runner.Run(cfg); err != nil {
+					*errp = err
+					return
+				}
+			}
+		}(recs[g], &errs[g])
+	}
+	wg.Wait()
+	seen := make(map[int64]int)
+	for g, rec := range recs {
+		if errs[g] != nil {
+			t.Fatalf("engine %d: %v", g, errs[g])
+		}
+		for k, e := range rec.epochs {
+			if e <= 0 {
+				t.Fatalf("engine %d handed out epoch %d", g, e)
+			}
+			if k > 0 && e <= rec.epochs[k-1] {
+				t.Fatalf("engine %d: epoch %d after %d", g, e, rec.epochs[k-1])
+			}
+			if other, dup := seen[e]; dup {
+				t.Fatalf("epoch %d handed out by engines %d and %d", e, other, g)
+			}
+			seen[e] = g
+		}
 	}
 }

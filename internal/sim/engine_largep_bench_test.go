@@ -29,9 +29,11 @@ const largePActive = 256
 // pooled-buffer zeroing), amortized across the run's slots: event-mode
 // ns/slot must stay in the same band across P, which is the measured
 // acceptance criterion for the O(changes) engine work (quiet-skip checks,
-// dirty-set view rebuilds, holder-list cancels). The slot-mode rows
-// document the contrast: slot stepping draws one availability sample per
-// worker per slot by definition, so its ns/slot grows linearly with P.
+// dirty-set view rebuilds, holder-list cancels). The slot-mode rows run
+// the same platform on the slot clock: it still draws one sample per slot
+// for each cycling Markov worker, but reads the DOWN pool's vectors run by
+// run through the same transition heap, so its ns/slot also tracks the
+// changes rather than P.
 //
 // CI's bench-smoke job records the P=1k pair as the regression smoke point;
 // the full matrix is an EXPERIMENTS.md run.

@@ -6,30 +6,34 @@ import (
 	"repro/internal/avail"
 )
 
-// This file is the event-driven time base (Config.Mode == ModeEvent). Two
-// mechanisms replace the slot loop's flat per-slot costs:
+// This file is the engine's clock. Two mechanisms keep per-slot costs flat:
 //
-//   - availability is sampled at sojourn granularity: each processor's
-//     trajectory (avail.Trajectory) yields (state, startSlot) runs, queued
-//     on a (slot, worker) min-heap, so advancing states costs O(changes)
-//     per slot instead of O(P) RNG draws;
+//   - availability advances through one transition heap on both time
+//     bases: each processor's run-level trajectory (avail.Trajectory)
+//     yields (state, startSlot) runs, queued on a (slot, worker) min-heap,
+//     so advancing states costs O(changes) per slot instead of O(P). The
+//     time bases differ only in which runs they read (initClock): event
+//     mode reads each process's own NextTransition, which samples sojourns
+//     in closed form; slot mode reads runs that are exactly the per-slot
+//     Next sequence — a per-slot tape cursor or vector as given, any other
+//     process recorded through the engine-owned per-slot tape;
 //
-//   - quiet spans are skipped: when a finished slot mutated no
-//     scheduler-visible state and no scheduler decision could bind work on
-//     the frozen platform, every slot before the next queued availability
-//     transition would replay identically, so the clock jumps straight to
-//     that transition (nextSlot).
+//   - in event mode only, quiet spans are skipped: when a finished slot
+//     mutated no scheduler-visible state and no scheduler decision could
+//     bind work on the frozen platform, every slot before the next queued
+//     availability transition would replay identically, so the clock jumps
+//     straight to that transition (nextSlot). Slot mode executes every
+//     slot, because skipping would change the random family's RNG use.
 //
 // All per-slot mutation sites (crash handling, tracker updates, dirty
-// marks, metrics) are shared with slot mode — event mode only changes when
-// they run, never what they do.
+// marks, metrics) are shared by both time bases — event mode only changes
+// when they run, never what they do.
 
 // transitionHeap is a binary min-heap of pending availability transitions
 // ordered by (slot, worker). Same-slot entries pop in ascending worker
-// order, matching advanceStates' ascending-worker loop, so simultaneous
-// transitions apply in the identical order and crash event streams stay
-// bit-identical across modes. Sifts move a hole, writing each displaced
-// entry once.
+// order, so simultaneous transitions always apply in the same order and
+// crash event streams stay bit-identical across modes on identical
+// trajectories. Sifts move a hole, writing each displaced entry once.
 type transitionHeap struct{ q []transition }
 
 // transition is one queued availability change: worker enters its pending
@@ -96,17 +100,19 @@ func (h *transitionHeap) replaceTop(t transition) {
 	h.q[i] = t
 }
 
-// initEventClock sizes and fills the event clock after reset: one
-// trajectory per worker, its slot-0 state applied directly and its first
-// real transition queued. Applying slot 0 here — in ascending worker order,
-// the same order the queue would drain a slot-0 tie — keeps the heap free
-// of the initial P-way tie, and workers whose slot-0 state holds Forever
-// (a permanently-down volunteer, a recorded vector past its end) never
-// enter the queue at all. That makes priming O(P) with per-worker O(1)
-// instead of the O(P log P) push-pop churn a 100k-worker platform paid on
-// its first slot. Config.validate has already checked every process
-// implements avail.Trajectory.
-func (e *engine) initEventClock() error {
+// initClock sizes and fills the clock after reset: one trajectory per
+// worker, its slot-0 state applied directly and its first real transition
+// queued. Applying slot 0 here — in ascending worker order, the same order
+// the queue would drain a slot-0 tie — keeps the heap free of the initial
+// P-way tie, and workers whose slot-0 state holds Forever (a
+// permanently-down volunteer, a recorded vector past its end) never enter
+// the queue at all. That makes priming O(P) with per-worker O(1) instead
+// of the O(P log P) push-pop churn a 100k-worker platform paid on its
+// first slot. In event mode Config.validate has already checked every
+// process implements avail.Trajectory; in slot mode the engine-owned tape
+// records, up to the horizon, every process that is not already a run-level
+// view of its per-slot sequence.
+func (e *engine) initClock(maxSlots int) error {
 	p := len(e.workers)
 	if cap(e.trajs) < p {
 		e.trajs = make([]avail.Trajectory, 0, p)
@@ -115,8 +121,20 @@ func (e *engine) initEventClock() error {
 		e.pendState = make([]avail.State, p)
 	}
 	e.pendState = e.pendState[:p]
+	var taped []avail.Process
 	for i, proc := range e.cfg.Procs {
-		tr := proc.(avail.Trajectory)
+		var tr avail.Trajectory
+		if e.cfg.Mode == ModeEvent {
+			tr = proc.(avail.Trajectory)
+		} else if st, ok := avail.SlotTrajectory(proc); ok {
+			tr = st
+		} else {
+			if taped == nil {
+				e.tape.Reset(e.cfg.Procs, true, maxSlots)
+				taped = e.tape.Replay()
+			}
+			tr = taped[i].(avail.Trajectory)
+		}
 		e.trajs = append(e.trajs, tr)
 		s, at := tr.NextTransition()
 		if at != 0 {
@@ -136,16 +154,16 @@ func (e *engine) initEventClock() error {
 		e.evq.push(transition{nat, i})
 	}
 	_, canceller := e.cfg.Scheduler.(Canceller)
-	e.skipQuiet = !canceller
+	e.skipQuiet = e.cfg.Mode == ModeEvent && !canceller
 	return nil
 }
 
-// advanceStatesEvent applies the availability transitions due at the
+// applyTransitions applies the availability transitions due at the
 // current slot and refills the queue from the trajectories. Between queued
 // transitions a worker's state is constant, so slots with no due entry
-// leave every state untouched — exactly what advanceStates computes one
-// Next call at a time, at O(changes) instead of O(P) cost.
-func (e *engine) advanceStatesEvent() error {
+// leave every state untouched — the same states a per-slot scan of every
+// worker would compute, at O(changes) instead of O(P) cost.
+func (e *engine) applyTransitions() error {
 	for t, ok := e.evq.min(); ok && t.slot <= e.slot; t, ok = e.evq.min() {
 		i := t.worker
 		next := e.pendState[i]
@@ -167,19 +185,19 @@ func (e *engine) advanceStatesEvent() error {
 }
 
 // nextSlot returns the slot the run executes after the current one. Slot
-// mode always advances by one. Event mode jumps over quiet spans: between
-// queued availability transitions the platform is frozen except for
-// computations grinding toward known completion slots, so when no chain on
-// an UP worker can advance, no computation is about to emit its start
-// event or finish, and canMaterialize rules out any new binding, every
-// skipped slot would replay identically — same views, same scheduler
-// picks, same evaporating plans — with each computing worker advancing by
-// exactly one compute slot. The clock jumps to the earliest of the next
-// transition, the earliest compute completion, and the horizon, bulk-
-// applying the skipped compute progress. Observer reports for the span are
-// replayed verbatim (reportQuietSpan).
+// mode always advances by one (skipQuiet is event-only). Event mode jumps
+// over quiet spans: between queued availability transitions the platform
+// is frozen except for computations grinding toward known completion
+// slots, so when no chain on an UP worker can advance, no computation is
+// about to emit its start event or finish, and canMaterialize rules out
+// any new binding, every skipped slot would replay identically — same
+// views, same scheduler picks, same evaporating plans — with each
+// computing worker advancing by exactly one compute slot. The clock jumps
+// to the earliest of the next transition, the earliest compute completion,
+// and the horizon, bulk-applying the skipped compute progress. Observer
+// reports for the span are replayed verbatim (reportQuietSpan).
 func (e *engine) nextSlot(maxSlots int) int {
-	if e.cfg.Mode != ModeEvent || !e.skipQuiet {
+	if !e.skipQuiet {
 		return e.slot + 1
 	}
 	target := maxSlots

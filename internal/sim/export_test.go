@@ -6,3 +6,7 @@ package sim
 // ProcEpochs). The mutation survives Runner reuse; pass -1 to restore
 // correct behavior. Test-only.
 func (r *Runner) MutateSkipDirty(worker int) { r.e.mutateSkipDirty = worker + 1 }
+
+// EpochBlock is how many epochs an engine reserves from the shared counter
+// at once.
+const EpochBlock = epochBlock

@@ -9,10 +9,13 @@ import (
 type Mode uint8
 
 const (
-	// ModeSlot ticks the simulation one slot at a time, sampling every
-	// processor's availability each slot — the paper's literal model and
-	// the reference semantics. The zero value, so configurations that never
-	// mention a mode keep their exact historical behaviour.
+	// ModeSlot executes the simulation one slot at a time on each
+	// processor's per-slot (Next) trajectory — the paper's literal model
+	// and the reference semantics. The engine reads that trajectory run by
+	// run through its transition heap (recording it per slot where the
+	// process offers no exact run-level view), so states cost O(changes)
+	// per slot, but no slot is skipped. The zero value, so configurations
+	// that never mention a mode keep their exact historical behaviour.
 	ModeSlot Mode = iota
 	// ModeEvent samples availability at sojourn granularity (one draw per
 	// state run instead of one per slot) and skips quiet spans — runs of

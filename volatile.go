@@ -245,16 +245,19 @@ func (s *Scenario) ProcessorModel(i int) *avail.Markov3 {
 // (worker states, task tables, scheduler view, scratch, the copy pool) and
 // every trial resource (availability processes, their RNG streams, trace
 // replay processes) is then recycled across runs instead of reallocated.
-// Results are identical to Run's. A Runner must not be shared between
-// goroutines.
+// Consecutive runs on the same (scenario, trial seed) — every contender of
+// one sweep instance — replay one recorded world (trialTape) instead of
+// sampling it again. Results are identical to Run's. A Runner must not be
+// shared between goroutines.
 type Runner struct {
 	r sim.Runner
 	// mode is the engine time base every run on this Runner uses.
 	mode Mode
 	// trialRng is the pooled per-trial generator, reseeded per run.
 	trialRng rng.PCG
-	// trials pools the Markov availability processes of model-driven runs.
-	trials workload.TrialPool
+	// slotTape and eventTape hold the current model-driven trial of each
+	// time base.
+	slotTape, eventTape trialTape
 	// vprocs/vps pool the replay processes of trace-driven runs.
 	vprocs []avail.VectorProcess
 	vps    []avail.Process
@@ -315,7 +318,9 @@ func NewRunner() *Runner { return &Runner{} }
 // modes — the same trial seed draws the same platform trajectories — but
 // event mode consumes the per-processor streams at sojourn rather than
 // slot granularity, so Markov-driven results are distribution-equivalent,
-// not bit-identical, across modes.
+// not bit-identical, across modes. Both modes advance availability through
+// the engine's one transition heap, replaying the Runner's tape of the
+// trial (per slot or per transition); only event mode skips quiet spans.
 func (r *Runner) SetMode(m Mode) { r.mode = m }
 
 // Run executes the named heuristic on one trial of the scenario. The trial
@@ -379,19 +384,53 @@ func (s *Scenario) RunModeWithHooks(heuristic string, trialSeed uint64, mode Mod
 	return s.run(nil, heuristic, trialSeed, mode, observer, onEvent, nil)
 }
 
+// trialTape is one model-driven trial recorded for replay: the trial's
+// availability processes and streams (owned by the tape, so no other run
+// can draw from them while it records), the trial RNG state right after
+// Trial, and the tape itself. It is keyed by (scenario, trial seed): the
+// Runner keeps one per time base, since the two read different
+// trajectories from the same streams.
+type trialTape struct {
+	scn  *workload.Scenario // nil until the first recording
+	seed uint64
+	pool workload.TrialPool
+	rng  rng.PCG
+	tape avail.Tape
+}
+
+// trial returns the availability processes of (s, trialSeed) under mode
+// as replay cursors on the Runner's tape, recording the trial afresh when
+// the key changed, and leaves r.trialRng exactly where Trial leaves it, so
+// the scheduler stream splits off it as on a fresh trial. Per-slot
+// consumers (slot mode, batch disciplines) get a per-slot tape.
+func (r *Runner) trial(s *Scenario, trialSeed uint64, mode Mode) []avail.Process {
+	tt := &r.slotTape
+	if mode == ModeEvent {
+		tt = &r.eventTape
+	}
+	if tt.scn != s.inner || tt.seed != trialSeed {
+		tt.scn, tt.seed = s.inner, trialSeed
+		tt.rng.Reseed(trialSeed)
+		procs := tt.pool.Trial(s.inner, &tt.rng)
+		tt.tape.Reset(procs, mode != ModeEvent, s.inner.Params.EffectiveMaxSlots())
+	}
+	r.trialRng = tt.rng
+	return tt.tape.Replay()
+}
+
 func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64, mode Mode,
 	observer func(*SlotReport), onEvent func(Event), alloc AllocationPolicy) (*RunResult, error) {
 	// The pooled path consumes the RNG exactly as the allocating path does
-	// (Reseed mirrors New, TrialPool.Trial mirrors Trial), so both produce
-	// identical trajectories for the same trial seed.
+	// (Reseed mirrors New, TrialPool.Trial mirrors Trial, the tape replays
+	// the processes' own trajectories), so both produce identical
+	// trajectories for the same trial seed.
 	var trialRng *rng.PCG
 	var procs []avail.Process
 	var sched sim.Scheduler
 	var err error
 	if r != nil {
-		r.trialRng.Reseed(trialSeed)
+		procs = r.trial(s, trialSeed, mode)
 		trialRng = &r.trialRng
-		procs = r.trials.Trial(s.inner, trialRng)
 		// Pooled scheduler: SplitInto consumes trialRng exactly as Split
 		// does, and reseeds the pooled instance's stream in place.
 		ps := r.pooled(heuristic)
