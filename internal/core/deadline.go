@@ -49,6 +49,10 @@ func (s *deadlineSched) Name() string { return "deadline" }
 // process-wide unique change epochs, so reuse cannot validate stale state.
 func (s *deadlineSched) PoolSafe() bool { return true }
 
+// SkipPicks implements sim.PickSkipper as a no-op: the probability memo is
+// keyed on its inputs, so skipped picks leave nothing to replay.
+func (s *deadlineSched) SkipPicks(*sim.View, []int, *sim.RoundState, int) {}
+
 // probability returns DeadlineProbability for worker q, via the memo when
 // the view carries change tracking and none of the inputs moved.
 func (s *deadlineSched) probability(v *sim.View, q, ct, deadline int) float64 {

@@ -64,6 +64,11 @@ func (s *greedySched) Name() string { return s.name }
 // even engines) cannot validate a stale score.
 func (s *greedySched) PoolSafe() bool { return true }
 
+// SkipPicks implements sim.PickSkipper as a no-op: the score cache and the
+// argmin heap only memoize pure functions of their recorded inputs, so
+// skipped picks leave nothing a later pick could observe.
+func (s *greedySched) SkipPicks(*sim.View, []int, *sim.RoundState, int) {}
+
 // commFactor returns the communication slowdown factor ceil(n_active/n_com)
 // used by the corrected modes, clamped so an all-busy round still pays the
 // raw cost once (matching CorrectedTdata's n_active clamp and CTCorrected's

@@ -22,14 +22,32 @@ type proactiveSched struct {
 	factor float64
 }
 
+// cancellingScheduler is the method set of a proactive wrapper without
+// SkipPicks.
+type cancellingScheduler interface {
+	sim.Scheduler
+	sim.Poolable
+	sim.Canceller
+}
+
+// proactiveFullRounds wraps a proactiveSched whose inner heuristic does not
+// implement sim.PickSkipper. Embedding the interface exposes everything but
+// SkipPicks, so the engine consults the inner heuristic on every pick.
+type proactiveFullRounds struct{ cancellingScheduler }
+
 // NewProactive wraps an inner heuristic with proactive cancellation.
 // factor > 1 controls how much better the alternative must be; 1.5 is a
-// reasonable default.
+// reasonable default. The wrapper implements sim.PickSkipper exactly when
+// the inner heuristic does.
 func NewProactive(inner sim.Scheduler, factor float64) sim.Scheduler {
 	if factor < 1 {
 		factor = 1
 	}
-	return &proactiveSched{Scheduler: inner, factor: factor}
+	s := &proactiveSched{Scheduler: inner, factor: factor}
+	if _, ok := inner.(sim.PickSkipper); !ok {
+		return proactiveFullRounds{s}
+	}
+	return s
 }
 
 // Name implements sim.Scheduler.
@@ -40,6 +58,14 @@ func (s *proactiveSched) Name() string { return "proactive-" + s.Scheduler.Name(
 // does not promote Poolable — it is not part of the Scheduler interface —
 // hence the explicit delegation.)
 func (s *proactiveSched) PoolSafe() bool { return sim.PoolSafe(s.Scheduler) }
+
+// SkipPicks implements sim.PickSkipper by delegating to the inner heuristic
+// (NewProactive hides this method when the inner one lacks it). Embedding
+// does not promote it, as with PoolSafe. Cancel runs before the round's
+// originals, so an early stop skips no cancellation.
+func (s *proactiveSched) SkipPicks(v *sim.View, eligible []int, rs *sim.RoundState, n int) {
+	s.Scheduler.(sim.PickSkipper).SkipPicks(v, eligible, rs, n)
+}
 
 // Cancel implements sim.Canceller.
 func (s *proactiveSched) Cancel(v *sim.View) []int {

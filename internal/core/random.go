@@ -96,6 +96,38 @@ func (s *randomSched) Pick(v *sim.View, eligible []int, rs *sim.RoundState, ti s
 	if s.weight == nil {
 		return eligible[s.r.Intn(len(eligible))]
 	}
+	weights, total := s.slateWeights(v, eligible)
+	if total <= 0 {
+		// Degenerate weights (e.g. all-zero reliability): fall back to
+		// uniform so the pick is still valid.
+		return eligible[s.r.Intn(len(eligible))]
+	}
+	return eligible[s.r.Categorical(weights)]
+}
+
+// SkipPicks implements sim.PickSkipper: it makes the n draws that n picks
+// on this slate would have made — one Intn(len(eligible)) each on the
+// uniform path, one Float64 each (Categorical's single draw) on the
+// weighted one. The slate's weights depend only on per-worker constants, so
+// every skipped pick would have seen the same total.
+func (s *randomSched) SkipPicks(v *sim.View, eligible []int, _ *sim.RoundState, n int) {
+	uniform := s.weight == nil
+	if !uniform {
+		_, total := s.slateWeights(v, eligible)
+		uniform = total <= 0
+	}
+	for ; n > 0; n-- {
+		if uniform {
+			s.r.Intn(len(eligible))
+			continue
+		}
+		s.r.Float64()
+	}
+}
+
+// slateWeights returns the selection weight of every eligible worker (in
+// Pick's scratch buffer) and their sum, through the per-worker cache.
+func (s *randomSched) slateWeights(v *sim.View, eligible []int) ([]float64, float64) {
 	if cap(s.weights) < len(eligible) {
 		s.weights = make([]float64, len(eligible))
 	}
@@ -124,10 +156,5 @@ func (s *randomSched) Pick(v *sim.View, eligible []int, rs *sim.RoundState, ti s
 		weights[i] = w
 		total += w
 	}
-	if total <= 0 {
-		// Degenerate weights (e.g. all-zero reliability): fall back to
-		// uniform so the pick is still valid.
-		return eligible[s.r.Intn(len(eligible))]
-	}
-	return eligible[s.r.Categorical(weights)]
+	return weights, total
 }

@@ -224,10 +224,17 @@ type engine struct {
 	// epoch is the last epoch handed out; epochs up to epochEnd are
 	// reserved for this engine (see epochBlock).
 	epoch, epochEnd int64
+	// skipper is cfg.Scheduler's PickSkipper side, or nil: only such
+	// schedulers end a round at its last bindable pick (scheduleRound).
+	skipper PickSkipper
 	// mutateSkipDirty suppresses markDirty for worker mutateSkipDirty-1
 	// (mutation hook for the oracle tests; 0 — the zero value — disables
 	// the mutation). It survives reset, like slowChecks.
 	mutateSkipDirty int
+	// mutateFreeLeft miscounts scheduleRound's free-worker budget, spending
+	// it on every first pick of a worker, occupied or not (mutation hook for
+	// the round-stop slow check; survives reset).
+	mutateFreeLeft bool
 	// slowChecks arms the full-rebuild equivalence oracle (test-only): every
 	// incremental structure is verified against a from-scratch recount.
 	slowChecks bool
@@ -322,6 +329,7 @@ func (e *engine) iterTasksCopy() []int {
 func (e *engine) reset(cfg Config) {
 	e.cfg = cfg
 	e.params = &e.cfg.Params
+	e.skipper, _ = cfg.Scheduler.(PickSkipper)
 	p := cfg.Platform.P()
 	m := cfg.Params.M
 
@@ -689,7 +697,8 @@ func (e *engine) schedule() error {
 // scheduleRound runs one scheduler round: it applies proactive cancellations
 // (when the scheduler requests them), then plans processors for all unbegun
 // original tasks, then for replicas when UP processors outnumber the
-// remaining tasks (Section 6.1).
+// remaining tasks (Section 6.1). For a PickSkipper the round ends at its
+// last bindable pick (see the originals loop).
 func (e *engine) scheduleRound() error {
 	e.buildView()
 
@@ -755,8 +764,25 @@ func (e *engine) scheduleRound() error {
 	if e.slowChecks {
 		e.verifyPending()
 	}
+	// A plan binds only on an UP worker with a free incoming slot, and only
+	// if it is that worker's first plan of the round (allocateChannels skips
+	// plans on occupied workers). freeLeft counts the free workers no pick
+	// has reached yet; once it is zero no later pick can bind, and an idle
+	// worker is always free, so the replica phase has no hosts either. A
+	// scheduler implementing PickSkipper then fast-forwards over the
+	// unvisited originals and the round ends; any other runs every pick.
 	plannedCopies := e.plannedCopies
+	freeLeft, visited := e.nFreeUp, 0
 	for t := e.trk.pendFirst(); t != noTask; t = e.trk.pendAfter(t) {
+		if freeLeft == 0 && e.skipper != nil {
+			n := e.trk.pendCount() - visited
+			if e.slowChecks {
+				e.verifyRoundStop(up, t, n)
+			}
+			e.skipper.SkipPicks(&e.view, up, rs, n)
+			return nil
+		}
+		visited++
 		ti := TaskInfo{Task: t, Replica: false, Copies: 0}
 		pick := e.cfg.Scheduler.Pick(&e.view, up, rs, ti)
 		if pick == Decline {
@@ -764,6 +790,9 @@ func (e *engine) scheduleRound() error {
 		}
 		if err := e.notePick(rs, pick); err != nil {
 			return err
+		}
+		if rs.NQ[pick] == 1 && (e.workers[pick].incoming == nil || e.mutateFreeLeft) {
+			freeLeft--
 		}
 		e.plans = append(e.plans, plannedAssignment{task: t, worker: pick, replica: 0})
 		plannedCopies[t]++

@@ -7,6 +7,12 @@ package sim
 // correct behavior. Test-only.
 func (r *Runner) MutateSkipDirty(worker int) { r.e.mutateSkipDirty = worker + 1 }
 
+// MutateFreeLeft makes the scheduling round spend its free-worker budget on
+// every first pick of a worker, occupied or not — a deliberately broken
+// round stop, used to prove the slow check (verifyRoundStop) detects it.
+// The mutation survives Runner reuse. Test-only.
+func (r *Runner) MutateFreeLeft(on bool) { r.e.mutateFreeLeft = on }
+
 // EpochBlock is how many epochs an engine reserves from the shared counter
 // at once.
 const EpochBlock = epochBlock

@@ -231,6 +231,28 @@ func (e *engine) verifyRoundSetup() {
 	}
 }
 
+// verifyRoundStop checks an early round end against full scans: no worker
+// on the originals slate may still be free (UP with no incoming copy) and
+// unpicked this round — such a worker could still bind a plan, or host a
+// replica — and the skipped count handed to SkipPicks must equal the
+// pending originals from task from onwards, walked one by one.
+func (e *engine) verifyRoundStop(slate []int, from, skipped int) {
+	for _, q := range slate {
+		if e.workers[q].incoming == nil && e.rs.NQ[q] == 0 {
+			panic(fmt.Sprintf("sim: slot %d: round stopped early with worker %d free and unpicked",
+				e.slot, q))
+		}
+	}
+	walked := 0
+	for t := from; t != noTask; t = e.trk.pendAfter(t) {
+		walked++
+	}
+	if walked != skipped {
+		panic(fmt.Sprintf("sim: slot %d: round stop skips %d picks, the pending walk from task %d finds %d",
+			e.slot, skipped, from, walked))
+	}
+}
+
 // verifyTaskTables checks the per-iteration sizing invariant at an
 // iteration start: every per-task table — states, replica counters, round
 // overlay, holder lists — and the tracker's pending/remaining indexes must

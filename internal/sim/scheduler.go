@@ -21,6 +21,13 @@
 // capacity allow, which realizes the paper's "dynamic" heuristic class:
 // begun work is never abandoned, everything else is re-planned from scratch
 // each slot.
+//
+// A plan materializes only on an UP worker with a free incoming slot, and
+// only if it is that worker's first plan of the slot. Once every such worker
+// has been picked, no later pick of the round can bind. For schedulers that
+// implement PickSkipper the engine ends the round there and lets the
+// scheduler account for the picks it did not make; all others are consulted
+// for every task, as the paper describes.
 package sim
 
 import (
@@ -178,7 +185,10 @@ type Scheduler interface {
 	// empty) that should receive the given task, or Decline to leave the
 	// task unassigned this slot. The engine invokes Pick once per task per
 	// slot, originals first, then replicas; rs reflects all picks already
-	// made this round.
+	// made this round. A scheduler implementing PickSkipper sees the round
+	// end early, at the point where every UP worker with a free incoming
+	// slot has been picked: the remaining originals go to SkipPicks
+	// instead, and no replica is picked (there is no idle host left).
 	Pick(v *View, eligible []int, rs *RoundState, ti TaskInfo) int
 }
 
@@ -197,6 +207,25 @@ type Poolable interface {
 func PoolSafe(s Scheduler) bool {
 	p, ok := s.(Poolable)
 	return ok && p.PoolSafe()
+}
+
+// PickSkipper is the optional interface of schedulers that let the engine
+// end a scheduling round at its last bindable pick. Once every UP worker
+// with a free incoming slot has been picked this round, no further pick can
+// materialize, so the engine stops consulting Pick and calls SkipPicks once
+// instead, with the n originals it did not visit.
+//
+// The contract: SkipPicks must leave the scheduler exactly as n more
+// original-task Pick calls on (v, eligible) would have left it, with their
+// results discarded. rs is the round state at the stop; the engine does not
+// advance it for the skipped picks. A side-effect-free scheduler (one whose
+// state is a pure cache) implements SkipPicks as a no-op; a randomized one
+// advances its RNG by the draws those picks would have made. Schedulers
+// that commit to decisions inside Pick must not implement it. Wrappers implement it only when their inner
+// heuristic does (embedding does not promote it).
+type PickSkipper interface {
+	// SkipPicks accounts for n original-task picks the engine skipped.
+	SkipPicks(v *View, eligible []int, rs *RoundState, n int)
 }
 
 // Canceller is the optional interface of the paper's "proactive" heuristic

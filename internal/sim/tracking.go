@@ -69,6 +69,9 @@ func (k *taskTracker) pendFirst() int { return k.pending.min() }
 // pendAfter returns the lowest pending task ID greater than t, or noTask.
 func (k *taskTracker) pendAfter(t int) int { return k.pending.next(t) }
 
+// pendCount returns the number of pending originals.
+func (k *taskTracker) pendCount() int { return k.pending.size() }
+
 // pendEmpty reports whether no original is pending.
 func (k *taskTracker) pendEmpty() bool { return k.pending.empty() }
 
