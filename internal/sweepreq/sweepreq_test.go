@@ -204,3 +204,48 @@ func TestSweepExperimentsAllBuild(t *testing.T) {
 		seen[b.Digest] = true
 	}
 }
+
+// pinnedRequestDigests are the config digests of every sweep experiment's
+// flag-default request in both time bases. volaserved keys its cached
+// results and request stubs on these digests, so a digest that moves
+// orphans every result the service has stored.
+var pinnedRequestDigests = map[string]string{
+	"table2/slot":      "3105001a1f32641fb597aa72e47c65395f39b56d72e81a48c5ebf3e04ae7b4fd",
+	"table2/event":     "03d7ad2eb88514dee8d1f368ea065ba77aff32c477aa9fe2af941a2a9c8df95c",
+	"figure2/slot":     "43aa672b8c1c94753e3c59c0fb161569dec9e65c168a7160873acd91ffe441ed",
+	"figure2/event":    "f9d969378f9fa3c2f556a862ec3546cba505e0286164251ddef66c2987f44239",
+	"table3x5/slot":    "1cd59038563f5cca797d1f33953c4edb531d1228fb0be8bcab92ebaa97194e2b",
+	"table3x5/event":   "4a8f2ff244d01025244bd1472cb9d577e8432fbbe3be9fe291854e4b86ffb3ef",
+	"table3x10/slot":   "0d22f9836172647c32490a8d80fa9ff8744f1dd55eeabc7dc85c785717e7dc1f",
+	"table3x10/event":  "41e18833c54cb1b71f3bf9ffc2135526b7f8814419eca1ab7337b698456ff8b1",
+	"tracesweep/slot":  "0becb6a0008dc3c1f07d82c0bc6d35699072d758e648488c1210f8c80dd4c522",
+	"tracesweep/event": "8c9c4b05bc37e4dfa15961471f3cf03c68a6e89ab8e82a5f2dfc9c6977a27b0b",
+	"dfrs/slot":        "95ecdd705cd38f40390517fe0a8851394ba8e765b628fda7a08b5152db4a5a4e",
+	"dfrs/event":       "48461caeee9a84f199479e9db33c2caa230f43247bfdd491eba4d539fa0febbd",
+	"largep/slot":      "46a3de59439ac28e37501beee7060a6708e60668dfa53d668f4e9133493c6e20",
+	"largep/event":     "770e93c7a526c30f84d8f6522e0f76f572e17c05c27b4b5bfa592a5d8849bdd2",
+	"moldable/slot":    "3976177d563c0fac6c443f8aea675d1d51d27b342b813376e6ea381368c546ae",
+	"moldable/event":   "9529ee64b1245ba01a26e149465d21b3c58368d6caf5c1d1f7033444e7d3c242",
+}
+
+// TestPinnedRequestDigests pins pinnedRequestDigests for every
+// SweepExperiments entry.
+func TestPinnedRequestDigests(t *testing.T) {
+	n := 0
+	for _, exp := range SweepExperiments() {
+		for _, mode := range []string{"slot", "event"} {
+			b, err := Build(Request{Exp: exp, Mode: mode})
+			if err != nil {
+				t.Fatalf("Build(%s, %s) error: %v", exp, mode, err)
+			}
+			key := exp + "/" + mode
+			if want := pinnedRequestDigests[key]; b.Digest != want {
+				t.Errorf("%s digest moved: got %s, want %s", key, b.Digest, want)
+			}
+			n++
+		}
+	}
+	if n != len(pinnedRequestDigests) {
+		t.Errorf("pinned %d digests, SweepExperiments has %d (experiment, mode) pairs", len(pinnedRequestDigests), n)
+	}
+}

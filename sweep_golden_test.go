@@ -112,3 +112,42 @@ func TestTraceSweepWorkerCountDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// goldenTraceSweepDigests pin the trace-driven sweep on goldenSweep's grid
+// (all 17 heuristics), one per availability source and engine time base:
+// synthetic Weibull traces of the default length, and the recorded trace
+// set committed under testdata/compat. They cover a full run; the compat
+// corpus covers resuming from a checkpoint. Trace replay draws no
+// availability randomness, so each source's two modes agree bit for bit.
+var goldenTraceSweepDigests = map[string]string{
+	"synthetic/slot":  "4e0ed065c6e96f09f9d71562af365edeca0863f5c32b0ab3788cb40d4eae764d",
+	"synthetic/event": "4e0ed065c6e96f09f9d71562af365edeca0863f5c32b0ab3788cb40d4eae764d",
+	"file/slot":       "73c88b8526ac4a56237c9849c8880d9a79748adb10a883847fa9b248c714ff27",
+	"file/event":      "73c88b8526ac4a56237c9849c8880d9a79748adb10a883847fa9b248c714ff27",
+}
+
+// TestTraceSweepGolden locks the trace family's numeric output, the
+// trace-driven analogue of TestRunSweepGolden.
+func TestTraceSweepGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden trace sweeps are a few seconds long")
+	}
+	for _, mode := range []Mode{ModeSlot, ModeEvent} {
+		for _, source := range []string{"synthetic", "file"} {
+			g := goldenSweepConfig()
+			cfg := TraceSweepConfig{Cells: g.Cells, Scenarios: g.Scenarios, Trials: g.Trials,
+				Style: TraceWeibull, Mode: mode, Seed: g.Seed}
+			if source == "file" {
+				cfg.TraceFiles = []string{compatTraceFile}
+			}
+			res, err := TraceSweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := source + "/" + mode.String()
+			if got, want := res.Digest(), goldenTraceSweepDigests[key]; got != want {
+				t.Errorf("%s trace sweep digest drifted:\n got  %s\n want %s", key, got, want)
+			}
+		}
+	}
+}
