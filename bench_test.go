@@ -73,14 +73,16 @@ func BenchmarkTable2(b *testing.B) { benchTable2(b, ModeSlot) }
 func BenchmarkTable2Event(b *testing.B) { benchTable2(b, ModeEvent) }
 
 // BenchmarkMoldableSweep runs the reduced Table 2 grid under the
-// maximum-iters allocation policy — the moldable family's default, and its
+// maximum-iters allocation policy — the moldable experiment's default, and its
 // most allocation-active policy (every iteration resizes to the UP count).
 // CI's bench-smoke records it in BENCH_table2.json next to the rigid-model
 // entries, so the per-iteration allocation overhead and the moldable dfb
 // ordering stay visible per commit.
 func BenchmarkMoldableSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := MoldableSweep(MoldableSweepConfig("maximum-iters", benchScenarios, benchTrials, 42))
+		cfg := Table2Config(benchScenarios, benchTrials, 42)
+		cfg.Alloc = "maximum-iters"
+		res, err := RunSweep(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,30 +14,29 @@ import (
 // materialization or the sharded merge changed behaviour.
 const goldenCompareDigest = "ed7e1e6882e7a3470b1249783cf61d9886139343a8cdaa57782143f04e74d3ac"
 
-// goldenBatchDigest pins the batch-only sweep (BatchSweep) on the same
-// grid: FCFS vs EASY with no fractional contenders.
+// goldenBatchDigest pins the batch-only sweep on the same grid: FCFS vs
+// EASY with no fractional contenders.
 const goldenBatchDigest = "854bb0b0dd0343bd1fbc760364ac95a5d87d83a9d18618ffc33912bbe259c0bf"
 
-func goldenCompareConfig() CompareConfig {
-	return CompareConfig{
+func goldenCompareConfig() SweepConfig {
+	return SweepConfig{
 		Cells: []Cell{
 			{Tasks: 5, Ncom: 5, Wmin: 1},
 			{Tasks: 10, Ncom: 5, Wmin: 3},
 			{Tasks: 20, Ncom: 10, Wmin: 5},
 		},
-		Heuristics:  []string{"emct*", "mct", "random2w"},
-		Disciplines: []string{BatchFCFS, BatchEASY},
-		Scenarios:   2,
-		Trials:      2,
-		Options:     ScenarioOptions{Processors: 8, Iterations: 3},
-		Seed:        77,
+		Heuristics: []string{"emct*", "mct", "random2w", BatchFCFS, BatchEASY},
+		Scenarios:  2,
+		Trials:     2,
+		Options:    ScenarioOptions{Processors: 8, Iterations: 3},
+		Seed:       77,
 	}
 }
 
 // TestCompareSweepGolden locks the DFRS comparison's numeric output, the
 // batch-engine analogue of TestRunSweepGolden.
 func TestCompareSweepGolden(t *testing.T) {
-	res, err := CompareSweep(goldenCompareConfig())
+	res, err := RunSweep(goldenCompareConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestCompareSweepWorkerCountDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		cfg := goldenCompareConfig()
 		cfg.Workers = workers
-		res, err := CompareSweep(cfg)
+		res, err := RunSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,9 +72,9 @@ func TestCompareSweepWorkerCountDeterminism(t *testing.T) {
 func TestBatchSweepWorkerCountDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		cfg := goldenCompareConfig()
-		cfg.Heuristics = nil // ignored by BatchSweep
+		cfg.Heuristics = BatchDisciplines()
 		cfg.Workers = workers
-		res, err := BatchSweep(cfg)
+		res, err := RunSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +94,11 @@ func TestBatchSweepWorkerCountDeterminism(t *testing.T) {
 // produces one row per cell with both family winners filled in.
 func TestCompareSweepRowsCoverBothFamilies(t *testing.T) {
 	cfg := goldenCompareConfig()
-	res, err := CompareSweep(cfg)
+	res, err := RunSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append(append([]string{}, cfg.Heuristics...), cfg.Disciplines...)
+	want := cfg.Heuristics
 	seen := make(map[string]bool, len(res.Overall))
 	for _, r := range res.Overall {
 		seen[r.Name] = true
@@ -132,30 +131,33 @@ func TestCompareSweepValidation(t *testing.T) {
 	base := goldenCompareConfig()
 
 	bad := base
-	bad.Disciplines = []string{"batch-sjf"}
-	if _, err := CompareSweep(bad); err == nil {
+	bad.Heuristics = []string{"emct*", "batch-sjf"}
+	if _, err := RunSweep(bad); err == nil {
 		t.Error("unknown discipline accepted")
 	}
-	if _, err := BatchSweep(bad); err == nil {
-		t.Error("BatchSweep accepted unknown discipline")
+	bad.Heuristics = []string{BatchFCFS, "batch-sjf"}
+	if _, err := RunSweep(bad); err == nil {
+		t.Error("batch-only sweep accepted unknown discipline")
 	}
 
 	bad = base
-	bad.Heuristics = []string{"no-such-heuristic"}
-	if _, err := CompareSweep(bad); err == nil {
+	bad.Heuristics = []string{"no-such-heuristic", BatchEASY}
+	if _, err := RunSweep(bad); err == nil {
 		t.Error("unknown heuristic accepted")
 	}
 
 	bad = base
+	bad.Heuristics = BatchDisciplines()
 	bad.Cells = nil
-	if _, err := BatchSweep(bad); err == nil {
-		t.Error("BatchSweep accepted empty cells")
+	if _, err := RunSweep(bad); err == nil {
+		t.Error("batch-only sweep accepted empty cells")
 	}
 
 	bad = base
+	bad.Heuristics = BatchDisciplines()
 	bad.Trials = 0
-	if _, err := BatchSweep(bad); err == nil {
-		t.Error("BatchSweep accepted zero trials")
+	if _, err := RunSweep(bad); err == nil {
+		t.Error("batch-only sweep accepted zero trials")
 	}
 
 	if _, err := (&Scenario{}).RunBatch("batch-sjf", 1); err == nil {
@@ -164,15 +166,15 @@ func TestCompareSweepValidation(t *testing.T) {
 }
 
 // TestRunBatchMatchesCompareSweepWorld pins that the single-run RunBatch
-// entry point sees the same world as a CompareSweep instance: same
+// entry point sees the same world as a batch contender of a sweep: same
 // scenario seed + trial seed → same batch makespan as the sweep recorded.
 func TestRunBatchMatchesCompareSweepWorld(t *testing.T) {
 	cell := Cell{Tasks: 5, Ncom: 5, Wmin: 2}
 	opt := ScenarioOptions{Processors: 6, Iterations: 2}
 	seed := uint64(99)
 
-	res, err := CompareSweep(CompareConfig{
-		Cells: []Cell{cell}, Heuristics: []string{"mct"}, Scenarios: 1, Trials: 1,
+	res, err := RunSweep(SweepConfig{
+		Cells: []Cell{cell}, Heuristics: []string{"mct", BatchFCFS, BatchEASY}, Scenarios: 1, Trials: 1,
 		Options: opt, Seed: seed,
 	})
 	if err != nil {

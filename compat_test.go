@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
 // compatDir holds the on-disk compatibility corpus: one mid-sweep
@@ -31,88 +30,36 @@ type compatEntry struct {
 	ResultDigest    string `json:"result_digest"`
 }
 
-// compatSweep runs one corpus sweep under the given checkpoint and fault
-// plan, and reports its config digest.
-type compatSweep struct {
-	run    func(ck *CheckpointConfig, faults *faultinject.Plan, progress func(done, total int)) (*SweepResult, error)
-	digest func() (string, error)
-}
-
 func compatCells() []Cell {
 	return []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 8, Ncom: 4, Wmin: 2}, {Tasks: 12, Ncom: 6, Wmin: 3}}
 }
 
-// compatSweeps are the corpus sweeps, keyed by fixture name. Each is 3
-// cells × 2 scenarios = 6 chunks of 2 trials.
-func compatSweeps() map[string]compatSweep {
-	rigid := func(mode Mode) compatSweep {
-		cfg := SweepConfig{Cells: compatCells(), Scenarios: 2, Trials: 2,
-			Options: ScenarioOptions{Processors: 8, Iterations: 3}, Mode: mode, Seed: 501}
-		return compatSweep{
-			run: func(ck *CheckpointConfig, f *faultinject.Plan, p func(int, int)) (*SweepResult, error) {
-				c := cfg
-				c.Checkpoint, c.Faults, c.Progress = ck, f, p
-				return RunSweep(c)
-			},
-			digest: cfg.ConfigDigest,
-		}
-	}
-	trace := func(cfg TraceSweepConfig) compatSweep {
-		return compatSweep{
-			run: func(ck *CheckpointConfig, f *faultinject.Plan, p func(int, int)) (*SweepResult, error) {
-				c := cfg
-				c.Checkpoint, c.Faults, c.Progress = ck, f, p
-				return TraceSweep(c)
-			},
-			digest: cfg.ConfigDigest,
-		}
-	}
-	compare := func(cfg CompareConfig, batchOnly bool) compatSweep {
-		return compatSweep{
-			run: func(ck *CheckpointConfig, f *faultinject.Plan, p func(int, int)) (*SweepResult, error) {
-				c := cfg
-				c.Checkpoint, c.Faults, c.Progress = ck, f, p
-				if batchOnly {
-					return BatchSweep(c)
-				}
-				return CompareSweep(c)
-			},
-			digest: func() (string, error) {
-				if batchOnly {
-					_, _, d, err := comparePlan(cfg, nil)
-					return d, err
-				}
-				return cfg.ConfigDigest()
-			},
-		}
-	}
-	moldable := MoldableConfig{Cells: compatCells(), Heuristics: []string{"emct", "mct*", "random2w", "ud*"},
-		Alloc: "maximum-iters", Scenarios: 2, Trials: 2,
-		Options: ScenarioOptions{Processors: 8, Iterations: 3}, Seed: 505}
-	return map[string]compatSweep{
-		"rigid-slot":  rigid(ModeSlot),
-		"rigid-event": rigid(ModeEvent),
-		"trace-synthetic": trace(TraceSweepConfig{Cells: compatCells(),
+// compatSweeps are the corpus sweeps, keyed by fixture name: one per digest
+// flavour, and both time bases of the rigid sweep. Each is 3 cells × 2
+// scenarios = 6 chunks of 2 trials.
+func compatSweeps() map[string]SweepConfig {
+	p8 := ScenarioOptions{Processors: 8, Iterations: 3}
+	rigid := SweepConfig{Cells: compatCells(), Scenarios: 2, Trials: 2, Options: p8, Seed: 501}
+	rigidEvent := rigid
+	rigidEvent.Mode = ModeEvent
+	return map[string]SweepConfig{
+		"rigid-slot":  rigid,
+		"rigid-event": rigidEvent,
+		"trace-synthetic": {Cells: compatCells(),
 			Heuristics: []string{"emct", "mct*", "random2w", "lw*"}, Scenarios: 2, Trials: 2,
-			TraceLen: 150, Style: TracePareto,
-			Options: ScenarioOptions{Processors: 6, Iterations: 2}, Seed: 502}),
-		"trace-file": trace(TraceSweepConfig{Cells: compatCells(),
+			Trace:   &TraceSource{Style: TracePareto, Len: 150},
+			Options: ScenarioOptions{Processors: 6, Iterations: 2}, Seed: 502},
+		"trace-file": {Cells: compatCells(),
 			Heuristics: []string{"emct*", "mct", "random1w"}, Scenarios: 2, Trials: 2,
-			TraceFiles: []string{compatTraceFile},
-			Options:    ScenarioOptions{Iterations: 2}, Seed: 503}),
-		"compare": compare(CompareConfig{Cells: compatCells(),
-			Heuristics: []string{"emct*", "mct", "random2w"}, Scenarios: 2, Trials: 2,
-			Options: ScenarioOptions{Processors: 8, Iterations: 3}, Seed: 504}, false),
-		"batch": compare(CompareConfig{Cells: compatCells(), Scenarios: 2, Trials: 2,
-			Options: ScenarioOptions{Processors: 8, Iterations: 3}, Seed: 504}, true),
-		"moldable": {
-			run: func(ck *CheckpointConfig, f *faultinject.Plan, p func(int, int)) (*SweepResult, error) {
-				c := moldable
-				c.Checkpoint, c.Faults, c.Progress = ck, f, p
-				return MoldableSweep(c)
-			},
-			digest: moldable.ConfigDigest,
-		},
+			Trace:   &TraceSource{Files: []string{compatTraceFile}},
+			Options: ScenarioOptions{Iterations: 2}, Seed: 503},
+		"compare": {Cells: compatCells(),
+			Heuristics: []string{"emct*", "mct", "random2w", BatchFCFS, BatchEASY}, Scenarios: 2, Trials: 2,
+			Options: p8, Seed: 504},
+		"batch": {Cells: compatCells(), Heuristics: BatchDisciplines(), Scenarios: 2, Trials: 2,
+			Options: p8, Seed: 504},
+		"moldable": {Cells: compatCells(), Heuristics: []string{"emct", "mct*", "random2w", "ud*"},
+			Alloc: "maximum-iters", Scenarios: 2, Trials: 2, Options: p8, Seed: 505},
 	}
 }
 
@@ -143,11 +90,11 @@ func TestCompatCheckpointResume(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.Name, func(t *testing.T) {
-			sw, ok := sweeps[fx.Name]
+			cfg, ok := sweeps[fx.Name]
 			if !ok {
 				t.Fatalf("no corpus sweep for fixture %q", fx.Name)
 			}
-			digest, err := sw.digest()
+			digest, err := cfg.ConfigDigest()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,14 +118,18 @@ func TestCompatCheckpointResume(t *testing.T) {
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			var mu sync.Mutex
 			first, calls := -1, 0
-			progress := func(done, total int) {
+			cfg.Progress = func(done, total int) {
+				mu.Lock()
+				defer mu.Unlock()
 				if first < 0 || done < first {
 					first = done
 				}
 				calls++
 			}
-			res, err := sw.run(&CheckpointConfig{Path: path, Resume: true}, nil, progress)
+			cfg.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
+			res, err := RunSweep(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -116,13 +116,12 @@ func TestCrossModeSweepEquivalence(t *testing.T) {
 // aggregates in both modes — every makespan, dfb and win equal.
 func TestTraceSweepCrossModeBitIdentical(t *testing.T) {
 	mk := func(mode Mode) string {
-		res, err := TraceSweep(TraceSweepConfig{
+		res, err := RunSweep(SweepConfig{
 			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 10, Ncom: 5, Wmin: 2}},
 			Heuristics: []string{"emct", "emct*", "mct*", "lw", "ud*"},
 			Scenarios:  2,
 			Trials:     2,
-			TraceLen:   150,
-			Style:      TraceWeibull,
+			Trace:      &TraceSource{Style: TraceWeibull, Len: 150},
 			Options:    ScenarioOptions{Processors: 6, Iterations: 2},
 			Mode:       mode,
 			Seed:       2026,

@@ -39,17 +39,18 @@ func main() {
 			name, res.Makespan, len(res.IterationEnds))
 	}
 
-	// Then a small comparison sweep: the dfb metric ranks the batch
-	// disciplines against a fractional delegation over many instances,
-	// with the per-instance best taken over BOTH families.
+	// Then a small comparison sweep: the batch disciplines are just more
+	// contenders in the contender list, so the dfb metric ranks them
+	// against a fractional delegation over many instances, with the
+	// per-instance best taken over BOTH families.
 	fmt.Println("\nComparison sweep (3 cells × 4 scenarios × 3 trials):")
-	res, err := volatile.CompareSweep(volatile.CompareConfig{
+	res, err := volatile.RunSweep(volatile.SweepConfig{
 		Cells: []volatile.Cell{
 			{Tasks: 5, Ncom: 5, Wmin: 2},
 			{Tasks: 20, Ncom: 10, Wmin: 3},
 			{Tasks: 40, Ncom: 20, Wmin: 5},
 		},
-		Heuristics: []string{"emct*", "mct", "random2w"},
+		Heuristics: []string{"emct*", "mct", "random2w", volatile.BatchFCFS, volatile.BatchEASY},
 		Scenarios:  4,
 		Trials:     3,
 		Seed:       7,

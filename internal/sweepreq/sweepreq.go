@@ -42,12 +42,8 @@ func SweepExperiments() []string { return append([]string(nil), sweepExperiments
 
 // IsSweep reports whether exp runs through the sharded sweep pipeline.
 func IsSweep(exp string) bool {
-	for _, e := range sweepExperiments {
-		if exp == e {
-			return true
-		}
-	}
-	return false
+	_, ok := presets[exp]
+	return ok
 }
 
 // Request describes one sweep-family submission. Field names mirror the
@@ -194,17 +190,18 @@ type RunOpts struct {
 }
 
 // Built is a validated, constructed sweep: its canonical content digest
-// (the result-cache / checkpoint key), the resolved fractional heuristic
-// list, the total instance count, and a Run closure executing it through
-// the matching volatile entry point.
+// (the result-cache / checkpoint key), the resolved contender list, the
+// total instance count, and a Run closure executing it through
+// volatile.RunSweep.
 type Built struct {
 	// Exp echoes the experiment name.
 	Exp string
 	// Digest is the canonical config digest (ConfigDigest of the built
 	// config) — equal digests mean bit-identical results.
 	Digest string
-	// Heuristics is the resolved fractional heuristic list (what figure2
-	// plots, what the tables rank; dfrs adds the batch disciplines on top).
+	// Heuristics is the resolved contender list (what figure2 plots, what
+	// the tables rank; dfrs lists the batch disciplines after the
+	// heuristics).
 	Heuristics []string
 	// Instances is cells × scenarios × trials, the total the Progress
 	// callback counts toward.
@@ -213,6 +210,43 @@ type Built struct {
 	// lifecycle but is otherwise stateless: every call re-runs (or, with
 	// Checkpoint.Resume, continues) the identical sweep.
 	Run func(RunOpts) (*volatile.SweepResult, error)
+}
+
+// presets maps every sweep experiment to the config it runs, built from a
+// defaulted and validated request. Build adds the knobs all experiments
+// share (platform size, mode, workers, failure policy).
+var presets = map[string]func(r Request) volatile.SweepConfig{
+	"table2":  func(r Request) volatile.SweepConfig { return volatile.Table2Config(r.Scenarios, r.Trials, r.Seed) },
+	"figure2": func(r Request) volatile.SweepConfig { return volatile.Figure2Config(r.Scenarios, r.Trials, r.Seed) },
+	"table3x5": func(r Request) volatile.SweepConfig {
+		return volatile.Table3Config(5, r.Scenarios, r.Trials, r.Seed)
+	},
+	"table3x10": func(r Request) volatile.SweepConfig {
+		return volatile.Table3Config(10, r.Scenarios, r.Trials, r.Seed)
+	},
+	"largep": func(r Request) volatile.SweepConfig {
+		p := r.Procs
+		if p == 0 {
+			p = 1000
+		}
+		return volatile.LargePConfig(p, r.Scenarios, r.Trials, r.Seed)
+	},
+	"tracesweep": func(r Request) volatile.SweepConfig {
+		cfg := volatile.Table2Config(r.Scenarios, r.Trials, r.Seed)
+		style, _ := ParseTraceStyle(r.TraceStyle) // Validate has checked it
+		cfg.Trace = &volatile.TraceSource{Style: style, Len: r.TraceLen, Files: r.TraceFiles}
+		return cfg
+	},
+	"dfrs": func(r Request) volatile.SweepConfig {
+		cfg := volatile.Table2Config(r.Scenarios, r.Trials, r.Seed)
+		cfg.Heuristics = append(volatile.Heuristics(), volatile.BatchDisciplines()...)
+		return cfg
+	},
+	"moldable": func(r Request) volatile.SweepConfig {
+		cfg := volatile.Table2Config(r.Scenarios, r.Trials, r.Seed)
+		cfg.Alloc = r.Alloc
+		return cfg
+	},
 }
 
 // Build validates the request, applies defaults, constructs the matching
@@ -224,7 +258,8 @@ func Build(r Request) (*Built, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	if !IsSweep(r.Exp) {
+	preset, ok := presets[r.Exp]
+	if !ok {
 		return nil, fmt.Errorf("experiment %q does not run through the sweep pipeline (sweep experiments: %s)",
 			r.Exp, strings.Join(sweepExperiments, ", "))
 	}
@@ -232,132 +267,29 @@ func Build(r Request) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	switch r.Exp {
-	case "tracesweep":
-		style, err := ParseTraceStyle(r.TraceStyle)
-		if err != nil {
-			return nil, err
-		}
-		cfg := volatile.TraceSweepConfig{
-			Cells:      volatile.PaperGrid(),
-			Scenarios:  r.Scenarios,
-			Trials:     r.Trials,
-			TraceLen:   r.TraceLen,
-			Style:      style,
-			TraceFiles: r.TraceFiles,
-			Options:    volatile.ScenarioOptions{Processors: r.Procs},
-			Mode:       mode,
-			Seed:       r.Seed,
-			Workers:    r.Workers,
-		}
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: volatile.Heuristics(),
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.TraceSweep(c)
-			},
-		}, nil
-
-	case "dfrs":
-		cfg := volatile.CompareConfig{
-			Cells:     volatile.PaperGrid(),
-			Scenarios: r.Scenarios,
-			Trials:    r.Trials,
-			Options:   volatile.ScenarioOptions{Processors: r.Procs},
-			Mode:      mode,
-			Seed:      r.Seed,
-			Workers:   r.Workers,
-		}
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: volatile.Heuristics(),
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.CompareSweep(c)
-			},
-		}, nil
-
-	case "moldable":
-		cfg := volatile.MoldableSweepConfig(r.Alloc, r.Scenarios, r.Trials, r.Seed)
+	cfg := preset(r)
+	if r.Procs != 0 {
 		cfg.Options.Processors = r.Procs
-		cfg.Mode, cfg.Workers = mode, r.Workers
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: volatile.Heuristics(),
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.MoldableSweep(c)
-			},
-		}, nil
-
-	default:
-		var cfg volatile.SweepConfig
-		switch r.Exp {
-		case "table2":
-			cfg = volatile.Table2Config(r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "figure2":
-			cfg = volatile.Figure2Config(r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "table3x5":
-			cfg = volatile.Table3Config(5, r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "table3x10":
-			cfg = volatile.Table3Config(10, r.Scenarios, r.Trials, r.Seed)
-			cfg.Options.Processors = r.Procs
-		case "largep":
-			p := r.Procs
-			if p == 0 {
-				p = 1000
-			}
-			cfg = volatile.LargePConfig(p, r.Scenarios, r.Trials, r.Seed)
-		}
-		cfg.Mode, cfg.Workers = mode, r.Workers
-		cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
-		digest, err := cfg.ConfigDigest()
-		if err != nil {
-			return nil, err
-		}
-		heur := cfg.Heuristics
-		if len(heur) == 0 {
-			heur = volatile.Heuristics()
-		}
-		return &Built{
-			Exp:        r.Exp,
-			Digest:     digest,
-			Heuristics: heur,
-			Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
-			Run: func(o RunOpts) (*volatile.SweepResult, error) {
-				c := cfg
-				c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
-				return volatile.RunSweep(c)
-			},
-		}, nil
 	}
+	cfg.Mode, cfg.Workers = mode, r.Workers
+	cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
+	digest, err := cfg.ConfigDigest()
+	if err != nil {
+		return nil, err
+	}
+	heur := cfg.Heuristics
+	if len(heur) == 0 {
+		heur = volatile.Heuristics()
+	}
+	return &Built{
+		Exp:        r.Exp,
+		Digest:     digest,
+		Heuristics: heur,
+		Instances:  len(cfg.Cells) * r.Scenarios * r.Trials,
+		Run: func(o RunOpts) (*volatile.SweepResult, error) {
+			c := cfg
+			c.Progress, c.Checkpoint, c.Stop, c.Faults = o.Progress, o.Checkpoint, o.Stop, o.Faults
+			return volatile.RunSweep(c)
+		},
+	}, nil
 }

@@ -10,7 +10,7 @@ import (
 // arbitrary (hostile) input and must either return a valid Set or an
 // error — never panic, and never allocate proportionally to dimensions the
 // header merely claims. Whatever parses must survive a Write→Read round
-// trip unchanged, since TraceSweep's file path depends on that identity.
+// trip unchanged, since a trace sweep's file source depends on that identity.
 //
 // The seed corpus covers the grammar's edges: a well-formed set, header
 // corruption, dimension lies (including the billion-vector over-allocation

@@ -15,8 +15,8 @@ import (
 // under the maximum-iters policy (the one whose decisions depend most on
 // observed availability, so any nondeterminism in the decision inputs
 // would show here first).
-func moldableTestConfig() MoldableConfig {
-	return MoldableConfig{
+func moldableTestConfig() SweepConfig {
+	return SweepConfig{
 		Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 8, Ncom: 4, Wmin: 2}},
 		Heuristics: []string{"emct", "mct*", "random2w"},
 		Alloc:      "maximum-iters",
@@ -32,32 +32,24 @@ func moldableTestConfig() MoldableConfig {
 // it are behavioural changes, not refactors.
 const goldenMoldableDigest = "3de61fe543eed972518d83176d0da24f624d56c98175941dc32ea979199dfc72"
 
-// TestMoldableFixedMatchesRunSweep pins the bridge between the moldable
-// family and the rigid goldens: under the "fixed" policy (explicit or
-// defaulted) MoldableSweep must produce the exact RunSweep result — same
-// instances, same aggregates, bit for bit.
+// TestMoldableFixedMatchesRunSweep pins the bridge between moldable sweeps
+// and the rigid goldens: under the "fixed" policy a sweep must produce the
+// exact rigid result — same instances, same aggregates, bit for bit.
 func TestMoldableFixedMatchesRunSweep(t *testing.T) {
 	base := resumeTestConfig()
 	ref, err := RunSweep(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alloc := range []string{"fixed", ""} {
-		res, err := MoldableSweep(MoldableConfig{
-			Cells:      base.Cells,
-			Heuristics: base.Heuristics,
-			Alloc:      alloc,
-			Scenarios:  base.Scenarios,
-			Trials:     base.Trials,
-			Seed:       base.Seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Format() != ref.Format() {
-			t.Errorf("alloc=%q moldable sweep diverged from RunSweep:\nmoldable:\n%s\nrunsweep:\n%s",
-				alloc, res.Format(), ref.Format())
-		}
+	cfg := base
+	cfg.Alloc = "fixed"
+	res, err := RunSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Format() != ref.Format() {
+		t.Errorf("alloc=fixed sweep diverged from the rigid sweep:\nmoldable:\n%s\nrigid:\n%s",
+			res.Format(), ref.Format())
 	}
 }
 
@@ -70,7 +62,7 @@ func TestMoldableSweepGoldenAndWorkerDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		cfg := moldableTestConfig()
 		cfg.Workers = workers
-		res, err := MoldableSweep(cfg)
+		res, err := RunSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,14 +83,14 @@ func TestMoldableSweepCrossModeAndPolicies(t *testing.T) {
 			cfg.Alloc = alloc
 			cfg.Mode = mode
 			cfg.Scenarios = 1
-			res, err := MoldableSweep(cfg)
+			res, err := RunSweep(cfg)
 			if err != nil {
 				t.Fatalf("alloc=%s mode=%v: %v", alloc, mode, err)
 			}
 			if res.Instances == 0 {
 				t.Fatalf("alloc=%s mode=%v aggregated no instances", alloc, mode)
 			}
-			again, err := MoldableSweep(cfg)
+			again, err := RunSweep(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +110,7 @@ func TestMoldableSweepCrashResume(t *testing.T) {
 	for _, alloc := range []string{"maximum-iters", "reshape:2"} {
 		base := moldableTestConfig()
 		base.Alloc = alloc
-		ref, err := MoldableSweep(base)
+		ref, err := RunSweep(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,12 +120,12 @@ func TestMoldableSweepCrashResume(t *testing.T) {
 			crashed := base
 			crashed.Checkpoint = &CheckpointConfig{Path: path, Every: 1}
 			crashed.Faults = &faultinject.Plan{CrashAfterChunks: k}
-			if _, err := MoldableSweep(crashed); !errors.Is(err, faultinject.ErrCommitterCrash) {
+			if _, err := RunSweep(crashed); !errors.Is(err, faultinject.ErrCommitterCrash) {
 				t.Fatalf("alloc=%s k=%d: crashed moldable sweep returned %v, want ErrCommitterCrash", alloc, k, err)
 			}
 			resumed := base
 			resumed.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
-			res, err := MoldableSweep(resumed)
+			res, err := RunSweep(resumed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,8 +138,7 @@ func TestMoldableSweepCrashResume(t *testing.T) {
 
 // TestMoldableConfigDigest pins the content-address contract: the policy
 // (and its parameter) is part of the digest, so two sweeps differing only
-// in policy never share checkpoints or cached results — and the digest of
-// the defaulted spec equals the explicit "fixed" one.
+// in policy never share checkpoints or cached results.
 func TestMoldableConfigDigest(t *testing.T) {
 	base := moldableTestConfig()
 	digests := make(map[string]string)
@@ -165,35 +156,25 @@ func TestMoldableConfigDigest(t *testing.T) {
 		}
 		digests[alloc] = d
 	}
-	cfg := base
-	cfg.Alloc = ""
-	d, err := cfg.ConfigDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != digests["fixed"] {
-		t.Errorf("empty alloc digest %s != explicit fixed %s", d, digests["fixed"])
-	}
-
-	// A moldable digest must also differ from the rigid family's on the
-	// same grid: flavour and policy both feed the hash.
-	sw := SweepConfig{Cells: base.Cells, Heuristics: base.Heuristics,
-		Scenarios: base.Scenarios, Trials: base.Trials, Seed: base.Seed}
+	// A moldable digest must also differ from the rigid sweep's on the
+	// same grid (empty Alloc): flavour and policy both feed the hash.
+	sw := base
+	sw.Alloc = ""
 	swd, err := sw.ConfigDigest()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if swd == digests["fixed"] {
-		t.Error("moldable 'fixed' sweep shares its digest with RunSweep")
+		t.Error("moldable 'fixed' sweep shares its digest with the rigid sweep")
 	}
 
-	cfg = base
+	cfg := base
 	cfg.Alloc = "split-into:0"
 	if _, err := cfg.ConfigDigest(); err == nil || !strings.Contains(err.Error(), "positive integer") {
 		t.Errorf("ConfigDigest accepted bad alloc spec: %v", err)
 	}
 	cfg.Alloc = "nope"
-	if _, err := MoldableSweep(cfg); err == nil || !strings.Contains(err.Error(), "unknown alloc policy") {
-		t.Errorf("MoldableSweep accepted unknown alloc spec: %v", err)
+	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "unknown alloc policy") {
+		t.Errorf("RunSweep accepted unknown alloc spec: %v", err)
 	}
 }

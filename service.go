@@ -14,46 +14,20 @@ import (
 
 // ConfigDigest returns the sweep's canonical content address: the SHA-256
 // digest of everything that determines its numeric output (flavour, cells,
-// resolved heuristics, scenario/trial counts, options, mode, seed).
+// resolved contenders, scenario/trial counts, options, mode, seed, and the
+// trace source or allocation policy).
 // Execution knobs that cannot change the result — Workers, Progress,
 // checkpoint placement, retry policy, fault plans — are excluded, so equal
 // digests mean equal results regardless of how the sweep is executed. It is
 // the same digest checkpoints are bound to: a content-addressed result
-// cache keyed on it is automatically coherent with crash/resume.
+// cache keyed on it is automatically coherent with crash/resume. It rejects
+// exactly the configs RunSweep rejects, with the same error.
 func (cfg SweepConfig) ConfigDigest() (string, error) {
-	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
-	if err != nil {
-		return "", err
-	}
-	return sweepConfigDigest("runsweep", cfg.Cells, heuristics,
-		cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed), nil
-}
-
-// ConfigDigest returns the trace sweep's canonical content address; see
-// SweepConfig.ConfigDigest. Recorded trace files are content-hashed, so two
-// configs naming different files with identical vectors share a digest, and
-// an edited file changes it.
-func (cfg TraceSweepConfig) ConfigDigest() (string, error) {
-	plan, err := traceSweepPlan(cfg)
+	plan, err := cfg.plan()
 	if err != nil {
 		return "", err
 	}
 	return plan.digest, nil
-}
-
-// ConfigDigest returns the comparison sweep's canonical content address as
-// run by CompareSweep (fractional heuristics plus batch disciplines); see
-// SweepConfig.ConfigDigest.
-func (cfg CompareConfig) ConfigDigest() (string, error) {
-	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
-	if err != nil {
-		return "", err
-	}
-	_, _, digest, err := comparePlan(cfg, heuristics)
-	if err != nil {
-		return "", err
-	}
-	return digest, nil
 }
 
 // CheckpointStatus is the read-only view of a sweep checkpoint file: which

@@ -11,114 +11,98 @@ import (
 // the default interval; now every sweep flavour rejects it up front.
 func TestNegativeCheckpointEveryRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.ckpt")
-
-	cfg := resumeTestConfig()
-	cfg.Checkpoint = &CheckpointConfig{Path: path, Every: -3}
-	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "Every must be >= 0") {
-		t.Fatalf("RunSweep with Every=-3 returned %v, want the negative-cadence error", err)
-	}
-
-	tcfg := TraceSweepConfig{
-		Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-		Heuristics: []string{"emct", "mct*"},
-		Scenarios:  1,
-		Trials:     1,
-		TraceLen:   100,
-		Style:      TraceWeibull,
-		Checkpoint: &CheckpointConfig{Path: path, Every: -1},
-	}
-	if _, err := TraceSweep(tcfg); err == nil || !strings.Contains(err.Error(), "Every must be >= 0") {
-		t.Fatalf("TraceSweep with Every=-1 returned %v, want the negative-cadence error", err)
-	}
-
-	ccfg := CompareConfig{
-		Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-		Heuristics: []string{"emct", "mct*"},
-		Scenarios:  1,
-		Trials:     1,
-		Checkpoint: &CheckpointConfig{Path: path, Every: -1},
-	}
-	if _, err := CompareSweep(ccfg); err == nil || !strings.Contains(err.Error(), "Every must be >= 0") {
-		t.Fatalf("CompareSweep with Every=-1 returned %v, want the negative-cadence error", err)
+	for name, cfg := range compatSweeps() {
+		cfg.Checkpoint = &CheckpointConfig{Path: path, Every: -3}
+		if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "Every must be >= 0") {
+			t.Fatalf("%s: RunSweep with Every=-3 returned %v, want the negative-cadence error", name, err)
+		}
 	}
 }
 
 // TestConfigDigestMatchesCheckpointBinding pins the service cache-key
-// contract for all three sweep flavours: ConfigDigest computes, without
-// running anything, exactly the digest the checkpoint layer stamps into the
-// file — so a result cache keyed on ConfigDigest is coherent with resume.
+// contract for every sweep of the compat corpus, grouped by digest
+// flavour: ConfigDigest computes, without running anything, exactly the
+// digest the checkpoint layer stamps into the file — so a result cache
+// keyed on ConfigDigest is coherent with resume.
 func TestConfigDigestMatchesCheckpointBinding(t *testing.T) {
-	t.Run("runsweep", func(t *testing.T) {
-		cfg := resumeTestConfig()
-		want, err := cfg.ConfigDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "run.ckpt")
-		cfg.Checkpoint = &CheckpointConfig{Path: path}
-		if _, err := RunSweep(cfg); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ConfigDigest != want {
-			t.Fatalf("checkpoint bound to %s, ConfigDigest says %s", st.ConfigDigest, want)
-		}
-	})
-	t.Run("tracesweep", func(t *testing.T) {
-		cfg := TraceSweepConfig{
-			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-			Heuristics: []string{"emct", "mct*"},
-			Scenarios:  1,
-			Trials:     1,
-			TraceLen:   100,
-			Style:      TraceWeibull,
-			Seed:       9,
-		}
-		want, err := cfg.ConfigDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "trace.ckpt")
-		cfg.Checkpoint = &CheckpointConfig{Path: path}
-		if _, err := TraceSweep(cfg); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ConfigDigest != want {
-			t.Fatalf("checkpoint bound to %s, ConfigDigest says %s", st.ConfigDigest, want)
-		}
-	})
-	t.Run("comparesweep", func(t *testing.T) {
-		cfg := CompareConfig{
-			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-			Heuristics: []string{"emct", "mct*"},
-			Scenarios:  1,
-			Trials:     1,
-			Seed:       9,
-		}
-		want, err := cfg.ConfigDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "cmp.ckpt")
-		cfg.Checkpoint = &CheckpointConfig{Path: path}
-		if _, err := CompareSweep(cfg); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ConfigDigest != want {
-			t.Fatalf("checkpoint bound to %s, ConfigDigest says %s", st.ConfigDigest, want)
-		}
-	})
+	sweeps := compatSweeps()
+	flavours := map[string][]string{
+		"runsweep":     {"rigid-slot", "rigid-event"},
+		"tracesweep":   {"trace-synthetic", "trace-file"},
+		"comparesweep": {"compare", "batch"},
+		"moldable":     {"moldable"},
+	}
+	covered := 0
+	for flavour, names := range flavours {
+		covered += len(names)
+		t.Run(flavour, func(t *testing.T) {
+			for _, name := range names {
+				t.Run(name, func(t *testing.T) {
+					cfg := sweeps[name]
+					want, err := cfg.ConfigDigest()
+					if err != nil {
+						t.Fatal(err)
+					}
+					path := filepath.Join(t.TempDir(), "sweep.ckpt")
+					cfg.Checkpoint = &CheckpointConfig{Path: path}
+					if _, err := RunSweep(cfg); err != nil {
+						t.Fatal(err)
+					}
+					st, err := ReadCheckpoint(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.ConfigDigest != want {
+						t.Fatalf("checkpoint bound to %s, ConfigDigest says %s", st.ConfigDigest, want)
+					}
+				})
+			}
+		})
+	}
+	if covered != len(sweeps) {
+		t.Fatalf("flavour table covers %d of the corpus's %d sweeps", covered, len(sweeps))
+	}
+}
+
+// TestConfigDigestRejectsWhatRunSweepRejects pins that the content address
+// and the sweep accept the same configs: a service keying its cache on
+// ConfigDigest must never admit a job RunSweep cannot run. Both must fail,
+// with the same message.
+func TestConfigDigestRejectsWhatRunSweepRejects(t *testing.T) {
+	cases := map[string]func(cfg *SweepConfig){
+		"negative processors": func(cfg *SweepConfig) { cfg.Options.Processors = -3 },
+		"negative max slots":  func(cfg *SweepConfig) { cfg.Options.MaxSlots = -1 },
+		"no cells":            func(cfg *SweepConfig) { cfg.Cells = nil },
+		"zero trials":         func(cfg *SweepConfig) { cfg.Trials = 0 },
+		"unknown contender":   func(cfg *SweepConfig) { cfg.Heuristics = []string{"emct", "batch-sjf"} },
+		"bad alloc spec":      func(cfg *SweepConfig) { cfg.Alloc = "split-into:0" },
+		"unknown alloc":       func(cfg *SweepConfig) { cfg.Alloc = "zipf" },
+		"trace + alloc": func(cfg *SweepConfig) {
+			cfg.Trace, cfg.Alloc = &TraceSource{Len: 100}, "maximum-iters"
+		},
+		"trace + batch": func(cfg *SweepConfig) {
+			cfg.Trace, cfg.Heuristics = &TraceSource{Len: 100}, []string{"emct", BatchEASY}
+		},
+		"alloc + batch": func(cfg *SweepConfig) {
+			cfg.Alloc, cfg.Heuristics = "fixed", []string{BatchFCFS}
+		},
+		"trace too short":   func(cfg *SweepConfig) { cfg.Trace = &TraceSource{Len: 1} },
+		"missing tracefile": func(cfg *SweepConfig) { cfg.Trace = &TraceSource{Files: []string{"testdata/no-such.volatrace"}} },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := resumeTestConfig()
+			mutate(&cfg)
+			_, derr := cfg.ConfigDigest()
+			_, rerr := RunSweep(cfg)
+			if derr == nil || rerr == nil {
+				t.Fatalf("ConfigDigest error %v, RunSweep error %v: want both to fail", derr, rerr)
+			}
+			if derr.Error() != rerr.Error() {
+				t.Fatalf("ConfigDigest and RunSweep disagree:\n digest: %v\n run:    %v", derr, rerr)
+			}
+		})
+	}
 }
 
 // TestReadCheckpointPartialIsBitExact pins the partial-aggregate contract:

@@ -11,11 +11,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // TableRow is one line of a Table 2-style ranking: a heuristic's average
@@ -23,24 +25,39 @@ import (
 type TableRow = stats.Row
 
 // SweepConfig describes one experiment sweep: a set of grid cells, the
-// heuristics to compare, and the number of scenarios and trials per cell.
-// All heuristics face identical instances (same platform, same availability
+// contenders to compare, and the number of scenarios and trials per cell.
+// All contenders face identical instances (same platform, same availability
 // trajectories), which the dfb metric requires.
 type SweepConfig struct {
-	// Cells are the (n, ncom, wmin) combinations to cover.
+	// Cells are the (n, ncom, wmin) combinations to cover. Under an
+	// allocation policy a cell's Tasks value remains the application's
+	// natural shape: policies receive it as Params.M.
 	Cells []Cell
-	// Heuristics are the heuristic names to compare (default: all 17).
+	// Heuristics are the contenders to compare: registered heuristic names
+	// and batch disciplines (BatchFCFS, BatchEASY), in any mix. Every
+	// instance runs the heuristics first, then the batch disciplines, so
+	// the per-instance best is taken over both. Default: all 17 heuristics.
 	Heuristics []string
 	// Scenarios is the number of random scenarios per cell (paper: 247).
 	Scenarios int
 	// Trials is the number of availability draws per scenario (paper: 10).
 	Trials int
 	// Options tunes scenario generation (CommScale for Table 3, etc.).
+	// MaxReplicas only affects heuristics; batch jobs are never replicated.
 	Options ScenarioOptions
+	// Trace, when non-nil, replaces the Markov availability model with
+	// replayed traces (see TraceSource). Nil means the Markov model.
+	Trace *TraceSource
+	// Alloc is the allocation-policy spec ("fixed", "maximum-iters",
+	// "split-into[:parts]", "reshape[:step]") that sizes each iteration at
+	// its boundary; "" means the rigid model. Under "fixed" every run is
+	// bit-identical to the rigid one, but the sweep has its own digest.
+	Alloc string
 	// Mode selects the engine time base (default ModeSlot). Event mode is
 	// distribution-equivalent but consumes the availability RNG streams at
 	// sojourn granularity, so sweep aggregates differ from slot mode within
-	// sampling noise; see EXPERIMENTS.md.
+	// sampling noise; see EXPERIMENTS.md. Batch disciplines always run their
+	// own slot-exact simulator.
 	Mode Mode
 	// Seed makes the whole sweep reproducible.
 	Seed uint64
@@ -103,119 +120,138 @@ type SweepResult struct {
 	Warnings []string
 }
 
-// RunSweep executes the sweep, parallelizing across instances. Results are
-// deterministic for a fixed config, independent of worker count: workers
-// aggregate into per-chunk shards that are merged in a fixed order (see
-// runSharded), so the output is bit-identical to a sequential pass.
-func RunSweep(cfg SweepConfig) (*SweepResult, error) {
-	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
-	if err != nil {
-		return nil, err
-	}
-	return runSharded(shardedSweep{
-		cells:     cfg.Cells,
-		scenarios: cfg.Scenarios,
-		trials:    cfg.Trials,
-		options:   cfg.Options,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-		progress:  cfg.Progress,
-		control: sweepControl{
-			digest: sweepConfigDigest("runsweep", cfg.Cells, heuristics,
-				cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed),
-			checkpoint:      cfg.Checkpoint,
-			stop:            cfg.Stop,
-			faults:          cfg.Faults,
-			maxRetries:      cfg.MaxRetries,
-			retryBackoff:    cfg.RetryBackoff,
-			continueOnError: cfg.ContinueOnError,
-		},
-		newRunner: func() instanceRunner {
-			rn := NewRunner()
-			rn.SetMode(cfg.Mode)
-			return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
-				trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
-				nCens := 0
-				for _, h := range heuristics {
-					res, err := scn.RunWith(rn, h, trialSeed)
-					if err != nil {
-						return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
-					}
-					ir.Makespans[h] = res.Makespan
-					if !res.Completed {
-						ir.Censored[h] = true
-						nCens++
-					}
-				}
-				return nCens, nil
-			}
-		},
-	})
+// sweepPlan is a SweepConfig resolved once, shared by RunSweep and
+// ConfigDigest so the two accept exactly the same configs: the contenders
+// split by kind, the trace source's loaded sets or synthetic length, and
+// the canonical config digest.
+type sweepPlan struct {
+	heuristics []string // heuristic contenders, in config order
+	discNames  []string // batch contenders, in config order
+	discs      []batch.Discipline
+	sets       []*trace.Set // recorded trace sets (Trace.Files)
+	traceLen   int          // synthetic trace length (Trace without Files)
+	digest     string
 }
 
-// validateSweepShape checks the grid parameters every sweep flavour
-// shares (RunSweep, TraceSweep, CompareSweep, BatchSweep).
-func validateSweepShape(cells []Cell, scenarios, trials int) error {
-	if len(cells) == 0 {
-		return fmt.Errorf("volatile: sweep with no cells")
+// plan validates the config and resolves it. A sweep sets at most one of a
+// trace source, an allocation policy and batch contenders, and that choice
+// names the digest's flavour; the flavour tags and extras are the ones
+// existing checkpoints and cached results are bound to.
+func (cfg SweepConfig) plan() (*sweepPlan, error) {
+	if len(cfg.Cells) == 0 {
+		return nil, fmt.Errorf("volatile: sweep with no cells")
 	}
-	if scenarios <= 0 || trials <= 0 {
-		return fmt.Errorf("volatile: sweep needs Scenarios > 0 and Trials > 0")
+	if cfg.Scenarios <= 0 || cfg.Trials <= 0 {
+		return nil, fmt.Errorf("volatile: sweep needs Scenarios > 0 and Trials > 0")
 	}
-	return nil
-}
-
-// sweepHeuristics validates the common sweep parameters and resolves the
-// heuristic list, rejecting unknown names via a registry lookup (no
-// throwaway simulation runs) so misconfigured sweeps fail fast.
-func sweepHeuristics(cells []Cell, scenarios, trials int, heuristics []string) ([]string, error) {
-	if err := validateSweepShape(cells, scenarios, trials); err != nil {
+	if err := cfg.Options.Validate(); err != nil {
 		return nil, err
 	}
-	if len(heuristics) == 0 {
-		heuristics = Heuristics()
+	p := &sweepPlan{}
+	names := cfg.Heuristics
+	if len(names) == 0 {
+		names = Heuristics()
 	}
-	for _, h := range heuristics {
-		if _, err := core.Lookup(h); err != nil {
-			return nil, fmt.Errorf("volatile: heuristic %q: %w", h, err)
+	for _, name := range names {
+		if d, err := parseDiscipline(name); err == nil {
+			p.discNames, p.discs = append(p.discNames, name), append(p.discs, d)
+			continue
 		}
+		if _, err := core.Lookup(name); err != nil {
+			return nil, fmt.Errorf("volatile: heuristic %q: %w", name, err)
+		}
+		p.heuristics = append(p.heuristics, name)
 	}
-	return heuristics, nil
+	hasTrace, hasAlloc, hasBatch := cfg.Trace != nil, cfg.Alloc != "", len(p.discs) > 0
+	if hasTrace && hasAlloc || hasTrace && hasBatch || hasAlloc && hasBatch {
+		return nil, fmt.Errorf("volatile: a sweep combines at most one of a trace source, an allocation policy and batch contenders")
+	}
+	flavour, extra := "runsweep", []string(nil)
+	switch {
+	case hasTrace:
+		var err error
+		flavour = "tracesweep"
+		if extra, err = p.resolveTrace(cfg.Trace, cfg.Options); err != nil {
+			return nil, err
+		}
+	case hasBatch:
+		flavour = "comparesweep"
+		for _, name := range p.discNames {
+			extra = append(extra, "discipline "+name)
+		}
+	case hasAlloc:
+		pol, err := ParseAllocPolicy(cfg.Alloc)
+		if err != nil {
+			return nil, err
+		}
+		flavour, extra = "moldable", []string{"alloc " + pol.Name()}
+	}
+	p.digest = sweepConfigDigest(flavour, cfg.Cells, p.heuristics,
+		cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed, extra...)
+	return p, nil
 }
 
 // instanceRunner executes one (cell, scenario, trial) instance, filling ir
-// with every heuristic's makespan. It returns the instance's censored-run
+// with every contender's makespan. It returns the instance's censored-run
 // count. Each worker goroutine gets its own instanceRunner (and thus its own
-// engine and trial scratch) from the factory passed to runSharded.
+// engine and trial scratch) from newInstanceRunner.
 type instanceRunner func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (censoredRuns int, err error)
 
-// sweepControl carries the durability and failure-policy knobs every sweep
-// flavour shares: the canonical config digest checkpoints are bound to,
-// checkpoint placement, graceful stop, fault injection, and the retry
-// policy. The zero value means "no checkpointing, fail fast" — the
-// pre-durability behaviour.
-type sweepControl struct {
-	digest          string
-	checkpoint      *CheckpointConfig
-	stop            <-chan struct{}
-	faults          *faultinject.Plan
-	maxRetries      int
-	retryBackoff    time.Duration
-	continueOnError bool
-}
-
-// shardedSweep is the input to runSharded: the grid geometry plus a factory
-// for per-worker instance runners.
-type shardedSweep struct {
-	cells     []Cell
-	scenarios int
-	trials    int
-	options   ScenarioOptions
-	seed      uint64
-	workers   int
-	progress  func(done, total int)
-	control   sweepControl
-	newRunner func() instanceRunner
+// newInstanceRunner returns one worker's instance runner. The worker owns
+// its engines and its policy instance (stateful policies reset at every
+// run boundary, so reuse across the worker's runs changes nothing). Per
+// instance, the availability source is resolved once and every contender
+// replays the same world: heuristics first, then batch disciplines.
+func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
+	rn := NewRunner()
+	rn.SetMode(cfg.Mode)
+	var brn *batch.Runner
+	if len(p.discs) > 0 {
+		brn = batch.NewRunner()
+	}
+	var pol AllocationPolicy
+	if cfg.Alloc != "" {
+		pol, _ = ParseAllocPolicy(cfg.Alloc) // the plan has validated the spec
+	}
+	return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
+		var tm *traceModels
+		if cfg.Trace != nil {
+			var err error
+			if tm, err = p.instanceTrace(scn, cfg, cellIdx, scenIdx, trialIdx); err != nil {
+				return 0, err
+			}
+		}
+		trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
+		nCens := 0
+		record := func(name string, makespan int, completed bool) {
+			ir.Makespans[name] = makespan
+			if !completed {
+				ir.Censored[name] = true
+				nCens++
+			}
+		}
+		for _, h := range p.heuristics {
+			var res *RunResult
+			var err error
+			if tm != nil {
+				res, err = scn.runTrace(rn, tm, h, trialSeed, cfg.Mode, nil)
+			} else {
+				res, err = scn.run(rn, h, trialSeed, cfg.Mode, nil, nil, pol)
+			}
+			if err != nil {
+				return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
+			}
+			record(h, res.Makespan, res.Completed)
+		}
+		for i, d := range p.discs {
+			res, err := scn.runBatch(rn, brn, d, trialSeed)
+			if err != nil {
+				return 0, fmt.Errorf("volatile: %s on %s: %w", p.discNames[i], scn.inner.Name, err)
+			}
+			record(p.discNames[i], res.Makespan, res.Completed)
+		}
+		return nCens, nil
+	}
 }
 
 // maxInstanceErrors bounds SweepResult.InstanceErrors; a sweep degrading on
@@ -226,7 +262,8 @@ const maxInstanceErrors = 4
 // committer.
 const maxChunkErrors = 2
 
-// runSharded is the sweep pipeline shared by RunSweep and TraceSweep.
+// RunSweep executes the sweep, parallelizing across instances. Results are
+// deterministic for a fixed config, independent of worker count.
 //
 // Work is dispatched at chunk granularity, one chunk per (cell, scenario)
 // pair, and every chunk's trials run in order on a single worker. Each
@@ -241,12 +278,12 @@ const maxChunkErrors = 2
 // chunk, so even when one slow chunk stalls the commit cursor the reorder
 // window — and with it sweep memory — stays proportional to the worker
 // count (× chunk size), never to the total instance count.
-func runSharded(sw shardedSweep) (*SweepResult, error) {
-	if err := sw.options.Validate(); err != nil {
+func RunSweep(cfg SweepConfig) (*SweepResult, error) {
+	plan, err := cfg.plan()
+	if err != nil {
 		return nil, err
 	}
-	ctl := sw.control
-	ck := ctl.checkpoint
+	ck := cfg.Checkpoint
 	every := DefaultCheckpointEvery
 	if ck != nil {
 		if ck.Path == "" {
@@ -261,12 +298,12 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 			every = ck.Every
 		}
 	}
-	workers := sw.workers
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	chunks := len(sw.cells) * sw.scenarios
-	total := chunks * sw.trials
+	chunks := len(cfg.Cells) * cfg.Scenarios
+	total := chunks * cfg.Trials
 
 	// Resume: restore the committer's aggregates and watermark from the
 	// checkpoint, after binding it to this exact sweep (config digest and
@@ -285,9 +322,9 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 		case err != nil:
 			return nil, err
 		default:
-			if snap.ConfigDigest != ctl.digest {
+			if snap.ConfigDigest != plan.digest {
 				return nil, fmt.Errorf("volatile: checkpoint %s was taken for a different sweep config (digest %.12s… != %.12s…)",
-					ck.Path, snap.ConfigDigest, ctl.digest)
+					ck.Path, snap.ConfigDigest, plan.digest)
 			}
 			if snap.Chunks != chunks {
 				return nil, fmt.Errorf("volatile: checkpoint %s covers %d chunks, sweep has %d",
@@ -307,9 +344,9 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 	// not built.
 	scenarios := make([]*Scenario, chunks)
 	for ci := startChunk; ci < chunks; ci++ {
-		c, s := ci/sw.scenarios, ci%sw.scenarios
-		scnSeed := deriveSeed(sw.seed, uint64(c), uint64(s), 0xA11CE)
-		scenarios[ci] = NewScenario(scnSeed, sw.cells[c], sw.options)
+		c, s := ci/cfg.Scenarios, ci%cfg.Scenarios
+		scnSeed := deriveSeed(cfg.Seed, uint64(c), uint64(s), 0xA11CE)
+		scenarios[ci] = NewScenario(scnSeed, cfg.Cells[c], cfg.Options)
 	}
 
 	type doneChunk struct {
@@ -327,7 +364,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	var done atomic.Int64
-	done.Store(int64(startChunk) * int64(sw.trials))
+	done.Store(int64(startChunk) * int64(cfg.Trials))
 	shardPool := sync.Pool{New: func() any { return stats.NewShardAggregator() }}
 	// window bounds the number of fed-but-uncommitted chunks: the feeder
 	// acquires a permit per chunk, the committer releases it once the chunk
@@ -341,15 +378,15 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := sw.newRunner()
-			sleep := ctl.faults.SleepFn()
+			run := plan.newInstanceRunner(&cfg)
+			sleep := cfg.Faults.SleepFn()
 			for ci := range jobCh {
 				scn := scenarios[ci]
-				cellIdx, scenIdx := ci/sw.scenarios, ci%sw.scenarios
+				cellIdx, scenIdx := ci/cfg.Scenarios, ci%cfg.Scenarios
 				shard := shardPool.Get().(*stats.ShardAggregator)
 				chunkFailed := 0
 				var chunkErrs []string
-				for tr := 0; tr < sw.trials; tr++ {
+				for tr := 0; tr < cfg.Trials; tr++ {
 					ir := shard.Acquire()
 					// Retry loop: every attempt re-derives the identical
 					// trial seed inside run, so a recovered transient
@@ -357,15 +394,15 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 					// undisturbed sweep would have.
 					var nCens int
 					var err error
-					backoff := ctl.retryBackoff
+					backoff := cfg.RetryBackoff
 					for attempt := 0; ; attempt++ {
-						if err = ctl.faults.InstanceFault(ci, tr, attempt); err == nil {
+						if err = cfg.Faults.InstanceFault(ci, tr, attempt); err == nil {
 							nCens, err = run(scn, cellIdx, scenIdx, tr, ir)
 						}
 						if err == nil {
 							break
 						}
-						if attempt >= ctl.maxRetries {
+						if attempt >= cfg.MaxRetries {
 							break
 						}
 						// A failed attempt may have partially filled the
@@ -378,7 +415,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 						}
 					}
 					if err != nil {
-						if ctl.continueOnError {
+						if cfg.ContinueOnError {
 							// Record-and-continue: drop the instance, keep
 							// the sweep alive. The loss is surfaced via
 							// FailedInstances, and — because the verdict to
@@ -389,8 +426,8 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 							if len(chunkErrs) < maxChunkErrors {
 								chunkErrs = append(chunkErrs, err.Error())
 							}
-							if sw.progress != nil {
-								sw.progress(int(done.Add(1)), total)
+							if cfg.Progress != nil {
+								cfg.Progress(int(done.Add(1)), total)
 							}
 							continue
 						}
@@ -404,8 +441,8 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 						return
 					}
 					shard.Add(ir, nCens)
-					if sw.progress != nil {
-						sw.progress(int(done.Add(1)), total)
+					if cfg.Progress != nil {
+						cfg.Progress(int(done.Add(1)), total)
 					}
 				}
 				commitCh <- doneChunk{idx: ci, shard: shard, failed: chunkFailed, errs: chunkErrs}
@@ -423,13 +460,13 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 	ckSeq := 0
 	committerDone := make(chan struct{})
 	persist := func() {
-		if ferr := ctl.faults.CheckpointFault(ckSeq); ferr != nil {
+		if ferr := cfg.Faults.CheckpointFault(ckSeq); ferr != nil {
 			ckSeq++
 			warnings = append(warnings, fmt.Sprintf("checkpoint write %s failed: %v", ck.Path, ferr))
 			return
 		}
 		ckSeq++
-		snap := buildSnapshot(ctl.digest, chunks, next, censored, failed, overall, byWmin, byCell)
+		snap := buildSnapshot(plan.digest, chunks, next, censored, failed, overall, byWmin, byCell)
 		if err := checkpoint.Save(ck.Path, snap); err != nil {
 			// A failed checkpoint degrades durability, not correctness: the
 			// sweep carries on and the caller learns via Warnings.
@@ -459,7 +496,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 					break
 				}
 				delete(pending, next)
-				cell := sw.cells[next/sw.scenarios]
+				cell := cfg.Cells[next/cfg.Scenarios]
 				bw := byWmin[cell.Wmin]
 				if bw == nil {
 					bw = stats.NewAggregator()
@@ -483,7 +520,7 @@ func runSharded(sw shardedSweep) (*SweepResult, error) {
 				<-window
 				next++
 				sinceCk++
-				if ctl.faults != nil && ctl.faults.CrashAfterChunks > 0 && next == ctl.faults.CrashAfterChunks {
+				if cfg.Faults != nil && cfg.Faults.CrashAfterChunks > 0 && next == cfg.Faults.CrashAfterChunks {
 					// Injected crash at the worst point of the boundary: the
 					// chunk is merged in memory but not yet checkpointed, so
 					// resume must re-run it.
@@ -517,7 +554,7 @@ feed:
 		case window <- struct{}{}:
 		case <-stop:
 			break feed
-		case <-ctl.stop:
+		case <-cfg.Stop:
 			stopped = true
 			break feed
 		}
@@ -525,7 +562,7 @@ feed:
 		case jobCh <- ci:
 		case <-stop:
 			break feed
-		case <-ctl.stop:
+		case <-cfg.Stop:
 			stopped = true
 			break feed
 		}

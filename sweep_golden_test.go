@@ -85,13 +85,12 @@ func TestRunSweepWorkerCountDeterminism(t *testing.T) {
 // worker count.
 func TestTraceSweepWorkerCountDeterminism(t *testing.T) {
 	mk := func(workers int) string {
-		res, err := TraceSweep(TraceSweepConfig{
+		res, err := RunSweep(SweepConfig{
 			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 10, Ncom: 5, Wmin: 2}},
 			Heuristics: []string{"emct", "mct*", "random2w"},
 			Scenarios:  2,
 			Trials:     2,
-			TraceLen:   150,
-			Style:      TraceWeibull,
+			Trace:      &TraceSource{Style: TraceWeibull, Len: 150},
 			Options:    ScenarioOptions{Processors: 6, Iterations: 2},
 			Seed:       2026,
 			Workers:    workers,
@@ -134,13 +133,13 @@ func TestTraceSweepGolden(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModeSlot, ModeEvent} {
 		for _, source := range []string{"synthetic", "file"} {
-			g := goldenSweepConfig()
-			cfg := TraceSweepConfig{Cells: g.Cells, Scenarios: g.Scenarios, Trials: g.Trials,
-				Style: TraceWeibull, Mode: mode, Seed: g.Seed}
+			cfg := goldenSweepConfig()
+			cfg.Mode = mode
+			cfg.Trace = &TraceSource{Style: TraceWeibull}
 			if source == "file" {
-				cfg.TraceFiles = []string{compatTraceFile}
+				cfg.Trace.Files = []string{compatTraceFile}
 			}
-			res, err := TraceSweep(cfg)
+			res, err := RunSweep(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -429,17 +429,16 @@ func TestWorkerAbortWritesFinalCheckpoint(t *testing.T) {
 // trace-driven pipeline (synthetic traces, model fitting, the same sharded
 // committer).
 func TestTraceSweepCrashResume(t *testing.T) {
-	base := TraceSweepConfig{
+	base := SweepConfig{
 		Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 10, Ncom: 5, Wmin: 2}},
 		Heuristics: []string{"emct", "mct*", "random2w"},
 		Scenarios:  2,
 		Trials:     2,
-		TraceLen:   150,
-		Style:      TraceWeibull,
+		Trace:      &TraceSource{Style: TraceWeibull, Len: 150},
 		Options:    ScenarioOptions{Processors: 6, Iterations: 2},
 		Seed:       2026,
 	}
-	ref, err := TraceSweep(base)
+	ref, err := RunSweep(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,12 +448,12 @@ func TestTraceSweepCrashResume(t *testing.T) {
 		crashed := base
 		crashed.Checkpoint = &CheckpointConfig{Path: path, Every: 1}
 		crashed.Faults = &faultinject.Plan{CrashAfterChunks: k}
-		if _, err := TraceSweep(crashed); !errors.Is(err, faultinject.ErrCommitterCrash) {
+		if _, err := RunSweep(crashed); !errors.Is(err, faultinject.ErrCommitterCrash) {
 			t.Fatalf("k=%d: crashed trace sweep returned %v, want ErrCommitterCrash", k, err)
 		}
 		resumed := base
 		resumed.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
-		res, err := TraceSweep(resumed)
+		res, err := RunSweep(resumed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,14 +466,14 @@ func TestTraceSweepCrashResume(t *testing.T) {
 // TestCompareSweepCrashResume extends the property to the DFRS comparison
 // pipeline (fractional heuristics + batch disciplines per instance).
 func TestCompareSweepCrashResume(t *testing.T) {
-	base := CompareConfig{
+	base := SweepConfig{
 		Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}},
-		Heuristics: []string{"emct", "mct*"},
+		Heuristics: []string{"emct", "mct*", BatchFCFS, BatchEASY},
 		Scenarios:  3,
 		Trials:     1,
 		Seed:       77,
 	}
-	ref, err := CompareSweep(base)
+	ref, err := RunSweep(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,12 +482,12 @@ func TestCompareSweepCrashResume(t *testing.T) {
 	crashed := base
 	crashed.Checkpoint = &CheckpointConfig{Path: path, Every: 1}
 	crashed.Faults = &faultinject.Plan{CrashAfterChunks: 2}
-	if _, err := CompareSweep(crashed); !errors.Is(err, faultinject.ErrCommitterCrash) {
+	if _, err := RunSweep(crashed); !errors.Is(err, faultinject.ErrCommitterCrash) {
 		t.Fatalf("crashed compare sweep returned %v, want ErrCommitterCrash", err)
 	}
 	resumed := base
 	resumed.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
-	res, err := CompareSweep(resumed)
+	res, err := RunSweep(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,13 +495,13 @@ func TestCompareSweepCrashResume(t *testing.T) {
 		t.Fatalf("resumed compare sweep drifted: %s != %s", got, want)
 	}
 
-	// A CompareSweep checkpoint must not resume into a BatchSweep of the
-	// same shape (different contender set, different flavour digest).
+	// A comparison checkpoint must not resume into a batch-only sweep of
+	// the same shape (different contender set, different digest).
 	batchCfg := base
-	batchCfg.Heuristics = nil
+	batchCfg.Heuristics = BatchDisciplines()
 	batchCfg.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
-	if _, err := BatchSweep(batchCfg); err == nil || !strings.Contains(err.Error(), "different sweep config") {
-		t.Fatalf("BatchSweep resumed a CompareSweep checkpoint: %v", err)
+	if _, err := RunSweep(batchCfg); err == nil || !strings.Contains(err.Error(), "different sweep config") {
+		t.Fatalf("batch-only sweep resumed a comparison checkpoint: %v", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 package volatile
 
-// Trace-driven experiments: runs against explicit availability vectors
-// (RunTrace and friends) and trace sweeps through the sharded pipeline
-// (TraceSweep). The paper's conclusion proposes challenging the Markov
+// Trace-driven availability: runs against explicit availability vectors
+// (RunTrace and friends), and TraceSource, the sweep availability source
+// that replays synthetic or recorded trace sets instead of sampling the
+// Markov model. The paper's conclusion proposes challenging the Markov
 // assumption with real availability traces; internal/trace supplies
 // FTA-style synthetic generators and the fitting code, and this file wires
 // them into the public API.
@@ -14,10 +15,10 @@ package volatile
 // rebuild invalidates everything because the cache lives on the Scenario
 // itself. Repeated runs on the same explicit trace set (every heuristic
 // comparison does this) then reuse one fit — and one interned analytics
-// table (expect.Analytics) — instead of re-deriving both per run.
-// TraceSweep's synthetic trace sets are unique per (scenario, trial) and
-// shared across that instance's heuristics directly, so they bypass the
-// cache rather than bloat it.
+// table (expect.Analytics) — instead of re-deriving both per run. A
+// sweep's synthetic trace sets are unique per (scenario, trial) and shared
+// across that instance's heuristics directly, so they bypass the cache
+// rather than bloat it.
 
 import (
 	"fmt"
@@ -25,15 +26,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/avail"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -241,194 +239,74 @@ func (r *Runner) vectorProcs(vectors []avail.Vector) []avail.Process {
 	return r.vps
 }
 
-// TraceSweepConfig describes a trace-driven sweep: for every (cell,
-// scenario, trial) instance a synthetic FTA-style trace set is generated,
-// Markov models are fitted to it, and every heuristic runs against the same
-// replayed vectors — the trace-driven analogue of SweepConfig.
-type TraceSweepConfig struct {
-	// Cells are the (n, ncom, wmin) combinations to cover.
-	Cells []Cell
-	// Heuristics are the heuristic names to compare (default: all 17).
-	Heuristics []string
-	// Scenarios is the number of random scenarios per cell.
-	Scenarios int
-	// Trials is the number of independent trace draws per scenario.
-	Trials int
-	// TraceLen is the recorded length of each availability vector in slots
-	// (default 1000; past the end, processors hold their last state).
-	// Ignored when TraceFiles is set.
-	TraceLen int
+// TraceSource is a sweep's trace-driven availability source: every
+// instance replays one trace set, Markov models fitted to it are the
+// master's belief, and every heuristic of the instance faces the same
+// replayed vectors. Trace replay consumes no RNG, so trial seeds confront
+// both time bases with identical worlds; see EXPERIMENTS.md for when
+// results match bit for bit.
+type TraceSource struct {
 	// Style selects the synthetic sojourn family (default TraceWeibull).
-	// Ignored when TraceFiles is set.
+	// Ignored when Files is set.
 	Style TraceStyle
-	// TraceFiles, when non-empty, replaces synthetic generation with
-	// recorded trace sets read from disk (the format trace.Set.Write
-	// produces — e.g. converted Failure Trace Archive data, or the output
-	// of cmd/volatrace). Trial t of every scenario replays
-	// TraceFiles[t mod len(TraceFiles)], so recorded vectors flow through
-	// the identical sharded pipeline: every heuristic of an instance faces
-	// the same replayed vectors, models are fitted once per (scenario,
-	// file) through the per-scenario intern cache, and results stay
-	// bit-identical for any worker count. Every file must hold exactly
-	// Options.Processors vectors (default 20) of length >= 2.
-	TraceFiles []string
-	// Options tunes scenario generation (platform size, iterations, ...).
-	Options ScenarioOptions
-	// Mode selects the engine time base (default ModeSlot). Trace replay
-	// consumes no RNG, so trial seeds confront both modes with identical
-	// worlds; see EXPERIMENTS.md for when results match bit for bit.
-	Mode Mode
-	// Seed makes the whole sweep reproducible.
-	Seed uint64
-	// Workers bounds parallelism (default: GOMAXPROCS).
-	Workers int
-	// Progress, when non-nil, receives (completedInstances, totalInstances);
-	// see SweepConfig.Progress for the concurrency contract.
-	Progress func(done, total int)
-	// Checkpoint, Stop, MaxRetries, RetryBackoff, ContinueOnError and
-	// Faults mirror the SweepConfig fields of the same names: crash-safe
-	// checkpointing, graceful interrupt and the failure policy. Recorded
-	// trace sets are content-hashed into the checkpoint's config digest, so
-	// a resume against edited trace files is rejected.
-	Checkpoint      *CheckpointConfig
-	Stop            <-chan struct{}
-	MaxRetries      int
-	RetryBackoff    time.Duration
-	ContinueOnError bool
-	Faults          *faultinject.Plan
+	// Len is the recorded length of each synthetic vector in slots
+	// (default 1000; past the end, processors hold their last state).
+	// Ignored when Files is set.
+	Len int
+	// Files, when non-empty, replaces synthetic generation with recorded
+	// trace sets read from disk (the format trace.Set.Write produces —
+	// e.g. converted Failure Trace Archive data, or the output of
+	// cmd/volatrace). Trial t of every scenario replays
+	// Files[t mod len(Files)]; models are fitted once per (scenario, file)
+	// through the per-scenario intern cache. Every file must hold exactly
+	// Options.Processors vectors (default 20) of length >= 2, and its
+	// content, not its path, enters the config digest, so a resume against
+	// an edited file is rejected.
+	Files []string
 }
 
 // traceSeedSalt separates trace-generation streams from trial streams.
 const traceSeedSalt = 0x7ACE5
 
-// tracePlan is everything a trace sweep resolves up front, shared by
-// TraceSweep and TraceSweepConfig.ConfigDigest: the validated heuristic
-// list, the loaded recorded sets (nil for synthetic sweeps), the effective
-// trace length and the canonical config digest.
-type tracePlan struct {
-	heuristics []string
-	sets       []*trace.Set
-	traceLen   int
-	digest     string
-}
-
-// traceSweepPlan validates the config, loads any recorded trace sets and
-// canonicalizes the sweep into its config digest.
-func traceSweepPlan(cfg TraceSweepConfig) (*tracePlan, error) {
-	heuristics, err := sweepHeuristics(cfg.Cells, cfg.Scenarios, cfg.Trials, cfg.Heuristics)
-	if err != nil {
-		return nil, err
-	}
-	var sets []*trace.Set
-	if len(cfg.TraceFiles) > 0 {
-		p := cfg.Options.Processors
-		if p == 0 {
-			p = workload.DefaultProcessors
+// resolveTrace loads the source's recorded sets, or fixes the synthetic
+// trace length, and returns the digest extras pinning the source: the
+// sojourn family and length for synthetic traces, the full vector content
+// of recorded sets (paths alone would let an edited file poison a resume).
+func (p *sweepPlan) resolveTrace(src *TraceSource, opt ScenarioOptions) ([]string, error) {
+	if len(src.Files) > 0 {
+		procs := opt.Processors
+		if procs == 0 {
+			procs = workload.DefaultProcessors
 		}
-		sets, err = loadTraceSets(cfg.TraceFiles, p)
-		if err != nil {
+		var err error
+		if p.sets, err = loadTraceSets(src.Files, procs); err != nil {
 			return nil, err
 		}
+		return traceSetDigests(p.sets)
 	}
-	traceLen := cfg.TraceLen
-	if traceLen == 0 {
-		traceLen = 1000
+	p.traceLen = src.Len
+	if p.traceLen == 0 {
+		p.traceLen = 1000
 	}
-	if sets == nil && traceLen < 2 {
-		return nil, fmt.Errorf("volatile: TraceLen %d too short to fit models (need >= 2)", traceLen)
+	if p.traceLen < 2 {
+		return nil, fmt.Errorf("volatile: trace length %d too short to fit models (need >= 2)", p.traceLen)
 	}
-	// The digest pins the trace source: the sojourn family and recorded
-	// length for synthetic sweeps, the full vector content for recorded
-	// sets (paths alone would let an edited file poison a resume).
-	var extra []string
-	if sets != nil {
-		if extra, err = traceSetDigests(sets); err != nil {
-			return nil, err
-		}
-	} else {
-		extra = []string{fmt.Sprintf("style %s", cfg.Style), fmt.Sprintf("tracelen %d", traceLen)}
-	}
-	return &tracePlan{
-		heuristics: heuristics,
-		sets:       sets,
-		traceLen:   traceLen,
-		digest: sweepConfigDigest("tracesweep", cfg.Cells, heuristics,
-			cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed, extra...),
-	}, nil
+	return []string{fmt.Sprintf("style %s", src.Style), fmt.Sprintf("tracelen %d", p.traceLen)}, nil
 }
 
-// TraceSweep executes a trace-driven sweep through the same sharded
-// pipeline as RunSweep: per-worker shard aggregation, deterministic
-// chunk-order merge, bit-identical results for every worker count. Each
-// instance resolves one trace set — synthetic by default, or recorded
-// from disk when TraceFiles is set — fits models once (interned per
-// scenario), and confronts every heuristic with the same replayed vectors.
-func TraceSweep(cfg TraceSweepConfig) (*SweepResult, error) {
-	plan, err := traceSweepPlan(cfg)
-	if err != nil {
-		return nil, err
+// instanceTrace resolves the trace set of one instance and its fitted
+// models. Recorded sets repeat across scenarios (and across trials when
+// Trials > len(Files)), so their models are interned through the
+// per-scenario cache: one fit per (scenario, file). Each (scenario, trial)
+// has a unique synthetic set, shared by every heuristic of the instance
+// directly, so interning it would only retain memory — it is built
+// uncached and dies with the instance.
+func (p *sweepPlan) instanceTrace(scn *Scenario, cfg *SweepConfig, cellIdx, scenIdx, trialIdx int) (*traceModels, error) {
+	if p.sets != nil {
+		return scn.fileTraceModels(p.sets, trialIdx%len(p.sets))
 	}
-	heuristics, sets, traceLen := plan.heuristics, plan.sets, plan.traceLen
-	return runSharded(shardedSweep{
-		cells:     cfg.Cells,
-		scenarios: cfg.Scenarios,
-		trials:    cfg.Trials,
-		options:   cfg.Options,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-		progress:  cfg.Progress,
-		control: sweepControl{
-			digest:          plan.digest,
-			checkpoint:      cfg.Checkpoint,
-			stop:            cfg.Stop,
-			faults:          cfg.Faults,
-			maxRetries:      cfg.MaxRetries,
-			retryBackoff:    cfg.RetryBackoff,
-			continueOnError: cfg.ContinueOnError,
-		},
-		newRunner: func() instanceRunner {
-			rn := NewRunner()
-			rn.SetMode(cfg.Mode)
-			return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
-				var tm *traceModels
-				var err error
-				if sets != nil {
-					// Recorded sets repeat across scenarios (and across
-					// trials when Trials > len(sets)), so intern the fitted
-					// models through the per-scenario cache: one fit per
-					// (scenario, file), shared by every heuristic and every
-					// trial replaying that file.
-					tm, err = scn.fileTraceModels(sets, trialIdx%len(sets))
-				} else {
-					// Each (scenario, trial) has a unique synthetic trace set
-					// and all its heuristic runs share the tm below directly,
-					// so interning synthetic sets in the scenario cache would
-					// only retain memory — build them uncached and let them
-					// die with the instance. (Explicit-vector runs, which
-					// genuinely repeat, go through the cache in tracedModels.)
-					genSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx), traceSeedSalt)
-					tm, err = synthTraceModels(scn, genSeed, cfg.Style, traceLen)
-				}
-				if err != nil {
-					return 0, err
-				}
-				trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
-				nCens := 0
-				for _, h := range heuristics {
-					res, err := scn.runTrace(rn, tm, h, trialSeed, cfg.Mode, nil)
-					if err != nil {
-						return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
-					}
-					ir.Makespans[h] = res.Makespan
-					if !res.Completed {
-						ir.Censored[h] = true
-						nCens++
-					}
-				}
-				return nCens, nil
-			}
-		},
-	})
+	genSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx), traceSeedSalt)
+	return synthTraceModels(scn, genSeed, cfg.Trace.Style, p.traceLen)
 }
 
 // loadTraceSets reads and validates every trace file up front, so a
@@ -463,7 +341,7 @@ func loadTraceSets(paths []string, p int) ([]*trace.Set, error) {
 // fileTraceModels resolves a recorded trace set through the scenario's
 // intern cache, fitting the per-processor belief models on the first
 // sighting only. The cache key is the file's index in the sweep's
-// TraceFiles list — stable for the sweep's lifetime, which is exactly the
+// Trace.Files list — stable for the sweep's lifetime, which is exactly the
 // cache's lifetime (it lives on the Scenario).
 func (s *Scenario) fileTraceModels(sets []*trace.Set, idx int) (*traceModels, error) {
 	key := "file\x00" + strconv.Itoa(idx)

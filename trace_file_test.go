@@ -43,7 +43,7 @@ func writeTraceFile(t *testing.T, dir string, seed uint64, p, n int) (string, []
 }
 
 // TestTraceSweepFileRoundTrip is the ingestion round-trip guard:
-// trace.Record → Set.Write to disk → TraceSweep{TraceFiles} must
+// trace.Record → Set.Write to disk → a sweep with Trace.Files must
 // reproduce, bit for bit, the digest of the in-memory path (RunTrace on
 // the same vectors, aggregated in the sweep's sequential order). Any
 // divergence means serialization, parsing, model fitting or the sharded
@@ -67,14 +67,14 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 	specs := [][]string{specsA, specsB}
 
 	// On-disk path: the sweep reads the files back and replays them.
-	res, err := TraceSweep(TraceSweepConfig{
+	res, err := RunSweep(SweepConfig{
 		Cells:      cells,
 		Heuristics: heuristics,
 		Scenarios:  scenarios,
 		Trials:     trials,
 		Options:    opt,
 		Seed:       seed,
-		TraceFiles: files,
+		Trace:      &TraceSource{Files: files},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 
 	// In-memory path: the same instances, sequentially, through RunTrace on
 	// the original (never-serialized) vectors, aggregated in the exact
-	// chunk/trial order runSharded commits in.
+	// chunk/trial order RunSweep commits in.
 	overall := stats.NewAggregator()
 	byWmin := make(map[int]*stats.Aggregator)
 	byCell := make(map[Cell]*stats.Aggregator)
@@ -155,7 +155,7 @@ func TestTraceSweepFileWorkerCountDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	file, _ := writeTraceFile(t, dir, 11, 6, 100)
 	mk := func(workers int) string {
-		res, err := TraceSweep(TraceSweepConfig{
+		res, err := RunSweep(SweepConfig{
 			Cells:      []Cell{{Tasks: 5, Ncom: 5, Wmin: 1}, {Tasks: 10, Ncom: 5, Wmin: 2}},
 			Heuristics: []string{"emct", "mct*", "random2w"},
 			Scenarios:  2,
@@ -163,7 +163,7 @@ func TestTraceSweepFileWorkerCountDeterminism(t *testing.T) {
 			Options:    ScenarioOptions{Processors: 6, Iterations: 2},
 			Seed:       2027,
 			Workers:    workers,
-			TraceFiles: []string{file},
+			Trace:      &TraceSource{Files: []string{file}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestTraceSweepFileWorkerCountDeterminism(t *testing.T) {
 // TestTraceSweepFileValidation exercises the fail-fast ingestion paths.
 func TestTraceSweepFileValidation(t *testing.T) {
 	dir := t.TempDir()
-	base := TraceSweepConfig{
+	base := SweepConfig{
 		Cells:      []Cell{{Tasks: 4, Ncom: 3, Wmin: 1}},
 		Heuristics: []string{"mct"},
 		Scenarios:  1,
@@ -195,8 +195,8 @@ func TestTraceSweepFileValidation(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.TraceFiles = []string{filepath.Join(dir, "missing.volatrace")}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Trace = &TraceSource{Files: []string{filepath.Join(dir, "missing.volatrace")}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("missing trace file accepted")
 	}
 
@@ -205,16 +205,16 @@ func TestTraceSweepFileValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = base
-	cfg.TraceFiles = []string{bad}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Trace = &TraceSource{Files: []string{bad}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("corrupt trace file accepted")
 	}
 
 	// Vector-count mismatch: 6 vectors for a 4-processor sweep.
 	mismatch, _ := writeTraceFile(t, t.TempDir(), 3, 6, 50)
 	cfg = base
-	cfg.TraceFiles = []string{mismatch}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Trace = &TraceSource{Files: []string{mismatch}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("processor-count mismatch accepted")
 	}
 
@@ -224,8 +224,8 @@ func TestTraceSweepFileValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = base
-	cfg.TraceFiles = []string{short}
-	if _, err := TraceSweep(cfg); err == nil {
+	cfg.Trace = &TraceSource{Files: []string{short}}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("too-short trace vectors accepted")
 	}
 }

@@ -163,7 +163,7 @@ type (
 	// SlotReport is the per-slot observer payload.
 	SlotReport = sim.SlotReport
 	// AllocationPolicy decides a moldable application's tasks-per-iteration
-	// count at every iteration boundary (see RunAlloc and MoldableSweep).
+	// count at every iteration boundary (see RunAlloc and SweepConfig.Alloc).
 	AllocationPolicy = sim.AllocationPolicy
 )
 

@@ -342,14 +342,15 @@ func TestRunSweepUnknownHeuristicFailsFast(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("validation ran %d instances before failing", calls)
 	}
-	// TraceSweep shares the validation path.
-	if _, err := TraceSweep(TraceSweepConfig{
+	// Trace sweeps share the validation path.
+	if _, err := RunSweep(SweepConfig{
 		Cells:      []Cell{{Tasks: 2, Ncom: 2, Wmin: 1}},
 		Heuristics: []string{"nope"},
 		Scenarios:  1,
 		Trials:     1,
+		Trace:      &TraceSource{},
 	}); err == nil {
-		t.Fatal("TraceSweep accepted an unknown heuristic")
+		t.Fatal("trace sweep accepted an unknown heuristic")
 	}
 }
 
