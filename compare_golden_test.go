@@ -221,3 +221,40 @@ func TestRunBatchMatchesCompareSweepWorld(t *testing.T) {
 		}
 	}
 }
+
+// goldenBatchContentionDigest pins a batch-only sweep where the master link
+// is the bottleneck (ncom well below the 20 processors and the task count).
+// Under contention the order in which bound transfers win channels, and
+// whether a dispatched job keeps its reservation while it waits for one,
+// decide the makespans; goldenBatchDigest's grid rarely exercises either.
+const goldenBatchContentionDigest = "1bf12a2c331aa3160e0b2e72fd41273f01ffeeb9cd294ff71a7fe01a47011bd6"
+
+func goldenBatchContentionConfig() SweepConfig {
+	return SweepConfig{
+		Cells: []Cell{
+			{Tasks: 20, Ncom: 1, Wmin: 1},
+			{Tasks: 20, Ncom: 2, Wmin: 3},
+			{Tasks: 40, Ncom: 5, Wmin: 2},
+			{Tasks: 40, Ncom: 3, Wmin: 5},
+		},
+		Heuristics: BatchDisciplines(),
+		Scenarios:  6,
+		Trials:     4,
+		Seed:       2011,
+	}
+}
+
+// TestBatchContentionGolden locks the batch disciplines' output on
+// contention-heavy cells at the default platform size.
+func TestBatchContentionGolden(t *testing.T) {
+	res, err := RunSweep(goldenBatchContentionConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := formatSweep(res)
+	sum := sha256.Sum256([]byte(text))
+	if got := hex.EncodeToString(sum[:]); got != goldenBatchContentionDigest {
+		t.Errorf("batch contention digest drifted:\n got  %s\n want %s\noutput:\n%s",
+			got, goldenBatchContentionDigest, text)
+	}
+}
