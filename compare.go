@@ -1,91 +1,38 @@
 package volatile
 
-// Batch contenders: the batch-scheduling baselines of internal/batch, run
-// head-to-head against the paper's fractional heuristics ("Dynamic
-// Fractional Resource Scheduling vs. Batch Scheduling", Casanova, Stillwell,
-// Vivien). A sweep whose contender list names batch disciplines runs them
-// on the same availability trajectories as its heuristics, so the dfb
-// metric directly prices batch allocation against fine-grained scheduling;
-// a list of disciplines alone ranks them head to head. CompareCells
-// condenses such a result into per-cell family winners.
+// Batch contenders: the batch-scheduling baselines of "Dynamic Fractional
+// Resource Scheduling vs. Batch Scheduling" (Casanova, Stillwell, Vivien),
+// run head-to-head against the paper's fractional heuristics. They are
+// schedulers of the same engine (core.NewBatch), so a sweep whose contender
+// list names them runs them on the same availability trajectories as its
+// heuristics, and the dfb metric directly prices batch allocation against
+// fine-grained scheduling; a list of disciplines alone ranks them head to
+// head. CompareCells condenses such a result into per-cell family winners.
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"repro/internal/batch"
-	"repro/internal/rng"
+	"repro/internal/core"
 )
 
-// Batch discipline names. They appear as row names in sweep results,
-// alongside the heuristic names they are compared against.
+// Batch discipline names, accepted wherever a heuristic name is (Run,
+// RunWith, SweepConfig.Heuristics). They appear as row names in sweep
+// results, alongside the heuristic names they are compared against. A batch
+// discipline samples availability per slot in every mode: it always replays
+// the slot-mode world of its trial.
 const (
 	// BatchFCFS is strict-order batch dispatch (head-of-line blocking).
-	BatchFCFS = "batch-fcfs"
+	BatchFCFS = core.BatchFCFS
 	// BatchEASY is FCFS dispatch plus EASY backfilling.
-	BatchEASY = "batch-easy"
+	BatchEASY = core.BatchEASY
 )
 
 // BatchDisciplines lists every implemented batch discipline name.
-func BatchDisciplines() []string { return []string{BatchFCFS, BatchEASY} }
+func BatchDisciplines() []string { return core.BatchNames() }
 
-// parseDiscipline resolves a discipline name.
-func parseDiscipline(name string) (batch.Discipline, error) {
-	switch name {
-	case BatchFCFS:
-		return batch.FCFS, nil
-	case BatchEASY:
-		return batch.EASY, nil
-	}
-	return 0, fmt.Errorf("volatile: unknown batch discipline %q (want %q or %q)",
-		name, BatchFCFS, BatchEASY)
-}
-
-// runBatch executes one batch run on the trajectories the given trial seed
-// denotes — the same world every fractional heuristic of that (scenario,
-// trial) instance faces. rn supplies the pooled trial resources: the batch
-// engine samples slot by slot, so it replays rn's per-slot tape, shared
-// with slot-mode contenders of the same instance. brn is the pooled batch
-// engine.
-func (s *Scenario) runBatch(rn *Runner, brn *batch.Runner, d batch.Discipline, trialSeed uint64) (*batch.Result, error) {
-	return brn.Run(batch.Config{
-		Platform:   s.inner.Platform,
-		Params:     s.inner.Params,
-		Procs:      rn.trial(s, trialSeed, ModeSlot),
-		Discipline: d,
-	})
-}
-
-// RunBatch executes one batch-discipline run on the scenario (name:
-// BatchFCFS or BatchEASY) against the same world the fractional
-// heuristics see for this trial seed — the single-run form of a batch
-// contender, for walkthroughs and spot checks.
-func (s *Scenario) RunBatch(discipline string, trialSeed uint64) (*RunResult, error) {
-	d, err := parseDiscipline(discipline)
-	if err != nil {
-		return nil, err
-	}
-	trialRng := rng.New(trialSeed)
-	procs := s.inner.Trial(trialRng)
-	res, err := batch.Run(batch.Config{
-		Platform:   s.inner.Platform,
-		Params:     s.inner.Params,
-		Procs:      procs,
-		Discipline: d,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Surface the batch outcome through the common RunResult shape so
-	// callers compare makespans uniformly; batch-specific counters live in
-	// batch.Result and are not carried over.
-	return &RunResult{
-		Completed:     res.Completed,
-		Makespan:      res.Makespan,
-		IterationEnds: res.IterationEnds,
-	}, nil
-}
+// isBatch reports whether name is a batch discipline.
+func isBatch(name string) bool { return name == BatchFCFS || name == BatchEASY }
 
 // CompareCellRow is one grid cell of a batch-vs-fractional report: the best
 // average dfb achieved by each family in that cell and the gap between
@@ -108,10 +55,6 @@ type CompareCellRow struct {
 // best fractional row versus the best batch row. Cells are ordered by
 // (Tasks, Ncom, Wmin).
 func CompareCells(res *SweepResult) []CompareCellRow {
-	isBatch := func(name string) bool {
-		_, err := parseDiscipline(name)
-		return err == nil
-	}
 	cells := make([]Cell, 0, len(res.ByCell))
 	for c := range res.ByCell {
 		cells = append(cells, c)

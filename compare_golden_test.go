@@ -160,14 +160,15 @@ func TestCompareSweepValidation(t *testing.T) {
 		t.Error("batch-only sweep accepted zero trials")
 	}
 
-	if _, err := (&Scenario{}).RunBatch("batch-sjf", 1); err == nil {
-		t.Error("RunBatch accepted unknown discipline")
+	if _, err := NewScenario(1, base.Cells[0], base.Options).Run("batch-sjf", 1); err == nil {
+		t.Error("Run accepted unknown discipline")
 	}
 }
 
-// TestRunBatchMatchesCompareSweepWorld pins that the single-run RunBatch
-// entry point sees the same world as a batch contender of a sweep: same
-// scenario seed + trial seed → same batch makespan as the sweep recorded.
+// TestRunBatchMatchesCompareSweepWorld pins that a single batch run
+// (Scenario.Run with a discipline name) sees the same world as a batch
+// contender of a sweep: same scenario seed + trial seed → same batch
+// makespan as the sweep recorded.
 func TestRunBatchMatchesCompareSweepWorld(t *testing.T) {
 	cell := Cell{Tasks: 5, Ncom: 5, Wmin: 2}
 	opt := ScenarioOptions{Processors: 6, Iterations: 2}
@@ -184,7 +185,7 @@ func TestRunBatchMatchesCompareSweepWorld(t *testing.T) {
 	scn := NewScenario(deriveSeed(seed, 0, 0, 0xA11CE), cell, opt)
 	trialSeed := deriveSeed(seed, 0, 0, 0)
 	for _, d := range BatchDisciplines() {
-		direct, err := scn.RunBatch(d, trialSeed)
+		direct, err := scn.Run(d, trialSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestRunBatchMatchesCompareSweepWorld(t *testing.T) {
 		}
 		best := direct.Makespan
 		for _, other := range BatchDisciplines() {
-			r, err := scn.RunBatch(other, trialSeed)
+			r, err := scn.Run(other, trialSeed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,13 +25,7 @@ func main() {
 
 	fmt.Println("One instance, four schedulers, identical availability trajectories:")
 	for _, name := range []string{"emct*", "mct", volatile.BatchEASY, volatile.BatchFCFS} {
-		var res *volatile.RunResult
-		var err error
-		if name == volatile.BatchEASY || name == volatile.BatchFCFS {
-			res, err = scn.RunBatch(name, 1)
-		} else {
-			res, err = scn.Run(name, 1)
-		}
+		res, err := scn.Run(name, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

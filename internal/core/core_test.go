@@ -406,8 +406,8 @@ func TestRegistryCompleteness(t *testing.T) {
 		t.Fatal("unknown name accepted")
 	}
 	// 17 paper heuristics + 4 "+" extensions + 4 passive + 2 proactive
-	// + risk-averse remct + deadline.
-	if len(AllNamesSorted()) != 29 {
+	// + risk-averse remct + deadline + 2 batch disciplines.
+	if len(AllNamesSorted()) != 31 {
 		t.Fatalf("AllNamesSorted has %d entries", len(AllNamesSorted()))
 	}
 	for _, g := range GreedyNames() {

@@ -65,6 +65,11 @@ var registry = map[string]Factory{
 	// of finishing the estimated workload within 1.5× the best candidate's
 	// CT, using the full completion-time distribution.
 	"deadline": func(*rng.PCG) sim.Scheduler { return NewDeadline(1.5) },
+
+	// Batch disciplines (extension): rigid whole-worker reservations, the
+	// baseline of the DFRS comparison (batch.go). Excluded from Names().
+	BatchFCFS: func(*rng.PCG) sim.Scheduler { return NewBatch(false) },
+	BatchEASY: func(*rng.PCG) sim.Scheduler { return NewBatch(true) },
 }
 
 func init() {

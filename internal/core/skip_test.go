@@ -32,8 +32,13 @@ type fullRoundsCanceller struct {
 
 func (f fullRoundsCanceller) Cancel(v *sim.View) []int { return f.c.Cancel(v) }
 
-// withFullRounds wraps s so that it runs every pick of every round.
+// withFullRounds wraps s so that it runs every pick of every round. A
+// scheduler that is no sim.PickSkipper already does, and is returned as is,
+// with every other optional interface intact.
 func withFullRounds(s sim.Scheduler) sim.Scheduler {
+	if _, ok := s.(sim.PickSkipper); !ok {
+		return s
+	}
 	f := &fullRounds{inner: s}
 	if c, ok := s.(sim.Canceller); ok {
 		return fullRoundsCanceller{f, c}
@@ -234,11 +239,13 @@ func mustNew(t *testing.T, name string) sim.Scheduler {
 // TestPickSkipperImplementers pins which schedulers take the early stop:
 // the side-effect-free greedy and deadline heuristics, the random family,
 // and the proactive wrapper exactly when its inner heuristic does. The
-// passive class commits inside Pick and must run every pick.
+// passive class and the batch disciplines commit to decisions and must run
+// every pick.
 func TestPickSkipperImplementers(t *testing.T) {
 	want := map[string]bool{
 		"passive-emct": false, "passive-mct": false, "passive-ud": false, "passive-random": false,
 		"proactive-emct": true, "proactive-mct": true, "deadline": true, "remct": true,
+		BatchFCFS: false, BatchEASY: false,
 	}
 	for _, name := range append(Names(), "mct+", "emct+", "lw+", "ud+") {
 		want[name] = true

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/avail"
@@ -109,8 +111,12 @@ type plannedAssignment struct {
 	replica int // 0 = original
 }
 
-// contRec is one in-flight transfer chain awaiting channel slots.
-type contRec struct{ worker, replica, task int }
+// contRec is one bound transfer chain awaiting a channel slot; rank is its
+// ChannelRank (ranked allocation only).
+type contRec struct {
+	worker int
+	rank   int64
+}
 
 // engine is the mutable run state. All of its buffers survive between slots
 // and — through Runner — between runs, so a steady-state slot performs no
@@ -227,6 +233,10 @@ type engine struct {
 	// skipper is cfg.Scheduler's PickSkipper side, or nil: only such
 	// schedulers end a round at its last bindable pick (scheduleRound).
 	skipper PickSkipper
+	// ranker is cfg.Scheduler's ChannelRanker side, or nil: only such
+	// schedulers bind every plan at once and rank the bound chains
+	// (allocateChannels).
+	ranker ChannelRanker
 	// mutateSkipDirty suppresses markDirty for worker mutateSkipDirty-1
 	// (mutation hook for the oracle tests; 0 — the zero value — disables
 	// the mutation). It survives reset, like slowChecks.
@@ -330,6 +340,7 @@ func (e *engine) reset(cfg Config) {
 	e.cfg = cfg
 	e.params = &e.cfg.Params
 	e.skipper, _ = cfg.Scheduler.(PickSkipper)
+	e.ranker, _ = cfg.Scheduler.(ChannelRanker)
 	p := cfg.Platform.P()
 	m := cfg.Params.M
 
@@ -950,7 +961,9 @@ func (e *engine) fillProcView(i int, pv *ProcView) {
 
 // allocateChannels grants the ncom channels: first to in-flight transfer
 // chains (originals before replicas), then to new planned assignments in
-// scheduler order. It returns the number of channels used.
+// scheduler order. It returns the number of channels used. A ChannelRanker's
+// plans all bind before any channel is granted, and its chains are served
+// in rank order (rankedChains).
 func (e *engine) allocateChannels() int {
 	channels := e.params.Ncom
 	used := 0
@@ -965,16 +978,18 @@ func (e *engine) allocateChannels() int {
 		e.verifyChains()
 	}
 	conts := e.conts[:0]
-	for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
-		w := &e.workers[i]
-		if e.states[i] == avail.Up && w.incoming.replica == 0 {
-			conts = append(conts, contRec{worker: i, replica: 0, task: w.incoming.task})
+	if e.ranker != nil {
+		conts = e.rankedChains(conts)
+	} else {
+		for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
+			if e.states[i] == avail.Up && e.workers[i].incoming.replica == 0 {
+				conts = append(conts, contRec{worker: i})
+			}
 		}
-	}
-	for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
-		w := &e.workers[i]
-		if e.states[i] == avail.Up && w.incoming.replica != 0 {
-			conts = append(conts, contRec{worker: i, replica: w.incoming.replica, task: w.incoming.task})
+		for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
+			if e.states[i] == avail.Up && e.workers[i].incoming.replica != 0 {
+				conts = append(conts, contRec{worker: i})
+			}
 		}
 	}
 	e.conts = conts
@@ -994,7 +1009,8 @@ func (e *engine) allocateChannels() int {
 		}
 	}
 
-	// New materializations, in plan order (originals were planned first).
+	// New materializations, in plan order (originals were planned first). A
+	// ChannelRanker's plans are bound already, so this skips them all.
 	for _, pl := range e.plans {
 		w := &e.workers[pl.worker]
 		if e.states[pl.worker] != avail.Up || w.incoming != nil {
@@ -1030,6 +1046,35 @@ func (e *engine) allocateChannels() int {
 		e.stats.PeakTransfers = used
 	}
 	return used
+}
+
+// rankedChains binds every plan of a ChannelRanker's round that lands on an
+// UP worker with a free incoming slot, channel or not (a zero-cost image
+// with its transfer already done), then appends the bound chains on UP
+// workers to conts in ascending rank.
+func (e *engine) rankedChains(conts []contRec) []contRec {
+	for _, pl := range e.plans {
+		w := &e.workers[pl.worker]
+		if e.states[pl.worker] == avail.Up && w.incoming == nil {
+			e.bindCopy(w, pl)
+			w.incoming.dataDone = w.hasProgram(e.params.Tprog) && e.params.Tdata == 0
+			e.syncChain(pl.worker)
+		}
+	}
+	for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
+		if e.states[i] == avail.Up {
+			conts = append(conts, contRec{worker: i})
+		}
+	}
+	// Ranks only matter when the chains outnumber the channels: served
+	// chains advance independently of one another.
+	if len(conts) > e.params.Ncom {
+		for k := range conts {
+			conts[k].rank = e.ranker.ChannelRank(conts[k].worker)
+		}
+		slices.SortFunc(conts, func(a, b contRec) int { return cmp.Compare(a.rank, b.rank) })
+	}
+	return conts
 }
 
 // bindCopy attaches a planned copy to a worker and updates bookkeeping.

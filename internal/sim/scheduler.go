@@ -228,6 +228,19 @@ type PickSkipper interface {
 	SkipPicks(v *View, eligible []int, rs *RoundState, n int)
 }
 
+// ChannelRanker is the optional interface of schedulers that hold whole-worker
+// reservations, such as batch disciplines. For such a scheduler every plan on
+// an UP worker with a free incoming slot binds at once, even when no channel
+// is left for it, and waits bound; the Ncom channels then go to the bound
+// chains on UP workers in ascending ChannelRank. Without it, bound chains are
+// served originals first by ascending worker, and a plan that finds no
+// channel is dropped and re-planned next slot.
+type ChannelRanker interface {
+	// ChannelRank orders worker's bound chain on the master link (lower
+	// first). Ranks of distinct chains must differ.
+	ChannelRank(worker int) int64
+}
+
 // Canceller is the optional interface of the paper's "proactive" heuristic
 // class (Section 6.1): a scheduler that may aggressively terminate begun
 // work. The engine consults Cancel at the start of every scheduling round;

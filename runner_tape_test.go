@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/batch"
 )
 
 // TestRunnerTapeReuse drives one Runner through instances in the order A,
@@ -14,8 +12,9 @@ import (
 // one recorded trial per (scenario, trial seed, time base); the sequence
 // changes exactly one part of that key at a time (and repeats keys after
 // others evicted them), so a tape reused under a wrong key, a batch run
-// disturbing a live recording, or a scheduler stream split from the wrong
-// RNG state all show up as a mismatch.
+// (which replays the slot-mode world in either mode) disturbing a live
+// recording, or a scheduler stream split from the wrong RNG state all show
+// up as a mismatch.
 func TestRunnerTapeReuse(t *testing.T) {
 	a := NewScenario(5, Cell{Tasks: 10, Ncom: 5, Wmin: 2}, ScenarioOptions{Iterations: 4})
 	b := NewScenario(6, Cell{Tasks: 10, Ncom: 5, Wmin: 2}, ScenarioOptions{Iterations: 4})
@@ -46,32 +45,19 @@ func TestRunnerTapeReuse(t *testing.T) {
 		{"A", 1, ModeSlot, "random"},
 	}
 	rn := NewRunner()
-	brn := batch.NewRunner()
 	for i, st := range steps {
 		scn := scenarios[st.scn]
 		name := fmt.Sprintf("step %d (%s seed %d %v %s)", i, st.scn, st.seed, st.mode, st.contender)
-		if d, err := parseDiscipline(st.contender); err == nil {
-			rn.SetMode(st.mode) // a batch run ignores the mode: it always replays per slot
-			got, err := scn.runBatch(rn, brn, d, st.seed)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			want, err := scn.RunBatch(st.contender, st.seed)
-			if err != nil {
-				t.Fatalf("%s fresh: %v", name, err)
-			}
-			if got.Completed != want.Completed || got.Makespan != want.Makespan ||
-				!reflect.DeepEqual(got.IterationEnds, want.IterationEnds) {
-				t.Fatalf("%s: pooled batch run %+v, fresh %+v", name, got, want)
-			}
-			continue
-		}
 		rn.SetMode(st.mode)
 		got, err := scn.RunWith(rn, st.contender, st.seed)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := scn.RunMode(st.contender, st.seed, st.mode)
+		fresh := st.mode
+		if isBatch(st.contender) {
+			fresh = ModeSlot // the slot-mode world, whatever the Runner's mode
+		}
+		want, err := scn.RunMode(st.contender, st.seed, fresh)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", name, err)
 		}

@@ -67,16 +67,21 @@ func TestConfigDigestMatchesCheckpointBinding(t *testing.T) {
 // TestConfigDigestRejectsWhatRunSweepRejects pins that the content address
 // and the sweep accept the same configs: a service keying its cache on
 // ConfigDigest must never admit a job RunSweep cannot run. Both must fail,
-// with the same message.
+// with the same message, before any instance runs.
 func TestConfigDigestRejectsWhatRunSweepRejects(t *testing.T) {
 	cases := map[string]func(cfg *SweepConfig){
 		"negative processors": func(cfg *SweepConfig) { cfg.Options.Processors = -3 },
 		"negative max slots":  func(cfg *SweepConfig) { cfg.Options.MaxSlots = -1 },
 		"no cells":            func(cfg *SweepConfig) { cfg.Cells = nil },
-		"zero trials":         func(cfg *SweepConfig) { cfg.Trials = 0 },
-		"unknown contender":   func(cfg *SweepConfig) { cfg.Heuristics = []string{"emct", "batch-sjf"} },
-		"bad alloc spec":      func(cfg *SweepConfig) { cfg.Alloc = "split-into:0" },
-		"unknown alloc":       func(cfg *SweepConfig) { cfg.Alloc = "zipf" },
+		// Wmin <= 0 used to panic in RunSweep's scenario generation; Tasks
+		// or Ncom <= 0 passed ConfigDigest and failed per instance mid-sweep.
+		"zero tasks":        func(cfg *SweepConfig) { cfg.Cells = append(cfg.Cells, Cell{Tasks: 0, Ncom: 5, Wmin: 1}) },
+		"negative ncom":     func(cfg *SweepConfig) { cfg.Cells = append(cfg.Cells, Cell{Tasks: 10, Ncom: -1, Wmin: 1}) },
+		"zero wmin":         func(cfg *SweepConfig) { cfg.Cells = append(cfg.Cells, Cell{Tasks: 10, Ncom: 5, Wmin: 0}) },
+		"zero trials":       func(cfg *SweepConfig) { cfg.Trials = 0 },
+		"unknown contender": func(cfg *SweepConfig) { cfg.Heuristics = []string{"emct", "batch-sjf"} },
+		"bad alloc spec":    func(cfg *SweepConfig) { cfg.Alloc = "split-into:0" },
+		"unknown alloc":     func(cfg *SweepConfig) { cfg.Alloc = "zipf" },
 		"trace + alloc": func(cfg *SweepConfig) {
 			cfg.Trace, cfg.Alloc = &TraceSource{Len: 100}, "maximum-iters"
 		},

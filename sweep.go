@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -34,9 +33,9 @@ type SweepConfig struct {
 	// natural shape: policies receive it as Params.M.
 	Cells []Cell
 	// Heuristics are the contenders to compare: registered heuristic names
-	// and batch disciplines (BatchFCFS, BatchEASY), in any mix. Every
-	// instance runs the heuristics first, then the batch disciplines, so
-	// the per-instance best is taken over both. Default: all 17 heuristics.
+	// and batch disciplines (BatchFCFS, BatchEASY), in any mix. All run on
+	// the same engine and face the same instance, so the per-instance best
+	// is taken over both. Default: all 17 heuristics.
 	Heuristics []string
 	// Scenarios is the number of random scenarios per cell (paper: 247).
 	Scenarios int
@@ -56,8 +55,8 @@ type SweepConfig struct {
 	// Mode selects the engine time base (default ModeSlot). Event mode is
 	// distribution-equivalent but consumes the availability RNG streams at
 	// sojourn granularity, so sweep aggregates differ from slot mode within
-	// sampling noise; see EXPERIMENTS.md. Batch disciplines always run their
-	// own slot-exact simulator.
+	// sampling noise; see EXPERIMENTS.md. Batch disciplines always replay
+	// the slot-mode world of each instance.
 	Mode Mode
 	// Seed makes the whole sweep reproducible.
 	Seed uint64
@@ -121,13 +120,11 @@ type SweepResult struct {
 }
 
 // sweepPlan is a SweepConfig resolved once, shared by RunSweep and
-// ConfigDigest so the two accept exactly the same configs: the contenders
-// split by kind, the trace source's loaded sets or synthetic length, and
-// the canonical config digest.
+// ConfigDigest so the two accept exactly the same configs: the contenders,
+// the trace source's loaded sets or synthetic length, and the canonical
+// config digest.
 type sweepPlan struct {
-	heuristics []string // heuristic contenders, in config order
-	discNames  []string // batch contenders, in config order
-	discs      []batch.Discipline
+	contenders []string     // heuristics and batch disciplines, in config order
 	sets       []*trace.Set // recorded trace sets (Trace.Files)
 	traceLen   int          // synthetic trace length (Trace without Files)
 	digest     string
@@ -141,28 +138,34 @@ func (cfg SweepConfig) plan() (*sweepPlan, error) {
 	if len(cfg.Cells) == 0 {
 		return nil, fmt.Errorf("volatile: sweep with no cells")
 	}
+	for _, c := range cfg.Cells {
+		if c.Tasks <= 0 || c.Ncom <= 0 || c.Wmin <= 0 {
+			return nil, fmt.Errorf("volatile: cell %s: Tasks, Ncom and Wmin must be positive", c)
+		}
+	}
 	if cfg.Scenarios <= 0 || cfg.Trials <= 0 {
 		return nil, fmt.Errorf("volatile: sweep needs Scenarios > 0 and Trials > 0")
 	}
 	if err := cfg.Options.Validate(); err != nil {
 		return nil, err
 	}
-	p := &sweepPlan{}
-	names := cfg.Heuristics
-	if len(names) == 0 {
-		names = Heuristics()
+	p := &sweepPlan{contenders: cfg.Heuristics}
+	if len(p.contenders) == 0 {
+		p.contenders = Heuristics()
 	}
-	for _, name := range names {
-		if d, err := parseDiscipline(name); err == nil {
-			p.discNames, p.discs = append(p.discNames, name), append(p.discs, d)
-			continue
-		}
+	// The digest lists the heuristics, and the batch contenders as extras.
+	var heuristics, disciplines []string
+	for _, name := range p.contenders {
 		if _, err := core.Lookup(name); err != nil {
 			return nil, fmt.Errorf("volatile: heuristic %q: %w", name, err)
 		}
-		p.heuristics = append(p.heuristics, name)
+		if isBatch(name) {
+			disciplines = append(disciplines, "discipline "+name)
+		} else {
+			heuristics = append(heuristics, name)
+		}
 	}
-	hasTrace, hasAlloc, hasBatch := cfg.Trace != nil, cfg.Alloc != "", len(p.discs) > 0
+	hasTrace, hasAlloc, hasBatch := cfg.Trace != nil, cfg.Alloc != "", len(disciplines) > 0
 	if hasTrace && hasAlloc || hasTrace && hasBatch || hasAlloc && hasBatch {
 		return nil, fmt.Errorf("volatile: a sweep combines at most one of a trace source, an allocation policy and batch contenders")
 	}
@@ -175,10 +178,7 @@ func (cfg SweepConfig) plan() (*sweepPlan, error) {
 			return nil, err
 		}
 	case hasBatch:
-		flavour = "comparesweep"
-		for _, name := range p.discNames {
-			extra = append(extra, "discipline "+name)
-		}
+		flavour, extra = "comparesweep", disciplines
 	case hasAlloc:
 		pol, err := ParseAllocPolicy(cfg.Alloc)
 		if err != nil {
@@ -186,7 +186,7 @@ func (cfg SweepConfig) plan() (*sweepPlan, error) {
 		}
 		flavour, extra = "moldable", []string{"alloc " + pol.Name()}
 	}
-	p.digest = sweepConfigDigest(flavour, cfg.Cells, p.heuristics,
+	p.digest = sweepConfigDigest(flavour, cfg.Cells, heuristics,
 		cfg.Scenarios, cfg.Trials, cfg.Options, cfg.Mode, cfg.Seed, extra...)
 	return p, nil
 }
@@ -201,14 +201,10 @@ type instanceRunner func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stat
 // its engines and its policy instance (stateful policies reset at every
 // run boundary, so reuse across the worker's runs changes nothing). Per
 // instance, the availability source is resolved once and every contender
-// replays the same world: heuristics first, then batch disciplines.
+// replays the same world.
 func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
 	rn := NewRunner()
 	rn.SetMode(cfg.Mode)
-	var brn *batch.Runner
-	if len(p.discs) > 0 {
-		brn = batch.NewRunner()
-	}
 	var pol AllocationPolicy
 	if cfg.Alloc != "" {
 		pol, _ = ParseAllocPolicy(cfg.Alloc) // the plan has validated the spec
@@ -230,7 +226,7 @@ func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
 				nCens++
 			}
 		}
-		for _, h := range p.heuristics {
+		for _, h := range p.contenders {
 			var res *RunResult
 			var err error
 			if tm != nil {
@@ -242,13 +238,6 @@ func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
 				return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
 			}
 			record(h, res.Makespan, res.Completed)
-		}
-		for i, d := range p.discs {
-			res, err := scn.runBatch(rn, brn, d, trialSeed)
-			if err != nil {
-				return 0, fmt.Errorf("volatile: %s on %s: %w", p.discNames[i], scn.inner.Name, err)
-			}
-			record(p.discNames[i], res.Makespan, res.Completed)
 		}
 		return nCens, nil
 	}

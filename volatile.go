@@ -401,8 +401,8 @@ type trialTape struct {
 // trial returns the availability processes of (s, trialSeed) under mode
 // as replay cursors on the Runner's tape, recording the trial afresh when
 // the key changed, and leaves r.trialRng exactly where Trial leaves it, so
-// the scheduler stream splits off it as on a fresh trial. Per-slot
-// consumers (slot mode, batch disciplines) get a per-slot tape.
+// the scheduler stream splits off it as on a fresh trial. Slot mode gets a
+// per-slot tape.
 func (r *Runner) trial(s *Scenario, trialSeed uint64, mode Mode) []avail.Process {
 	tt := &r.slotTape
 	if mode == ModeEvent {
@@ -420,6 +420,9 @@ func (r *Runner) trial(s *Scenario, trialSeed uint64, mode Mode) []avail.Process
 
 func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64, mode Mode,
 	observer func(*SlotReport), onEvent func(Event), alloc AllocationPolicy) (*RunResult, error) {
+	if isBatch(heuristic) {
+		mode = ModeSlot // batch disciplines sample availability per slot
+	}
 	// The pooled path consumes the RNG exactly as the allocating path does
 	// (Reseed mirrors New, TrialPool.Trial mirrors Trial, the tape replays
 	// the processes' own trajectories), so both produce identical
