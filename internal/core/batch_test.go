@@ -295,10 +295,55 @@ func batchRandomRun(seed uint64, maxP, maxM int) (pl *platform.Platform, prm pla
 	return pl, prm, mk
 }
 
-// TestBatchPooledMatchesOneShot pins that a pooled Runner and scheduler
+// TestBatchConfigValidation pins that a batch run rejects the same bad
+// configurations as any other sim run, and that an unknown discipline name
+// fails at construction.
+func TestBatchConfigValidation(t *testing.T) {
+	pl, procs := batchAlwaysUp(t, 1)
+	prm := platform.Params{M: 1, Iterations: 1, Ncom: 1}
+	for _, name := range BatchNames() {
+		cases := []struct {
+			what string
+			cfg  sim.Config
+		}{
+			{"nil platform", sim.Config{Params: prm, Procs: procs}},
+			{"proc count mismatch", sim.Config{Platform: pl, Params: prm, Procs: nil}},
+			{"nil proc", sim.Config{Platform: pl, Params: prm, Procs: []avail.Process{nil}}},
+			{"bad params", sim.Config{Platform: pl, Params: platform.Params{}, Procs: procs}},
+		}
+		for _, c := range cases {
+			c.cfg.Scheduler = mustNew(t, name)
+			if _, err := sim.Run(c.cfg); err == nil {
+				t.Errorf("%s %s: no error", name, c.what)
+			}
+		}
+	}
+	if _, err := New("batch-sjf", rng.New(1)); err == nil {
+		t.Error("unknown discipline batch-sjf: no error")
+	}
+}
+
+// TestBatchDeterminism pins that rerunning a scenario on fresh schedulers
+// and fresh processes on the same trajectories reproduces the result.
+func TestBatchDeterminism(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		pl, prm, mk := batchRandomRun(seed, 8, 6)
+		for _, name := range BatchNames() {
+			run := func() *sim.Result {
+				res, _ := runBatch(t, pl, mk(), prm, name)
+				return res
+			}
+			if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+				t.Errorf("seed %d %s: reruns diverged: %+v vs %+v", seed, name, a, b)
+			}
+		}
+	}
+}
+
+// TestBatchRunnerMatchesRun pins that a pooled Runner and scheduler
 // reproduce one-shot results bit for bit across back-to-back runs of
-// different shapes, and that reruns are deterministic.
-func TestBatchPooledMatchesOneShot(t *testing.T) {
+// different shapes.
+func TestBatchRunnerMatchesRun(t *testing.T) {
 	rn := sim.NewRunner()
 	rn.EnableSlowChecks()
 	pooled := map[string]sim.Scheduler{}
