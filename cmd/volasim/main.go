@@ -18,6 +18,17 @@ import (
 	volatile "repro"
 )
 
+// validateScenario rejects flags NewScenario cannot build a scenario from:
+// -n, -ncom and -wmin must be positive (Cell.Validate, the check RunSweep
+// applies to every sweep cell), and -p, -iterations and -commscale must be
+// >= 0, with 0 meaning the paper default (ScenarioOptions.Validate).
+func validateScenario(cell volatile.Cell, opt volatile.ScenarioOptions) error {
+	if err := cell.Validate(); err != nil {
+		return err
+	}
+	return opt.Validate()
+}
+
 func main() {
 	var (
 		n         = flag.Int("n", 20, "tasks per iteration")
@@ -43,9 +54,13 @@ func main() {
 		return
 	}
 
-	scn := volatile.NewScenario(*seed,
-		volatile.Cell{Tasks: *n, Ncom: *ncom, Wmin: *wmin},
-		volatile.ScenarioOptions{Processors: *procs, Iterations: *iters, CommScale: *commScale})
+	cell := volatile.Cell{Tasks: *n, Ncom: *ncom, Wmin: *wmin}
+	opt := volatile.ScenarioOptions{Processors: *procs, Iterations: *iters, CommScale: *commScale}
+	if err := validateScenario(cell, opt); err != nil {
+		fmt.Fprintln(os.Stderr, "volasim:", err)
+		os.Exit(2)
+	}
+	scn := volatile.NewScenario(*seed, cell, opt)
 	if *describe {
 		fmt.Print(scn.Describe())
 	}

@@ -47,16 +47,24 @@ func withFullRounds(s sim.Scheduler) sim.Scheduler {
 }
 
 // skipCounter forwards SkipPicks to a sim.PickSkipper and tallies the
-// calls and the picks they stood for, so the oracle can show that the
-// early stop was actually taken.
+// calls, the picks they stood for, and the calls that were channel-budget
+// stops, so the oracle can show that both early stops were actually taken.
+// A budget stop leaves some UP worker with no incoming copy unpicked; a
+// free-worker stop leaves none.
 type skipCounter struct {
 	sim.PickSkipper
-	calls, picks int
+	calls, picks, budgetStops int
 }
 
 func (c *skipCounter) SkipPicks(v *sim.View, eligible []int, rs *sim.RoundState, n int) {
 	c.calls++
 	c.picks += n
+	for _, q := range eligible {
+		if !v.Procs[q].HasIncoming && rs.NQ[q] == 0 {
+			c.budgetStops++
+			break
+		}
+	}
 	c.PickSkipper.SkipPicks(v, eligible, rs, n)
 }
 
@@ -192,8 +200,8 @@ func distinctHeuristics(t *testing.T) []string {
 // stream and scheduler random stream afterwards. A miscounted free-worker
 // budget shows in the results; a SkipPicks that makes one draw too few or
 // too many shows in the random stream. The test also requires that every
-// PickSkipper actually took the early stop, skipping picks, on these
-// scenarios.
+// PickSkipper actually took both early stops, the free-worker stop and the
+// channel-budget stop, skipping picks, on these scenarios.
 func TestPickSkipperMatchesFullRounds(t *testing.T) {
 	const scenarios = 40
 	for i, name := range distinctHeuristics(t) {
@@ -220,9 +228,10 @@ func TestPickSkipperMatchesFullRounds(t *testing.T) {
 				}
 			}
 		}
-		if _, ok := mustNew(t, name).(sim.PickSkipper); ok && (skips.calls == 0 || skips.picks == 0) {
-			t.Errorf("%s: no round stopped early over %d scenarios (%d calls, %d picks skipped)",
-				name, scenarios, skips.calls, skips.picks)
+		if _, ok := mustNew(t, name).(sim.PickSkipper); ok &&
+			(skips.calls == 0 || skips.picks == 0 || skips.budgetStops == 0 || skips.budgetStops == skips.calls) {
+			t.Errorf("%s: over %d scenarios %d rounds stopped early (%d at a channel budget), %d picks skipped; want both stops taken",
+				name, scenarios, skips.calls, skips.budgetStops, skips.picks)
 		}
 	}
 }

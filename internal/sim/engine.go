@@ -169,10 +169,12 @@ type engine struct {
 	// (filled by compute, consumed by finishSlot), so the completion pass
 	// visits candidates instead of scanning every worker.
 	finishers []int
-	// chainSet indexes the workers holding a bound, incomplete transfer
-	// chain (ascending-worker iteration), replacing allocateChannels' full
-	// per-slot scans; syncChain is its single reconciliation site.
-	chainSet idSet
+	// origChains and replicaChains index the UP workers holding a bound,
+	// incomplete transfer chain of an original and of a replica copy
+	// (ascending-worker iteration). allocateChannels serves them in that
+	// order with no filter pass, their sizes give each round its channel
+	// budget, and syncChain is their single reconciliation site.
+	origChains, replicaChains idSet
 	// upSet indexes the UP workers; with the nUp/nFreeUp/nIdleUp counters
 	// it replaces every O(P) availability scan outside the slow-check
 	// oracles: the originals slate, compute's walk, the event clock's
@@ -245,6 +247,10 @@ type engine struct {
 	// it on every first pick of a worker, occupied or not (mutation hook for
 	// the round-stop slow check; survives reset).
 	mutateFreeLeft bool
+	// mutateChannelBudget stops scheduleRound's originals loop one bindable
+	// pick before the channel budget is reached (mutation hook for the
+	// round-stop slow check; survives reset).
+	mutateChannelBudget bool
 	// slowChecks arms the full-rebuild equivalence oracle (test-only): every
 	// incremental structure is verified against a from-scratch recount.
 	slowChecks bool
@@ -397,7 +403,8 @@ func (e *engine) reset(cfg Config) {
 		e.dirtyProcs = append(e.dirtyProcs, i)
 		e.eligStamp[i] = 0
 	}
-	e.chainSet.reset(p)
+	e.origChains.reset(p)
+	e.replicaChains.reset(p)
 	e.eligEpoch = 0
 	e.overlaid = false
 	e.finishers = e.finishers[:0]
@@ -584,9 +591,9 @@ func (e *engine) applyState(i int, next avail.State) {
 			e.wasteCopy(c)
 			e.releaseCopy(c)
 		}
-		e.syncChain(i)
 	}
 	e.states[i] = next
+	e.syncChain(i)
 	e.reindexAvail(i, was)
 }
 
@@ -610,17 +617,29 @@ func (e *engine) markDirty(i int) {
 	}
 }
 
-// syncChain reconciles worker i's membership in the bound-chain list (the
-// workers whose incoming copy still needs program or data slots) with its
-// current pipeline state. It is idempotent; every site that binds, advances,
-// or drops an incoming copy calls it.
+// syncChain reconciles worker i's membership in the UP-chain indexes (the
+// UP workers whose incoming copy still needs program or data slots, split
+// by original and replica) with its current state and pipeline. It is
+// idempotent; every site that binds, advances or drops an incoming copy, or
+// changes a worker's availability state, calls it.
 func (e *engine) syncChain(i int) {
-	if e.workers[i].needsTransfer(e.params.Tprog) {
-		e.chainSet.add(i)
+	w := &e.workers[i]
+	bound := e.states[i] == avail.Up && w.needsTransfer(e.params.Tprog)
+	if bound && w.incoming.replica == 0 {
+		e.origChains.add(i)
 	} else {
-		e.chainSet.remove(i)
+		e.origChains.remove(i)
+	}
+	if bound && w.incoming.replica != 0 {
+		e.replicaChains.add(i)
+	} else {
+		e.replicaChains.remove(i)
 	}
 }
+
+// upChains counts the bound chains on UP workers; allocateChannels grants
+// each of them a channel before any new plan.
+func (e *engine) upChains() int { return e.origChains.size() + e.replicaChains.size() }
 
 // holdersAdd records that worker w holds a live copy of task t.
 func (e *engine) holdersAdd(t, w int) {
@@ -782,10 +801,25 @@ func (e *engine) scheduleRound() error {
 	// worker is always free, so the replica phase has no hosts either. A
 	// scheduler implementing PickSkipper then fast-forwards over the
 	// unvisited originals and the round ends; any other runs every pick.
+	//
+	// With Tdata > 0 every such bindable plan also needs a channel, and
+	// allocateChannels grants the UP chains theirs first, so at most
+	// Ncom - upChains plans bind. When no replica phase follows, the round
+	// ends there too (the channel-budget stop): freeLeft falling to
+	// stopFree means nFreeUp - freeLeft bindable picks reached the budget.
+	// A ChannelRanker binds without channels and never takes it.
 	plannedCopies := e.plannedCopies
-	freeLeft, visited := e.nFreeUp, 0
+	freeLeft, visited, stopFree := e.nFreeUp, 0, 0
+	if e.skipper != nil && e.ranker == nil && e.params.Tdata > 0 &&
+		(len(up) <= remaining || e.params.MaxReplicas == 0) {
+		budget := max(0, e.params.Ncom-e.upChains())
+		if e.mutateChannelBudget && budget > 0 {
+			budget--
+		}
+		stopFree = max(0, e.nFreeUp-budget)
+	}
 	for t := e.trk.pendFirst(); t != noTask; t = e.trk.pendAfter(t) {
-		if freeLeft == 0 && e.skipper != nil {
+		if freeLeft <= stopFree && e.skipper != nil {
 			n := e.trk.pendCount() - visited
 			if e.slowChecks {
 				e.verifyRoundStop(up, t, n)
@@ -970,42 +1004,28 @@ func (e *engine) allocateChannels() int {
 	tprog, tdata := e.params.Tprog, e.params.Tdata
 
 	// Continuations: bound chains on UP workers needing slots, originals
-	// (ascending worker) before replicas (ascending worker). The chain index
-	// holds exactly the workers with incomplete bound chains, iterated in
-	// ascending order, so two passes over it build that order directly — no
-	// sort, no full worker scan, each worker holds at most one chain.
+	// (ascending worker) before replicas (ascending worker) — exactly the
+	// two UP-chain indexes in turn, each worker holding at most one chain.
+	// Serving a chain can only drop the served worker from its index, which
+	// the ascending walk has already passed.
 	if e.slowChecks {
 		e.verifyChains()
 	}
-	conts := e.conts[:0]
 	if e.ranker != nil {
-		conts = e.rankedChains(conts)
+		e.conts = e.rankedChains(e.conts[:0])
+		for _, ct := range e.conts {
+			if used >= channels {
+				break
+			}
+			e.serveChain(ct.worker)
+			used++
+		}
 	} else {
-		for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
-			if e.states[i] == avail.Up && e.workers[i].incoming.replica == 0 {
-				conts = append(conts, contRec{worker: i})
+		for _, set := range [2]*idSet{&e.origChains, &e.replicaChains} {
+			for i := set.min(); i != noWorker && used < channels; i = set.next(i) {
+				e.serveChain(i)
+				used++
 			}
-		}
-		for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
-			if e.states[i] == avail.Up && e.workers[i].incoming.replica != 0 {
-				conts = append(conts, contRec{worker: i})
-			}
-		}
-	}
-	e.conts = conts
-	for _, ct := range conts {
-		if used >= channels {
-			break
-		}
-		w := &e.workers[ct.worker]
-		progSlot := !w.hasProgram(tprog)
-		w.advanceTransfer(tprog, tdata)
-		e.markDirty(ct.worker)
-		e.syncChain(ct.worker)
-		used++
-		e.stats.ChannelSlots++
-		if progSlot {
-			e.stats.ProgramSlots++
 		}
 	}
 
@@ -1019,9 +1039,7 @@ func (e *engine) allocateChannels() int {
 		if w.computing != nil && pl.replica == 0 && w.computing.task == pl.task {
 			continue // already running here (defensive; cannot happen for unbegun tasks)
 		}
-		needProg := !w.hasProgram(tprog)
-		needData := tdata > 0
-		if !needProg && !needData {
+		if w.hasProgram(tprog) && tdata == 0 {
 			// Zero-cost image: bind and complete instantly, no channel, no
 			// chain entry (the transfer is already done).
 			e.bindCopy(w, pl)
@@ -1032,20 +1050,27 @@ func (e *engine) allocateChannels() int {
 			continue // plan evaporates; re-planned next slot
 		}
 		e.bindCopy(w, pl)
-		progSlot := needProg
-		w.advanceTransfer(tprog, tdata)
-		e.syncChain(pl.worker)
+		e.serveChain(pl.worker)
 		used++
-		e.stats.ChannelSlots++
-		if progSlot {
-			e.stats.ProgramSlots++
-		}
 	}
 
 	if used > e.stats.PeakTransfers {
 		e.stats.PeakTransfers = used
 	}
 	return used
+}
+
+// serveChain grants one channel slot to worker i's bound chain (UP, needing
+// transfer): program first, then the task data.
+func (e *engine) serveChain(i int) {
+	w := &e.workers[i]
+	if !w.hasProgram(e.params.Tprog) {
+		e.stats.ProgramSlots++
+	}
+	w.advanceTransfer(e.params.Tprog, e.params.Tdata)
+	e.markDirty(i)
+	e.syncChain(i)
+	e.stats.ChannelSlots++
 }
 
 // rankedChains binds every plan of a ChannelRanker's round that lands on an
@@ -1061,8 +1086,8 @@ func (e *engine) rankedChains(conts []contRec) []contRec {
 			e.syncChain(pl.worker)
 		}
 	}
-	for i := e.chainSet.min(); i != noWorker; i = e.chainSet.next(i) {
-		if e.states[i] == avail.Up {
+	for _, set := range [2]*idSet{&e.origChains, &e.replicaChains} {
+		for i := set.min(); i != noWorker; i = set.next(i) {
 			conts = append(conts, contRec{worker: i})
 		}
 	}

@@ -197,7 +197,9 @@ func (e *engine) applyTransitions() error {
 // and the horizon, bulk-applying the skipped compute progress. Observer
 // reports for the span are replayed verbatim (reportQuietSpan).
 func (e *engine) nextSlot(maxSlots int) int {
-	if !e.skipQuiet {
+	// A chain still needing channel slots on an UP worker advances every
+	// slot, which forces slot-by-slot execution.
+	if !e.skipQuiet || e.upChains() > 0 {
 		return e.slot + 1
 	}
 	target := maxSlots
@@ -207,21 +209,17 @@ func (e *engine) nextSlot(maxSlots int) int {
 	if target <= e.slot+1 {
 		return e.slot + 1
 	}
-	// Scan the frozen platform. A chain still needing channel slots on an
-	// UP worker advances every slot, and a computation that has not started
-	// yet emits EvComputeStart next slot — both force slot-by-slot
-	// execution. Running computations instead bound the jump by their
-	// completion slot: the slot a copy finishes must execute normally.
-	// Only UP workers matter here (a RECLAIMED chain neither advances nor
-	// computes), so the walk covers the UP index — O(nUp), independent of
-	// the platform size once most of a volunteer grid is DOWN.
+	// Scan the frozen platform. A computation that has not started yet
+	// emits EvComputeStart next slot, which forces slot-by-slot execution.
+	// Running computations instead bound the jump by their completion slot:
+	// the slot a copy finishes must execute normally. Only UP workers matter
+	// here (a RECLAIMED worker does not compute), so the walk covers the UP
+	// index — O(nUp), independent of the platform size once most of a
+	// volunteer grid is DOWN.
 	tprog := e.params.Tprog
 	computing := 0
 	for i := e.upSet.min(); i != noWorker; i = e.upSet.next(i) {
 		w := &e.workers[i]
-		if w.needsTransfer(tprog) {
-			return e.slot + 1
-		}
 		if w.computing == nil || !w.hasProgram(tprog) {
 			continue
 		}

@@ -13,6 +13,12 @@ func (r *Runner) MutateSkipDirty(worker int) { r.e.mutateSkipDirty = worker + 1 
 // The mutation survives Runner reuse. Test-only.
 func (r *Runner) MutateFreeLeft(on bool) { r.e.mutateFreeLeft = on }
 
+// MutateChannelBudget makes the scheduling round take its channel-budget
+// stop one bindable pick early — a deliberately broken round stop, used to
+// prove the slow check (verifyRoundStop) detects it. The mutation survives
+// Runner reuse. Test-only.
+func (r *Runner) MutateChannelBudget(on bool) { r.e.mutateChannelBudget = on }
+
 // EpochBlock is how many epochs an engine reserves from the shared counter
 // at once.
 const EpochBlock = epochBlock

@@ -116,28 +116,30 @@ func (e *engine) verifyPending() {
 	}
 }
 
-// verifyChains checks the bound-chain index against a full worker scan: it
-// must hold exactly the workers whose incoming copy still needs transfer
-// slots, iterated in ascending worker order.
+// verifyChains checks the two UP-chain indexes against a full worker scan:
+// origChains must hold exactly the UP workers whose incoming original still
+// needs transfer slots, and replicaChains exactly those whose incoming
+// replica does.
 func (e *engine) verifyChains() {
-	got := e.chainSet.min()
-	for want := range e.workers {
-		if !e.workers[want].needsTransfer(e.params.Tprog) {
-			if e.chainSet.contains(want) {
-				panic(fmt.Sprintf("sim: slot %d: worker %d in chain index without an incomplete chain",
-					e.slot, want))
-			}
-			continue
+	orig, replicas := 0, 0
+	for i := range e.workers {
+		w := &e.workers[i]
+		bound := e.states[i] == avail.Up && w.needsTransfer(e.params.Tprog)
+		isOrig := bound && w.incoming.replica == 0
+		isReplica := bound && w.incoming.replica != 0
+		if e.origChains.contains(i) != isOrig || e.replicaChains.contains(i) != isReplica {
+			panic(fmt.Sprintf("sim: slot %d: worker %d (state %v, chain %v) has original-chain membership %v and replica-chain membership %v",
+				e.slot, i, e.states[i], bound, e.origChains.contains(i), e.replicaChains.contains(i)))
 		}
-		if got != want {
-			panic(fmt.Sprintf("sim: slot %d: chain index yields worker %d, full scan expects %d",
-				e.slot, got, want))
+		if isOrig {
+			orig++
+		} else if isReplica {
+			replicas++
 		}
-		got = e.chainSet.next(got)
 	}
-	if got != noWorker {
-		panic(fmt.Sprintf("sim: slot %d: chain index has extra worker %d past the full scan",
-			e.slot, got))
+	if orig != e.origChains.size() || replicas != e.replicaChains.size() {
+		panic(fmt.Sprintf("sim: slot %d: chain indexes hold %d originals and %d replicas, full scan finds %d and %d",
+			e.slot, e.origChains.size(), e.replicaChains.size(), orig, replicas))
 	}
 }
 
@@ -231,16 +233,36 @@ func (e *engine) verifyRoundSetup() {
 	}
 }
 
-// verifyRoundStop checks an early round end against full scans: no worker
-// on the originals slate may still be free (UP with no incoming copy) and
-// unpicked this round — such a worker could still bind a plan, or host a
-// replica — and the skipped count handed to SkipPicks must equal the
-// pending originals from task from onwards, walked one by one.
+// verifyRoundStop checks an early round end against full scans. A stop
+// with no worker on the originals slate still free (UP with no incoming
+// copy) and unpicked this round is a free-worker stop: no later pick could
+// bind, or find a replica host. Any other stop must be a channel-budget
+// stop: Tdata > 0 and no replica phase would follow; the chain indexes
+// agree with a full scan (verifyChains); and the plans that would bind (the picked free workers' first plans)
+// number exactly max(0, Ncom - chains). Either way the skipped count handed
+// to SkipPicks must equal the pending originals from task from onwards,
+// walked one by one.
 func (e *engine) verifyRoundStop(slate []int, from, skipped int) {
+	freeUnpicked, bindable := 0, 0
 	for _, q := range slate {
-		if e.workers[q].incoming == nil && e.rs.NQ[q] == 0 {
-			panic(fmt.Sprintf("sim: slot %d: round stopped early with worker %d free and unpicked",
-				e.slot, q))
+		if e.workers[q].incoming != nil {
+			continue
+		}
+		if e.rs.NQ[q] == 0 {
+			freeUnpicked++
+		} else {
+			bindable++
+		}
+	}
+	if freeUnpicked > 0 {
+		if e.params.Tdata <= 0 || (len(slate) > e.trk.remaining && e.params.MaxReplicas > 0) {
+			panic(fmt.Sprintf("sim: slot %d: round stopped early with %d workers free and unpicked, but not at a channel budget (Tdata=%d, %d UP, %d remaining, MaxReplicas=%d)",
+				e.slot, freeUnpicked, e.params.Tdata, len(slate), e.trk.remaining, e.params.MaxReplicas))
+		}
+		e.verifyChains()
+		if budget := max(0, e.params.Ncom-e.upChains()); bindable != budget {
+			panic(fmt.Sprintf("sim: slot %d: round stopped at %d bindable picks with %d workers free and unpicked, channel budget %d",
+				e.slot, bindable, freeUnpicked, budget))
 		}
 	}
 	walked := 0

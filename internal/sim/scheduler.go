@@ -23,11 +23,13 @@
 // each slot.
 //
 // A plan materializes only on an UP worker with a free incoming slot, and
-// only if it is that worker's first plan of the slot. Once every such worker
-// has been picked, no later pick of the round can bind. For schedulers that
-// implement PickSkipper the engine ends the round there and lets the
-// scheduler account for the picks it did not make; all others are consulted
-// for every task, as the paper describes.
+// only if it is that worker's first plan of the slot; with Tdata > 0 it
+// also needs one of the ncom channels left after the bound chains on UP
+// workers. Once every such worker has been picked, or as many as there are
+// channels left (when no replica phase follows), no later pick of the round
+// can bind. For schedulers that implement PickSkipper the engine ends the
+// round there and lets the scheduler account for the picks it did not
+// make; all others are consulted for every task, as the paper describes.
 package sim
 
 import (
@@ -186,9 +188,12 @@ type Scheduler interface {
 	// task unassigned this slot. The engine invokes Pick once per task per
 	// slot, originals first, then replicas; rs reflects all picks already
 	// made this round. A scheduler implementing PickSkipper sees the round
-	// end early, at the point where every UP worker with a free incoming
-	// slot has been picked: the remaining originals go to SkipPicks
-	// instead, and no replica is picked (there is no idle host left).
+	// end early, after the last original pick that could bind: either every
+	// UP worker with a free incoming slot has been picked (no replica is
+	// picked then, as there is no idle host left), or, when Tdata > 0 and
+	// no replica phase follows, the picks of free workers have used up the
+	// channels the bound chains leave. The remaining originals go to
+	// SkipPicks instead.
 	Pick(v *View, eligible []int, rs *RoundState, ti TaskInfo) int
 }
 
@@ -210,10 +215,14 @@ func PoolSafe(s Scheduler) bool {
 }
 
 // PickSkipper is the optional interface of schedulers that let the engine
-// end a scheduling round at its last bindable pick. Once every UP worker
-// with a free incoming slot has been picked this round, no further pick can
-// materialize, so the engine stops consulting Pick and calls SkipPicks once
-// instead, with the n originals it did not visit.
+// end a scheduling round at its last bindable pick. No further pick can
+// materialize once every UP worker with a free incoming slot has been
+// picked this round (the free-worker stop), nor, when Tdata > 0 and no
+// replica phase follows the originals, once the picked free workers number
+// the channels left after the bound chains on UP workers (the
+// channel-budget stop: each such plan needs a channel, and the chains are
+// served first). At either point the engine stops consulting Pick and calls
+// SkipPicks once instead, with the n originals it did not visit.
 //
 // The contract: SkipPicks must leave the scheduler exactly as n more
 // original-task Pick calls on (v, eligible) would have left it, with their
@@ -221,8 +230,9 @@ func PoolSafe(s Scheduler) bool {
 // advance it for the skipped picks. A side-effect-free scheduler (one whose
 // state is a pure cache) implements SkipPicks as a no-op; a randomized one
 // advances its RNG by the draws those picks would have made. Schedulers
-// that commit to decisions inside Pick must not implement it. Wrappers implement it only when their inner
-// heuristic does (embedding does not promote it).
+// that commit to decisions inside Pick must not implement it. Wrappers
+// implement it only when their inner heuristic does (embedding does not
+// promote it).
 type PickSkipper interface {
 	// SkipPicks accounts for n original-task picks the engine skipped.
 	SkipPicks(v *View, eligible []int, rs *RoundState, n int)

@@ -139,8 +139,8 @@ func (cfg SweepConfig) plan() (*sweepPlan, error) {
 		return nil, fmt.Errorf("volatile: sweep with no cells")
 	}
 	for _, c := range cfg.Cells {
-		if c.Tasks <= 0 || c.Ncom <= 0 || c.Wmin <= 0 {
-			return nil, fmt.Errorf("volatile: cell %s: Tasks, Ncom and Wmin must be positive", c)
+		if err := c.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.Scenarios <= 0 || cfg.Trials <= 0 {

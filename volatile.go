@@ -49,6 +49,16 @@ func (c Cell) String() string {
 	return fmt.Sprintf("n=%d ncom=%d wmin=%d", c.Tasks, c.Ncom, c.Wmin)
 }
 
+// Validate rejects a cell NewScenario cannot generate a platform for:
+// Tasks, Ncom and Wmin must all be positive. RunSweep checks every cell of
+// its config the same way.
+func (c Cell) Validate() error {
+	if c.Tasks <= 0 || c.Ncom <= 0 || c.Wmin <= 0 {
+		return fmt.Errorf("volatile: cell %s: Tasks, Ncom and Wmin must be positive", c)
+	}
+	return nil
+}
+
 // PaperGrid returns the 120 cells of the paper's Table 1.
 func PaperGrid() []Cell {
 	cells := workload.PaperGrid()
