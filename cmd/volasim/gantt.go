@@ -75,8 +75,12 @@ func ganttRun(scn *volatile.Scenario, heuristic string, trialSeed uint64, horizo
 		}
 	}
 
+	traced, err := scn.Traced(specs)
+	if err != nil {
+		return err
+	}
 	events := make([]volatile.Event, 0, 1024)
-	res2, err := scn.RunTraceWithEvents(heuristic, trialSeed, specs, func(ev volatile.Event) {
+	res2, err := traced.RunWithHooks(heuristic, trialSeed, nil, func(ev volatile.Event) {
 		events = append(events, ev)
 	})
 	if err != nil {

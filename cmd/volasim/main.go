@@ -29,6 +29,18 @@ func validateScenario(cell volatile.Cell, opt volatile.ScenarioOptions) error {
 	return opt.Validate()
 }
 
+// validateRun rejects run flags no run can honor: -trials must be >= 1,
+// and -horizon, the recorded length -gantt fits Markov models to, >= 2.
+func validateRun(trials, horizon int) error {
+	if trials < 1 {
+		return fmt.Errorf("-trials %d: must be >= 1", trials)
+	}
+	if horizon < 2 {
+		return fmt.Errorf("-horizon %d: must be >= 2 to fit models", horizon)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		n         = flag.Int("n", 20, "tasks per iteration")
@@ -56,7 +68,11 @@ func main() {
 
 	cell := volatile.Cell{Tasks: *n, Ncom: *ncom, Wmin: *wmin}
 	opt := volatile.ScenarioOptions{Processors: *procs, Iterations: *iters, CommScale: *commScale}
-	if err := validateScenario(cell, opt); err != nil {
+	err := validateRun(*trials, *horizon)
+	if err == nil {
+		err = validateScenario(cell, opt)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "volasim:", err)
 		os.Exit(2)
 	}

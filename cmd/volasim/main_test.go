@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"os/exec"
@@ -10,7 +12,7 @@ import (
 	volatile "repro"
 )
 
-// TestMain lets TestBadFlagsExitTwo run this binary as volasim itself: with
+// TestMain lets the tests run this binary as volasim itself: with
 // VOLASIM_MAIN set, the process runs main on its command line instead of
 // the tests.
 func TestMain(m *testing.M) {
@@ -21,8 +23,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// badFlags lists flag settings NewScenario cannot build a scenario from,
-// with the message each must be rejected with.
+// badFlags lists flag settings no scenario or run can be built from, with
+// the message each must be rejected with.
 var badFlags = []struct {
 	args []string
 	want string
@@ -34,6 +36,18 @@ var badFlags = []struct {
 	{[]string{"-p", "-5"}, "volasim: volatile: Processors -5: must be >= 0 (0 = paper default of 20)"},
 	{[]string{"-iterations", "-1"}, "volasim: volatile: Iterations -1: must be >= 0 (0 = paper default of 10)"},
 	{[]string{"-commscale", "-1"}, "volasim: volatile: CommScale -1: must be >= 0 (0 = paper default of 1)"},
+	{[]string{"-gantt", "-horizon", "-5"}, "volasim: -horizon -5: must be >= 2 to fit models"},
+	{[]string{"-gantt", "-horizon", "0"}, "volasim: -horizon 0: must be >= 2 to fit models"},
+	{[]string{"-gantt", "-horizon", "1"}, "volasim: -horizon 1: must be >= 2 to fit models"},
+	{[]string{"-trials", "0"}, "volasim: -trials 0: must be >= 1"},
+	{[]string{"-trials", "-3"}, "volasim: -trials -3: must be >= 1"},
+}
+
+// volasim runs this test binary as volasim with args.
+func volasim(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "VOLASIM_MAIN=1")
+	return cmd
 }
 
 // TestBadFlagsExitTwo pins volasim's flag validation end to end: each bad
@@ -41,9 +55,7 @@ var badFlags = []struct {
 // before any scenario is generated (no panic, no platform error).
 func TestBadFlagsExitTwo(t *testing.T) {
 	for _, c := range badFlags {
-		cmd := exec.Command(os.Args[0], c.args...)
-		cmd.Env = append(os.Environ(), "VOLASIM_MAIN=1")
-		out, err := cmd.CombinedOutput()
+		out, err := volasim(c.args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%v: err %v, want exit status 2; output:\n%s", c.args, err, out)
@@ -52,6 +64,24 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		if got := strings.TrimSpace(string(out)); got != c.want {
 			t.Errorf("%v: output %q, want %q", c.args, got, c.want)
 		}
+	}
+}
+
+// ganttDigest is the SHA-256 of the stdout of
+// "volasim -gantt -n 5 -p 4 -horizon 300 -heuristic emct": the recorded
+// availability, its replay on the traced scenario, the event stream and the
+// rendered timeline.
+const ganttDigest = "cb20a321cc72e129655fafeb887f0522a58501bfaf8168c7763742754422f047"
+
+// TestGanttGolden pins volasim's -gantt output end to end.
+func TestGanttGolden(t *testing.T) {
+	out, err := volasim("-gantt", "-n", "5", "-p", "4", "-horizon", "300", "-heuristic", "emct").Output()
+	if err != nil {
+		t.Fatalf("volasim -gantt: %v", err)
+	}
+	sum := sha256.Sum256(out)
+	if got := hex.EncodeToString(sum[:]); got != ganttDigest {
+		t.Fatalf("gantt output digest %s, want %s; output:\n%s", got, ganttDigest, out)
 	}
 }
 

@@ -141,8 +141,9 @@ func TestTraceSweepCrossModeBitIdentical(t *testing.T) {
 }
 
 // TestRunTraceModeBitIdentical pins the single-run trace contract across
-// the public one-shot and pooled entry points: deterministic heuristics on
-// explicit vectors match bit for bit across modes and across Runner reuse.
+// the public one-shot and pooled entry points: deterministic heuristics and
+// the batch disciplines on a traced scenario match bit for bit across modes
+// and across Runner reuse.
 func TestRunTraceModeBitIdentical(t *testing.T) {
 	scn := NewScenario(7, Cell{Tasks: 6, Ncom: 3, Wmin: 2}, ScenarioOptions{Processors: 4, Iterations: 2})
 	vectors := []string{
@@ -151,12 +152,16 @@ func TestRunTraceModeBitIdentical(t *testing.T) {
 		strings.Repeat("urd", 25),
 		"dddddddddd" + strings.Repeat("u", 70),
 	}
-	for _, h := range []string{"emct*", "mct", "lw*", "ud"} {
-		slot, err := scn.RunTrace(h, 3, vectors)
+	traced, err := scn.Traced(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{"emct*", "mct", "lw*", "ud", BatchFCFS, BatchEASY} {
+		slot, err := traced.Run(h, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		event, err := scn.RunTraceMode(h, 3, vectors, ModeEvent)
+		event, err := traced.RunMode(h, 3, ModeEvent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +170,7 @@ func TestRunTraceModeBitIdentical(t *testing.T) {
 		}
 		rn := NewRunner()
 		rn.SetMode(ModeEvent)
-		pooled, err := scn.RunTraceWith(rn, h, 3, vectors)
+		pooled, err := traced.RunWith(rn, h, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,8 +70,12 @@ func main() {
 			continue // realization too hostile even for the relaxed optimum
 		}
 		used++
+		traced, err := scn.Traced(specs)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for _, h := range heuristics {
-			res, err := scn.RunTrace(h, uint64(trial), specs)
+			res, err := traced.Run(h, uint64(trial))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,7 +7,7 @@
 // synthesizes Failure-Trace-Archive-style availability (Weibull, Pareto and
 // log-normal sojourns), fits Markov models to the recorded traces — exactly
 // what a master estimating behaviour from history would do — and replays the
-// heuristics on the traces via the public RunTrace API.
+// heuristics on the traces via a traced scenario (Scenario.Traced).
 //
 // The qualitative outcome mirrors the paper's expectation: the informed
 // heuristics still beat random selection, but their edge over plain MCT
@@ -52,17 +52,20 @@ func main() {
 				vectors[q] = avail.Record(proc, horizon).String()
 			}
 
-			// The scenario provides speeds and run parameters; RunTrace
+			// The scenario provides speeds and run parameters; Traced
 			// replaces its availability with the recorded vectors and fits
 			// per-processor Markov models from them.
-			scn := volatile.NewScenario(500+uint64(trial),
+			scn, err := volatile.NewScenario(500+uint64(trial),
 				volatile.Cell{Tasks: 12, Ncom: 6, Wmin: 4},
-				volatile.ScenarioOptions{Processors: processors})
+				volatile.ScenarioOptions{Processors: processors}).Traced(vectors)
+			if err != nil {
+				log.Fatal(err)
+			}
 
 			makespans := map[string]int{}
 			best := 0
 			for _, h := range heuristics {
-				res, err := scn.RunTrace(h, uint64(trial), vectors)
+				res, err := scn.Run(h, uint64(trial))
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -56,8 +56,12 @@ func TestOnlineNeverBeatsOfflineBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		traced, err := scn.Traced(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, h := range heuristics {
-			res, err := scn.RunTrace(h, uint64(trial), specs)
+			res, err := traced.Run(h, uint64(trial))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -199,9 +199,10 @@ type engine struct {
 	eligStamp   []int
 	eligEpoch   int
 	replicaPick bool
-	// nBusy counts the workers with begun work (computing or incoming),
-	// maintained at the pipeline mutation sites so the scheduling round
-	// reads its n_active base in O(1) instead of recounting all P workers.
+	// nBusy counts the workers with begun work (computing or incoming) in
+	// any state, maintained by reindexAvail from the availability key's busy
+	// bit, so the scheduling round reads its n_active base in O(1) instead
+	// of recounting all P workers.
 	nBusy int
 	// trajs/pendState/evq advance availability on both clocks
 	// (eventclock.go): trajs are the run-level views of cfg.Procs,
@@ -531,17 +532,22 @@ func (e *engine) step() error {
 
 // availKey encodes worker i's membership in the availability-derived
 // indexes as a bitmask: bit 0 = UP, bit 1 = UP with a free incoming slot,
-// bit 2 = UP and idle (no begun work). reindexAvail applies the delta
-// between two keys to upSet and the nUp/nFreeUp/nIdleUp counters; every
-// mutation of a worker's state or pipeline occupancy captures the key
-// before and reindexes after, so the counters are exact at all times
-// (recounted by verifyCounters under slow checks).
+// bit 2 = UP and idle (no begun work), bit 3 = busy (begun work, in any
+// state). reindexAvail applies the delta between two keys to upSet and the
+// nUp/nFreeUp/nIdleUp/nBusy counters; every mutation of a worker's state or
+// pipeline occupancy captures the key before and reindexes after, so the
+// counters are exact at all times (recounted by verifyCounters and
+// verifyRoundSetup under slow checks).
 func (e *engine) availKey(i int) uint8 {
-	if e.states[i] != avail.Up {
-		return 0
-	}
 	w := &e.workers[i]
-	k := uint8(1)
+	var k uint8
+	if w.busy() {
+		k = 8
+	}
+	if e.states[i] != avail.Up {
+		return k
+	}
+	k |= 1
 	if w.incoming == nil {
 		k |= 2
 		if w.computing == nil {
@@ -568,6 +574,7 @@ func (e *engine) reindexAvail(i int, was uint8) {
 	}
 	e.nFreeUp += int(now>>1&1) - int(was>>1&1)
 	e.nIdleUp += int(now>>2&1) - int(was>>2&1)
+	e.nBusy += int(now>>3&1) - int(was>>3&1)
 }
 
 // applyState transitions worker i to next — which callers guarantee differs
@@ -582,9 +589,6 @@ func (e *engine) applyState(i int, next avail.State) {
 		e.stats.Crashes++
 		e.stats.WastedProgramSlots += int64(w.progRecv)
 		e.emit(Event{Slot: e.slot, Kind: EvCrash, Worker: i, Task: -1, Replica: -1, Iteration: e.iter})
-		if w.busy() {
-			e.nBusy--
-		}
 		e.dropBuf = w.crash(e.dropBuf[:0])
 		for _, c := range e.dropBuf {
 			e.taskLostCopy(c.task, i)
@@ -741,9 +745,6 @@ func (e *engine) scheduleRound() error {
 				}
 				w := &e.workers[q]
 				was := e.availKey(q)
-				if w.busy() {
-					e.nBusy--
-				}
 				e.dropBuf = w.dropAllCopies(e.dropBuf[:0])
 				for _, dropped := range e.dropBuf {
 					e.taskLostCopy(dropped.task, q)
@@ -1105,9 +1106,6 @@ func (e *engine) rankedChains(conts []contRec) []contRec {
 // bindCopy attaches a planned copy to a worker and updates bookkeeping.
 func (e *engine) bindCopy(w *workerState, pl plannedAssignment) {
 	was := e.availKey(pl.worker)
-	if w.computing == nil { // incoming is nil (caller-checked): idle -> busy
-		e.nBusy++
-	}
 	replica := pl.replica
 	if replica != 0 {
 		e.nextReplica[pl.task]++
@@ -1171,9 +1169,6 @@ func (e *engine) finishSlot() {
 		}
 		was := e.availKey(i)
 		w.computing = nil
-		if w.incoming == nil {
-			e.nBusy--
-		}
 		e.reindexAvail(i, was)
 		e.markDirty(i)
 		ts := &e.tasks[c.task]
@@ -1214,11 +1209,7 @@ func (e *engine) finishSlot() {
 			j := int(h)
 			other := &e.workers[j]
 			wasKey := e.availKey(j)
-			wasBusy := other.busy()
 			e.dropBuf = other.dropCopiesOf(c.task, e.dropBuf[:0])
-			if wasBusy && !other.busy() {
-				e.nBusy--
-			}
 			for _, dropped := range e.dropBuf {
 				ts.copies--
 				e.holdersRemove(c.task, j)
@@ -1296,7 +1287,6 @@ func (e *engine) finishSlot() {
 			if len(e.dropBuf) == 0 {
 				continue
 			}
-			e.nBusy-- // held at least one copy, now holds none
 			for _, dropped := range e.dropBuf {
 				e.holdersRemove(dropped.task, i)
 				e.markDirty(i)

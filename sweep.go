@@ -200,8 +200,9 @@ type instanceRunner func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stat
 // newInstanceRunner returns one worker's instance runner. The worker owns
 // its engines and its policy instance (stateful policies reset at every
 // run boundary, so reuse across the worker's runs changes nothing). Per
-// instance, the availability source is resolved once and every contender
-// replays the same world.
+// instance, the availability source is resolved once — a trace source
+// swaps in the instance's traced scenario — and every contender replays
+// the same world.
 func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
 	rn := NewRunner()
 	rn.SetMode(cfg.Mode)
@@ -210,10 +211,9 @@ func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
 		pol, _ = ParseAllocPolicy(cfg.Alloc) // the plan has validated the spec
 	}
 	return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
-		var tm *traceModels
 		if cfg.Trace != nil {
 			var err error
-			if tm, err = p.instanceTrace(scn, cfg, cellIdx, scenIdx, trialIdx); err != nil {
+			if scn, err = p.instanceTrace(scn, cfg, cellIdx, scenIdx, trialIdx); err != nil {
 				return 0, err
 			}
 		}
@@ -227,13 +227,7 @@ func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
 			}
 		}
 		for _, h := range p.contenders {
-			var res *RunResult
-			var err error
-			if tm != nil {
-				res, err = scn.runTrace(rn, tm, h, trialSeed, cfg.Mode, nil)
-			} else {
-				res, err = scn.run(rn, h, trialSeed, cfg.Mode, nil, nil, pol)
-			}
+			res, err := scn.run(rn, h, trialSeed, cfg.Mode, nil, nil, pol)
 			if err != nil {
 				return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
 			}

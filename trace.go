@@ -1,15 +1,15 @@
 package volatile
 
-// Trace-driven availability: runs against explicit availability vectors
-// (RunTrace and friends), and TraceSource, the sweep availability source
-// that replays synthetic or recorded trace sets instead of sampling the
-// Markov model. The paper's conclusion proposes challenging the Markov
-// assumption with real availability traces; internal/trace supplies
-// FTA-style synthetic generators and the fitting code, and this file wires
-// them into the public API.
+// Trace-driven availability: traced scenarios (Scenario.Traced), which
+// replay explicit availability vectors instead of sampling the Markov
+// model, and TraceSource, the sweep availability source that replays
+// synthetic or recorded trace sets. The paper's conclusion proposes
+// challenging the Markov assumption with real availability traces;
+// internal/trace supplies FTA-style synthetic generators and the fitting
+// code, and this file wires them into the public API.
 //
 // Fitting a Markov model to a vector and parsing vector specs are pure
-// functions of the input, so each Scenario interns the derived artifacts —
+// functions of the input, so each Scenario interns its traced scenarios —
 // parsed vectors plus a platform carrying the fitted models — in a small
 // keyed cache. The cache key is the full vector content, and a scenario
 // rebuild invalidates everything because the cache lives on the Scenario
@@ -28,10 +28,8 @@ import (
 	"sync"
 
 	"repro/internal/avail"
-	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -50,43 +48,34 @@ const (
 	TraceLogNormal = trace.LogNormal
 )
 
-// traceModels is one interned trace artifact set: the parsed availability
-// vectors and a platform whose processors carry the Markov models fitted to
-// them (the master's "belief" handed to informed heuristics). Both are
-// immutable after construction and safe to share across goroutines.
-type traceModels struct {
-	vectors  []avail.Vector
-	platform *platform.Platform
-}
-
 // traceCacheLimit bounds the per-scenario cache. Sweeps run every heuristic
 // of an instance back to back on one trace set, so even a small cache gets
 // a hit for all but the first run; the limit only caps memory when many
 // distinct trace sets stream through one scenario.
 const traceCacheLimit = 32
 
-// traceCache interns traceModels per key. Safe for concurrent use.
+// traceCache interns traced scenarios per key. Safe for concurrent use.
 type traceCache struct {
 	mu      sync.Mutex
-	entries map[string]*traceModels
+	entries map[string]*Scenario
 }
 
-// models returns the interned artifacts for key, building them on a miss.
+// traced returns the interned scenario for key, building it on a miss.
 // The build runs under the lock: duplicate fits would cost more than the
 // brief contention, and sweep workers overwhelmingly hit distinct scenarios
 // anyway.
-func (c *traceCache) models(key string, build func() (*traceModels, error)) (*traceModels, error) {
+func (c *traceCache) traced(key string, build func() (*Scenario, error)) (*Scenario, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if tm, ok := c.entries[key]; ok {
-		return tm, nil
+	if ts, ok := c.entries[key]; ok {
+		return ts, nil
 	}
-	tm, err := build()
+	ts, err := build()
 	if err != nil {
 		return nil, err
 	}
 	if c.entries == nil {
-		c.entries = make(map[string]*traceModels, traceCacheLimit)
+		c.entries = make(map[string]*Scenario, traceCacheLimit)
 	}
 	if len(c.entries) >= traceCacheLimit {
 		for k := range c.entries { // evict one arbitrary entry
@@ -94,66 +83,27 @@ func (c *traceCache) models(key string, build func() (*traceModels, error)) (*tr
 			break
 		}
 	}
-	c.entries[key] = tm
-	return tm, nil
+	c.entries[key] = ts
+	return ts, nil
 }
 
-// RunTrace executes the named heuristic against explicit availability
-// vectors (letters u/r/d, one string per processor; they replay verbatim and
-// then hold their last state). The informed heuristics consult Markov models
-// fitted to each vector, mirroring a master that estimated behaviour from
-// history. Vector count must match the scenario's processor count. The
-// fitted models are interned per scenario, so repeated runs on the same
-// vectors (comparing heuristics, sweeping seeds) fit them only once.
-func (s *Scenario) RunTrace(heuristic string, trialSeed uint64, vectors []string) (*RunResult, error) {
-	return s.RunTraceWithEvents(heuristic, trialSeed, vectors, nil)
-}
-
-// RunTraceWith is RunTrace on a reusable Runner (nil falls back to a
-// one-shot engine): replay processes and engine buffers are recycled across
-// runs, results are identical.
-func (s *Scenario) RunTraceWith(r *Runner, heuristic string, trialSeed uint64, vectors []string) (*RunResult, error) {
-	tm, err := s.tracedModels(vectors)
-	if err != nil {
-		return nil, err
-	}
-	mode := ModeSlot
-	if r != nil {
-		mode = r.mode
-	}
-	return s.runTrace(r, tm, heuristic, trialSeed, mode, nil)
-}
-
-// RunTraceMode is RunTrace under an explicit engine time base. Trace
-// replay consumes no RNG, so deterministic heuristics produce bit-identical
-// results in both modes; see EXPERIMENTS.md for the full contract.
-func (s *Scenario) RunTraceMode(heuristic string, trialSeed uint64, vectors []string, mode Mode) (*RunResult, error) {
-	tm, err := s.tracedModels(vectors)
-	if err != nil {
-		return nil, err
-	}
-	return s.runTrace(nil, tm, heuristic, trialSeed, mode, nil)
-}
-
-// RunTraceWithEvents is RunTrace with an event callback for timelines.
-func (s *Scenario) RunTraceWithEvents(heuristic string, trialSeed uint64, vectors []string,
-	onEvent func(Event)) (*RunResult, error) {
-	tm, err := s.tracedModels(vectors)
-	if err != nil {
-		return nil, err
-	}
-	return s.runTrace(nil, tm, heuristic, trialSeed, ModeSlot, onEvent)
-}
-
-// tracedModels resolves explicit vector specs through the scenario's
-// intern cache, parsing and fitting on the first sighting only.
-func (s *Scenario) tracedModels(vectors []string) (*traceModels, error) {
+// Traced returns the scenario with explicit availability vectors (letters
+// u/r/d, one string per processor): the same processors, speeds and run
+// parameters, but every trial replays the vectors verbatim (then holds
+// their last state), and the platform carries Markov models fitted to each
+// vector, which the informed heuristics consult, mirroring a master that
+// estimated behaviour from history. Vector count must match the processor
+// count. The result is interned per scenario, so repeated calls on the same
+// vectors (comparing heuristics, sweeping seeds) parse and fit them only
+// once. Trace replay consumes no RNG, so deterministic heuristics produce
+// bit-identical results in both time bases; see EXPERIMENTS.md.
+func (s *Scenario) Traced(vectors []string) (*Scenario, error) {
 	if len(vectors) != s.inner.Platform.P() {
 		return nil, fmt.Errorf("volatile: %d vectors for %d processors",
 			len(vectors), s.inner.Platform.P())
 	}
 	key := "vec\x00" + strings.Join(vectors, "\x00")
-	return s.traces.models(key, func() (*traceModels, error) {
+	return s.traces.traced(key, func() (*Scenario, error) {
 		parsed := make([]avail.Vector, len(vectors))
 		for i, spec := range vectors {
 			v, err := avail.ParseVector(spec)
@@ -162,65 +112,26 @@ func (s *Scenario) tracedModels(vectors []string) (*traceModels, error) {
 			}
 			parsed[i] = v
 		}
-		return fitTraceModels(s, parsed)
+		return s.replaying(parsed)
 	})
 }
 
-// fitTraceModels builds the interned artifact set for a scenario from
-// already-parsed vectors: the per-processor belief models fitted to them,
-// on a platform keeping the scenario's speeds. Shared by the explicit-vector
-// and synthetic-trace paths so the two cannot diverge.
-func fitTraceModels(scn *Scenario, vectors []avail.Vector) (*traceModels, error) {
+// replaying builds the traced scenario replaying already-parsed vectors:
+// the per-processor belief models fitted to them, on a platform keeping the
+// scenario's speeds. Shared by the explicit-vector and sweep paths so the
+// two cannot diverge.
+func (s *Scenario) replaying(vectors []avail.Vector) (*Scenario, error) {
 	pl := &platform.Platform{Processors: make([]*platform.Processor, len(vectors))}
 	for i, v := range vectors {
 		fitted, err := trace.FitMarkov3(v)
 		if err != nil {
 			return nil, fmt.Errorf("volatile: vector %d: %w", i, err)
 		}
-		orig := scn.inner.Platform.Processors[i]
+		orig := s.inner.Platform.Processors[i]
 		pl.Processors[i] = &platform.Processor{ID: i, W: orig.W, Avail: fitted}
 	}
-	return &traceModels{vectors: vectors, platform: pl}, nil
-}
-
-// runTrace executes one trace-driven run on interned models. With a Runner,
-// the replay processes come from its pool; results are identical either way.
-func (s *Scenario) runTrace(r *Runner, tm *traceModels, heuristic string, trialSeed uint64,
-	mode Mode, onEvent func(Event)) (*RunResult, error) {
-	var sched sim.Scheduler
-	var err error
-	if r != nil {
-		// Pooled scheduler: Reseed mirrors the fresh rng.New construction.
-		ps := r.pooled(heuristic)
-		ps.pcg.Reseed(trialSeed)
-		sched, err = ps.instance(heuristic)
-	} else {
-		sched, err = core.New(heuristic, rng.New(trialSeed))
-	}
-	if err != nil {
-		return nil, err
-	}
-	var procs []avail.Process
-	if r != nil {
-		procs = r.vectorProcs(tm.vectors)
-	} else {
-		procs = make([]avail.Process, len(tm.vectors))
-		for i, v := range tm.vectors {
-			procs[i] = avail.NewVectorProcess(v)
-		}
-	}
-	cfg := sim.Config{
-		Platform:  tm.platform,
-		Params:    s.inner.Params,
-		Procs:     procs,
-		Scheduler: sched,
-		Mode:      mode,
-		OnEvent:   onEvent,
-	}
-	if r == nil {
-		return sim.Run(cfg)
-	}
-	return r.r.Run(cfg)
+	inner := &workload.Scenario{Name: s.inner.Name, Platform: pl, Params: s.inner.Params}
+	return &Scenario{inner: inner, vectors: vectors}, nil
 }
 
 // vectorProcs rewinds the Runner's pooled replay processes onto the given
@@ -294,19 +205,32 @@ func (p *sweepPlan) resolveTrace(src *TraceSource, opt ScenarioOptions) ([]strin
 	return []string{fmt.Sprintf("style %s", src.Style), fmt.Sprintf("tracelen %d", p.traceLen)}, nil
 }
 
-// instanceTrace resolves the trace set of one instance and its fitted
-// models. Recorded sets repeat across scenarios (and across trials when
-// Trials > len(Files)), so their models are interned through the
-// per-scenario cache: one fit per (scenario, file). Each (scenario, trial)
-// has a unique synthetic set, shared by every heuristic of the instance
-// directly, so interning it would only retain memory — it is built
-// uncached and dies with the instance.
-func (p *sweepPlan) instanceTrace(scn *Scenario, cfg *SweepConfig, cellIdx, scenIdx, trialIdx int) (*traceModels, error) {
+// instanceTrace returns the traced scenario of one instance. Recorded sets
+// repeat across scenarios (and across trials when Trials > len(Files)), so
+// they are interned through the per-scenario cache: one fit per (scenario,
+// file), keyed on the file's index in Trace.Files — stable for the sweep's
+// lifetime, which is exactly the cache's lifetime (it lives on the
+// Scenario). Each (scenario, trial) has a unique synthetic set, shared by
+// every heuristic of the instance directly, so interning it would only
+// retain memory — it is built uncached and dies with the instance.
+func (p *sweepPlan) instanceTrace(scn *Scenario, cfg *SweepConfig, cellIdx, scenIdx, trialIdx int) (*Scenario, error) {
 	if p.sets != nil {
-		return scn.fileTraceModels(p.sets, trialIdx%len(p.sets))
+		idx := trialIdx % len(p.sets)
+		return scn.traces.traced("file\x00"+strconv.Itoa(idx), func() (*Scenario, error) {
+			return scn.replaying(p.sets[idx].Vectors)
+		})
 	}
 	genSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx), traceSeedSalt)
-	return synthTraceModels(scn, genSeed, cfg.Trace.Style, p.traceLen)
+	gen := rng.New(genSeed)
+	vectors := make([]avail.Vector, scn.inner.Platform.P())
+	for i := range vectors {
+		proc, err := trace.NewSynthProcess(gen.Split(), trace.SynthOptions{Style: cfg.Trace.Style})
+		if err != nil {
+			return nil, fmt.Errorf("volatile: trace style: %w", err)
+		}
+		vectors[i] = avail.Record(proc, p.traceLen)
+	}
+	return scn.replaying(vectors)
 }
 
 // loadTraceSets reads and validates every trace file up front, so a
@@ -336,32 +260,4 @@ func loadTraceSets(paths []string, p int) ([]*trace.Set, error) {
 		sets[i] = set
 	}
 	return sets, nil
-}
-
-// fileTraceModels resolves a recorded trace set through the scenario's
-// intern cache, fitting the per-processor belief models on the first
-// sighting only. The cache key is the file's index in the sweep's
-// Trace.Files list — stable for the sweep's lifetime, which is exactly the
-// cache's lifetime (it lives on the Scenario).
-func (s *Scenario) fileTraceModels(sets []*trace.Set, idx int) (*traceModels, error) {
-	key := "file\x00" + strconv.Itoa(idx)
-	return s.traces.models(key, func() (*traceModels, error) {
-		return fitTraceModels(s, sets[idx].Vectors)
-	})
-}
-
-// synthTraceModels generates one synthetic trace set for a scenario and
-// fits the per-processor belief models, entirely determined by genSeed.
-func synthTraceModels(scn *Scenario, genSeed uint64, style TraceStyle, traceLen int) (*traceModels, error) {
-	gen := rng.New(genSeed)
-	p := scn.inner.Platform.P()
-	vectors := make([]avail.Vector, p)
-	for i := 0; i < p; i++ {
-		proc, err := trace.NewSynthProcess(gen.Split(), trace.SynthOptions{Style: style})
-		if err != nil {
-			return nil, fmt.Errorf("volatile: trace style: %w", err)
-		}
-		vectors[i] = avail.Record(proc, traceLen)
-	}
-	return fitTraceModels(scn, vectors)
 }

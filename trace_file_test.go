@@ -44,8 +44,8 @@ func writeTraceFile(t *testing.T, dir string, seed uint64, p, n int) (string, []
 
 // TestTraceSweepFileRoundTrip is the ingestion round-trip guard:
 // trace.Record → Set.Write to disk → a sweep with Trace.Files must
-// reproduce, bit for bit, the digest of the in-memory path (RunTrace on
-// the same vectors, aggregated in the sweep's sequential order). Any
+// reproduce, bit for bit, the digest of the in-memory path (traced
+// scenarios on the same vectors, aggregated in the sweep's sequential order). Any
 // divergence means serialization, parsing, model fitting or the sharded
 // pipeline changed what the scheduler sees.
 func TestTraceSweepFileRoundTrip(t *testing.T) {
@@ -80,8 +80,8 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// In-memory path: the same instances, sequentially, through RunTrace on
-	// the original (never-serialized) vectors, aggregated in the exact
+	// In-memory path: the same instances, sequentially, through scenarios
+	// traced on the original (never-serialized) vectors, aggregated in the exact
 	// chunk/trial order RunSweep commits in.
 	overall := stats.NewAggregator()
 	byWmin := make(map[int]*stats.Aggregator)
@@ -97,8 +97,12 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 					Makespans: make(map[string]int),
 					Censored:  make(map[string]bool),
 				}
+				traced, err := scn.Traced(specs[tr%len(specs)])
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, h := range heuristics {
-					r, err := scn.RunTraceWith(rn, h, trialSeed, specs[tr%len(specs)])
+					r, err := traced.RunWith(rn, h, trialSeed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -139,7 +143,7 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 	}
 
 	if got, expect := formatSweep(res), formatSweep(want); got != expect {
-		t.Errorf("file-ingestion sweep diverged from the in-memory RunTrace path:\nfile path:\n%s\nin-memory path:\n%s",
+		t.Errorf("file-ingestion sweep diverged from the in-memory traced path:\nfile path:\n%s\nin-memory path:\n%s",
 			got, expect)
 	}
 	if res.Instances != len(cells)*scenarios*trials {

@@ -173,7 +173,7 @@ type (
 	// SlotReport is the per-slot observer payload.
 	SlotReport = sim.SlotReport
 	// AllocationPolicy decides a moldable application's tasks-per-iteration
-	// count at every iteration boundary (see RunAlloc and SweepConfig.Alloc).
+	// count at every iteration boundary (see SweepConfig.Alloc).
 	AllocationPolicy = sim.AllocationPolicy
 )
 
@@ -192,11 +192,15 @@ func AllocPolicySpecs() []string { return sim.AllocPolicySpecs() }
 // Scenario is a concrete experimental setting: a randomly drawn platform
 // plus run parameters. Runs on the same Scenario with the same trial seed
 // see identical availability trajectories, so heuristics can be compared
-// instance by instance (the paper's dfb metric).
+// instance by instance (the paper's dfb metric). A traced Scenario (see
+// Traced) replays recorded availability instead of sampling its models.
 type Scenario struct {
 	inner *workload.Scenario
-	// traces interns parsed vectors and fitted models for trace-driven runs
-	// (see trace.go); it is safe for concurrent use by sweep workers.
+	// vectors, non-nil on a traced scenario, replay verbatim in every trial;
+	// inner's platform then carries the Markov models fitted to them.
+	vectors []avail.Vector
+	// traces interns the traced scenarios derived from this one (see
+	// trace.go); it is safe for concurrent use by sweep workers.
 	traces traceCache
 }
 
@@ -244,7 +248,7 @@ func (s *Scenario) ProcessorSpeed(i int) int {
 
 // ProcessorModel returns the 3-state Markov availability model of
 // processor i (the model informed heuristics consult, and the generator of
-// its trajectories in model-driven runs).
+// its trajectories unless the scenario is traced).
 func (s *Scenario) ProcessorModel(i int) *avail.Markov3 {
 	return s.inner.Platform.Processors[i].Avail
 }
@@ -334,9 +338,9 @@ func NewRunner() *Runner { return &Runner{} }
 func (r *Runner) SetMode(m Mode) { r.mode = m }
 
 // Run executes the named heuristic on one trial of the scenario. The trial
-// seed determines the availability trajectories and any heuristic
-// randomness; the same (scenario, trialSeed) pair confronts every heuristic
-// with the same world.
+// seed determines the availability trajectories (unless the scenario is
+// traced) and any heuristic randomness; the same (scenario, trialSeed) pair
+// confronts every heuristic with the same world.
 func (s *Scenario) Run(heuristic string, trialSeed uint64) (*RunResult, error) {
 	return s.run(nil, heuristic, trialSeed, ModeSlot, nil, nil, nil)
 }
@@ -356,42 +360,10 @@ func (s *Scenario) RunWith(r *Runner, heuristic string, trialSeed uint64) (*RunR
 	return s.run(r, heuristic, trialSeed, mode, nil, nil, nil)
 }
 
-// RunAlloc runs the moldable variant of the application: the allocation
-// policy named by spec decides each iteration's task count (the scenario's
-// Tasks value seeds the policy as the application's natural shape). With
-// spec "fixed" the result is bit-identical to Run. The result's
-// IterationTasks records the per-iteration counts.
-func (s *Scenario) RunAlloc(heuristic, spec string, trialSeed uint64) (*RunResult, error) {
-	pol, err := ParseAllocPolicy(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(nil, heuristic, trialSeed, ModeSlot, nil, nil, pol)
-}
-
-// RunAllocWith is RunAlloc on a reusable Runner under the Runner's mode,
-// with a caller-held policy instance (stateful policies reset at every run
-// boundary, so one instance may serve many sequential runs on one
-// goroutine).
-func (s *Scenario) RunAllocWith(r *Runner, heuristic string, alloc AllocationPolicy,
-	trialSeed uint64) (*RunResult, error) {
-	mode := ModeSlot
-	if r != nil {
-		mode = r.mode
-	}
-	return s.run(r, heuristic, trialSeed, mode, nil, nil, alloc)
-}
-
 // RunWithHooks is Run with optional per-slot observer and event callbacks.
 func (s *Scenario) RunWithHooks(heuristic string, trialSeed uint64,
 	observer func(*SlotReport), onEvent func(Event)) (*RunResult, error) {
 	return s.run(nil, heuristic, trialSeed, ModeSlot, observer, onEvent, nil)
-}
-
-// RunModeWithHooks is RunWithHooks under an explicit engine time base.
-func (s *Scenario) RunModeWithHooks(heuristic string, trialSeed uint64, mode Mode,
-	observer func(*SlotReport), onEvent func(Event)) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, mode, observer, onEvent, nil)
 }
 
 // trialTape is one model-driven trial recorded for replay: the trial's
@@ -428,31 +400,49 @@ func (r *Runner) trial(s *Scenario, trialSeed uint64, mode Mode) []avail.Process
 	return tt.tape.Replay()
 }
 
+// run executes one trial. It picks the availability processes and the
+// scheduler's stream: a traced scenario replays its vectors and seeds the
+// scheduler from the trial seed itself (replay draws no randomness); a
+// model scenario draws the trial's processes and splits the scheduler's
+// stream off the trial RNG. The pooled path consumes the RNG exactly as the
+// one-shot path does (Reseed mirrors New, TrialPool.Trial mirrors Trial,
+// SplitInto mirrors Split, the tape replays the processes' own
+// trajectories), so both produce identical results for the same trial seed.
 func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64, mode Mode,
 	observer func(*SlotReport), onEvent func(Event), alloc AllocationPolicy) (*RunResult, error) {
 	if isBatch(heuristic) {
 		mode = ModeSlot // batch disciplines sample availability per slot
 	}
-	// The pooled path consumes the RNG exactly as the allocating path does
-	// (Reseed mirrors New, TrialPool.Trial mirrors Trial, the tape replays
-	// the processes' own trajectories), so both produce identical
-	// trajectories for the same trial seed.
-	var trialRng *rng.PCG
 	var procs []avail.Process
+	var stream *rng.PCG // the one-shot scheduler's stream
+	var ps *pooledSched
+	if r != nil {
+		ps = r.pooled(heuristic)
+	}
+	switch {
+	case s.vectors != nil && r != nil:
+		procs = r.vectorProcs(s.vectors)
+		ps.pcg.Reseed(trialSeed)
+	case s.vectors != nil:
+		procs = make([]avail.Process, len(s.vectors))
+		for i, v := range s.vectors {
+			procs[i] = avail.NewVectorProcess(v)
+		}
+		stream = rng.New(trialSeed)
+	case r != nil:
+		procs = r.trial(s, trialSeed, mode)
+		r.trialRng.SplitInto(&ps.pcg)
+	default:
+		trialRng := rng.New(trialSeed)
+		procs = s.inner.Trial(trialRng)
+		stream = trialRng.Split()
+	}
 	var sched sim.Scheduler
 	var err error
-	if r != nil {
-		procs = r.trial(s, trialSeed, mode)
-		trialRng = &r.trialRng
-		// Pooled scheduler: SplitInto consumes trialRng exactly as Split
-		// does, and reseeds the pooled instance's stream in place.
-		ps := r.pooled(heuristic)
-		trialRng.SplitInto(&ps.pcg)
+	if ps != nil {
 		sched, err = ps.instance(heuristic)
 	} else {
-		trialRng = rng.New(trialSeed)
-		procs = s.inner.Trial(trialRng)
-		sched, err = core.New(heuristic, trialRng.Split())
+		sched, err = core.New(heuristic, stream)
 	}
 	if err != nil {
 		return nil, err

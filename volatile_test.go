@@ -103,20 +103,31 @@ func TestRunWithHooks(t *testing.T) {
 func TestRunTrace(t *testing.T) {
 	scn := NewScenario(17, Cell{Tasks: 2, Ncom: 2, Wmin: 1}, ScenarioOptions{Processors: 2, Iterations: 1})
 	long := strings.Repeat("u", 200)
-	res, err := scn.RunTrace("emct", 3, []string{long, long})
+	traced, err := scn.Traced([]string{long, long})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := traced.Run("emct", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
 		t.Fatal("always-up trace censored")
 	}
+	if again, err := scn.Traced([]string{long, long}); err != nil || again != traced {
+		t.Fatalf("Traced on the same vectors returned %p, %v; want the interned %p", again, err, traced)
+	}
 	// Vector count mismatch.
-	if _, err := scn.RunTrace("emct", 3, []string{long}); err == nil {
+	if _, err := scn.Traced([]string{long}); err == nil {
 		t.Fatal("vector count mismatch accepted")
 	}
 	// Bad letters.
-	if _, err := scn.RunTrace("emct", 3, []string{long, "ux"}); err == nil {
+	if _, err := scn.Traced([]string{long, "ux"}); err == nil {
 		t.Fatal("bad vector accepted")
+	}
+	// Too short to fit a model.
+	if _, err := scn.Traced([]string{long, "u"}); err == nil {
+		t.Fatal("one-slot vector accepted")
 	}
 }
 
@@ -375,7 +386,12 @@ func TestTraceCacheConcurrentInterning(t *testing.T) {
 			defer wg.Done()
 			rn := NewRunner()
 			for i, specs := range sets {
-				res, err := scn.RunTraceWith(rn, "emct", uint64(i), specs)
+				traced, err := scn.Traced(specs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := traced.RunWith(rn, "emct", uint64(i))
 				if err != nil {
 					t.Error(err)
 					return
