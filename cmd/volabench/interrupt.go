@@ -15,14 +15,6 @@ import (
 	"repro/internal/sweepreq"
 )
 
-// sweepExperiments lists the -exp values that run through the sharded sweep
-// pipeline and therefore support the durability flags. The other
-// experiments (ablation, emctgain*) run several sweeps or none; a
-// checkpoint file would be silently overwritten mid-way, so the flags are
-// rejected there. The canonical list lives in internal/sweepreq, shared
-// with cmd/volaserved.
-var sweepExperiments = sweepreq.SweepExperiments()
-
 // durabilityArgs bundles the durability flags after parsing.
 type durabilityArgs struct {
 	checkpoint      string
@@ -45,7 +37,10 @@ func (d durabilityArgs) set() bool {
 }
 
 // validateDurability rejects inconsistent durability flags before any sweep
-// work starts.
+// work starts. Only the experiments that run through the sharded sweep
+// pipeline (sweepreq.IsSweep) support them: the others (ablation,
+// emctgain*) run several sweeps or none, and a checkpoint file would be
+// silently overwritten mid-way.
 func validateDurability(exp string, d durabilityArgs) error {
 	// A negative interval is always a typo, whatever the other flags say:
 	// the library would otherwise have to choose between erroring late and
@@ -56,16 +51,9 @@ func validateDurability(exp string, d durabilityArgs) error {
 	if !d.set() {
 		return nil
 	}
-	sweep := false
-	for _, e := range sweepExperiments {
-		if exp == e {
-			sweep = true
-			break
-		}
-	}
-	if !sweep {
+	if !sweepreq.IsSweep(exp) {
 		return fmt.Errorf("-checkpoint/-resume/-crash-after/-digest/-retries/-continue-on-error apply only to sweep experiments (%s), not %q",
-			strings.Join(sweepExperiments, ", "), exp)
+			strings.Join(sweepreq.SweepExperiments(), ", "), exp)
 	}
 	if d.every <= 0 {
 		return fmt.Errorf("-checkpoint-every must be positive (got %d)", d.every)

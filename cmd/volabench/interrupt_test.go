@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	volatile "repro"
+	"repro/internal/sweepreq"
 )
 
 // TestValidateDurabilityTable pins the durability-flag contract: the flags
@@ -71,15 +72,15 @@ func TestValidateDurabilityTable(t *testing.T) {
 // experiment lists: every advertised experiment either supports the
 // durability flags or rejects them with the sweep-experiment message.
 func TestDurabilityRejectedForEveryNonSweepExperiment(t *testing.T) {
-	sweep := make(map[string]bool, len(sweepExperiments))
-	for _, e := range sweepExperiments {
-		if err := validateArgs(e, "slot", 1, 1, 0, 0); err != nil {
-			t.Fatalf("sweepExperiments lists %q, which validateArgs rejects: %v", e, err)
+	sweep := make(map[string]bool)
+	for _, e := range sweepreq.SweepExperiments() {
+		if err := (sweepreq.Request{Exp: e, Mode: "slot", Scenarios: 1, Trials: 1}).Validate(); err != nil {
+			t.Fatalf("SweepExperiments lists %q, which validation rejects: %v", e, err)
 		}
 		sweep[e] = true
 	}
 	d := durabilityArgs{checkpoint: "x.ckpt", every: 1}
-	for _, e := range experiments {
+	for _, e := range sweepreq.Experiments() {
 		err := validateDurability(e, d)
 		if sweep[e] != (err == nil) {
 			t.Fatalf("experiment %q: durability flags accepted=%v, want %v (err %v)", e, err == nil, sweep[e], err)

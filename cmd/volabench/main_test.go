@@ -3,11 +3,15 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sweepreq"
 )
 
-// TestValidateArgsTable pins the CLI's input validation: every experiment
-// name the usage text advertises is accepted with the default knobs, and
-// unusable knobs fail fast with an actionable message.
+// TestValidateArgsTable pins the CLI's input validation — the
+// sweepreq.Request.Validate main applies to the flags, the same validation
+// cmd/volaserved applies to JSON submissions: every experiment name the
+// usage text advertises is accepted with the default knobs, and unusable
+// knobs fail fast with an actionable message.
 func TestValidateArgsTable(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -55,17 +59,17 @@ func TestValidateArgsTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateArgs(c.exp, c.mode, c.scenarios, c.trials, c.workers, c.procs)
+			req := sweepreq.Request{Exp: c.exp, Mode: c.mode, Scenarios: c.scenarios,
+				Trials: c.trials, Workers: c.workers, Procs: c.procs}
+			err := req.Validate()
 			if c.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validateArgs(%q,%q,%d,%d,%d,%d) = %v, want ok",
-						c.exp, c.mode, c.scenarios, c.trials, c.workers, c.procs, err)
+					t.Fatalf("%+v.Validate() = %v, want ok", req, err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("validateArgs(%q,%q,%d,%d,%d,%d) = %v, want error containing %q",
-					c.exp, c.mode, c.scenarios, c.trials, c.workers, c.procs, err, c.wantErr)
+				t.Fatalf("%+v.Validate() = %v, want error containing %q", req, err, c.wantErr)
 			}
 		})
 	}
@@ -74,11 +78,11 @@ func TestValidateArgsTable(t *testing.T) {
 // TestUnknownExperimentListsAllNames pins that a typo'd -exp names every
 // valid experiment, so the error is self-serve.
 func TestUnknownExperimentListsAllNames(t *testing.T) {
-	err := validateArgs("nope", "slot", 1, 1, 0, 0)
+	err := sweepreq.Request{Exp: "nope", Mode: "slot", Scenarios: 1, Trials: 1}.Validate()
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	for _, e := range experiments {
+	for _, e := range sweepreq.Experiments() {
 		if !strings.Contains(err.Error(), e) {
 			t.Fatalf("error %q does not list experiment %q", err, e)
 		}
@@ -88,7 +92,7 @@ func TestUnknownExperimentListsAllNames(t *testing.T) {
 // TestUnknownModeListsAllNames pins the -mode fail-fast path the same way:
 // a typo'd time base names every valid mode.
 func TestUnknownModeListsAllNames(t *testing.T) {
-	err := validateArgs("table2", "sloot", 1, 1, 0, 0)
+	err := sweepreq.Request{Exp: "table2", Mode: "sloot", Scenarios: 1, Trials: 1}.Validate()
 	if err == nil {
 		t.Fatal("unknown mode accepted")
 	}

@@ -11,7 +11,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/rng"
 )
@@ -43,10 +42,6 @@ type Plan struct {
 	// non-nil error makes that write fail with it, exercising the
 	// degraded continue-without-checkpoint path.
 	Checkpoint func(seq int) error
-
-	// Sleep, when non-nil, replaces time.Sleep for retry backoff so tests
-	// can observe or collapse the waits.
-	Sleep func(d time.Duration)
 }
 
 // InstanceFault returns the injected error for one attempt, tolerating a
@@ -65,14 +60,6 @@ func (p *Plan) CheckpointFault(seq int) error {
 		return nil
 	}
 	return p.Checkpoint(seq)
-}
-
-// SleepFn returns the sleep function to use for retry backoff.
-func (p *Plan) SleepFn() func(time.Duration) {
-	if p == nil || p.Sleep == nil {
-		return time.Sleep
-	}
-	return p.Sleep
 }
 
 // hash maps (seed, chunk, trial) to a uniform uint64 via splitmix64 seed
@@ -106,19 +93,6 @@ func PersistentInstanceFault(chunk, trial int) func(chunk, trial, attempt int) e
 	return func(c, t, _ int) error {
 		if c == chunk && t == trial {
 			return fmt.Errorf("faultinject: persistent fault (chunk %d, trial %d)", c, t)
-		}
-		return nil
-	}
-}
-
-// PersistentInstanceFaultUntil returns an Instance hook that fails the
-// first `failures` attempts of exactly one (chunk, trial) instance, then
-// lets it succeed — for pinning retry/backoff behaviour on a single
-// predictable victim.
-func PersistentInstanceFaultUntil(chunk, trial, failures int) func(chunk, trial, attempt int) error {
-	return func(c, t, attempt int) error {
-		if c == chunk && t == trial && attempt < failures {
-			return fmt.Errorf("faultinject: fault %d/%d (chunk %d, trial %d)", attempt+1, failures, c, t)
 		}
 		return nil
 	}

@@ -3,11 +3,10 @@ package faultinject
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestNilPlanInjectsNothing pins the hot-path contract: a nil plan (the
-// production default) injects no faults and uses the real sleeper.
+// production default) injects no faults.
 func TestNilPlanInjectsNothing(t *testing.T) {
 	var p *Plan
 	if err := p.InstanceFault(3, 1, 0); err != nil {
@@ -15,9 +14,6 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 	}
 	if err := p.CheckpointFault(0); err != nil {
 		t.Fatalf("nil plan injected checkpoint fault: %v", err)
-	}
-	if p.SleepFn() == nil {
-		t.Fatal("nil plan returned nil sleeper")
 	}
 }
 
@@ -109,22 +105,16 @@ func TestCheckpointFailures(t *testing.T) {
 
 // TestPlanHooks pins the nil-tolerant accessor plumbing on a populated plan.
 func TestPlanHooks(t *testing.T) {
-	slept := time.Duration(0)
 	p := &Plan{
 		CrashAfterChunks: 3,
 		Instance:         PersistentInstanceFault(1, 0),
 		Checkpoint:       CheckpointFailures(1),
-		Sleep:            func(d time.Duration) { slept += d },
 	}
 	if p.InstanceFault(1, 0, 0) == nil {
 		t.Fatal("instance hook not consulted")
 	}
 	if p.CheckpointFault(1) == nil {
 		t.Fatal("checkpoint hook not consulted")
-	}
-	p.SleepFn()(5 * time.Millisecond)
-	if slept != 5*time.Millisecond {
-		t.Fatalf("sleep override not used: slept %v", slept)
 	}
 	if !errors.Is(ErrCommitterCrash, ErrCommitterCrash) {
 		t.Fatal("sentinel lost identity")

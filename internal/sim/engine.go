@@ -149,7 +149,6 @@ type engine struct {
 	plannedCopies []int
 	conts         []contRec
 	idle          []int
-	dropBuf       []*copyState
 	// freeCopies pools retired copyState objects for reuse by bindCopy.
 	freeCopies []*copyState
 	// trk indexes the task table incrementally (remaining count, pending
@@ -425,7 +424,6 @@ func (e *engine) reset(cfg Config) {
 	e.plans = e.plans[:0]
 	e.conts = e.conts[:0]
 	e.idle = e.idle[:0]
-	e.dropBuf = e.dropBuf[:0]
 }
 
 // resizeTasks (re)sizes the per-task tables — the task states, replica
@@ -578,25 +576,54 @@ func (e *engine) reindexAvail(i int, was uint8) {
 }
 
 // applyState transitions worker i to next — which callers guarantee differs
-// from its current state — applying crash consequences. It is the single
-// mutation site of the transition queue both time bases drain, so they
-// cannot drift on crash semantics.
+// from its current state. A transition into DOWN is a crash: the program,
+// all task data and all partial computation are lost (Section 3.2). It is
+// the single mutation site of the transition queue both time bases drain,
+// so they cannot drift on crash semantics.
 func (e *engine) applyState(i int, next avail.State) {
-	w := &e.workers[i]
-	was := e.availKey(i)
-	e.markDirty(i)
 	if next == avail.Down {
+		w := &e.workers[i]
 		e.stats.Crashes++
 		e.stats.WastedProgramSlots += int64(w.progRecv)
 		e.emit(Event{Slot: e.slot, Kind: EvCrash, Worker: i, Task: -1, Replica: -1, Iteration: e.iter})
-		e.dropBuf = w.crash(e.dropBuf[:0])
-		for _, c := range e.dropBuf {
-			e.taskLostCopy(c.task, i)
-			e.wasteCopy(c)
-			e.releaseCopy(c)
-		}
+		e.dropCopies(i, noTask, false)
+		w.progRecv = 0
 	}
+	was := e.availKey(i)
+	e.markDirty(i)
 	e.states[i] = next
+	e.syncChain(i)
+	e.reindexAvail(i, was)
+}
+
+// dropCopies removes worker i's live copies of task — every copy when task
+// is noTask — computing before incoming. Each removed copy leaves the task
+// tables (taskLostCopy), its sunk work is wasted and, when cancelled is
+// set, an EvCopyCancelled is emitted; then the copy returns to the pool and
+// the worker's indexes are reconciled once. It is the single removal path
+// for crashes, proactive and sibling cancellations and the iteration
+// barrier; the program survives it (only a crash loses that, in
+// applyState).
+func (e *engine) dropCopies(i, task int, cancelled bool) {
+	w := &e.workers[i]
+	if !w.busy() {
+		return // an idle worker's crash or cancel changes no index
+	}
+	was := e.availKey(i)
+	for _, slot := range [2]**copyState{&w.computing, &w.incoming} {
+		c := *slot
+		if c == nil || (task != noTask && c.task != task) {
+			continue
+		}
+		*slot = nil
+		e.taskLostCopy(c.task, i)
+		e.wasteCopy(c)
+		if cancelled {
+			e.emitCopy(EvCopyCancelled, i, c)
+		}
+		e.releaseCopy(c)
+		e.markDirty(i)
+	}
 	e.syncChain(i)
 	e.reindexAvail(i, was)
 }
@@ -681,9 +708,9 @@ func (e *engine) taskGainedCopy(t, w int) {
 }
 
 // taskLostCopy records the death of one live copy of task t on worker w
-// (crash or cancellation). Completed tasks are already out of every index;
-// incomplete ones move down a bucket, or back into the pending list when
-// their last copy died.
+// (dropCopies). Completed tasks — sibling and barrier drops — are already
+// out of every index; incomplete ones move down a bucket, or back into the
+// pending list when their last copy died.
 func (e *engine) taskLostCopy(t, w int) {
 	ts := &e.tasks[t]
 	ts.copies--
@@ -743,19 +770,7 @@ func (e *engine) scheduleRound() error {
 					return fmt.Errorf("sim: scheduler %q cancelled invalid processor %d",
 						e.cfg.Scheduler.Name(), q)
 				}
-				w := &e.workers[q]
-				was := e.availKey(q)
-				e.dropBuf = w.dropAllCopies(e.dropBuf[:0])
-				for _, dropped := range e.dropBuf {
-					e.taskLostCopy(dropped.task, q)
-					e.wasteCopy(dropped)
-					e.emit(Event{Slot: e.slot, Kind: EvCopyCancelled, Worker: q,
-						Task: dropped.task, Replica: dropped.replica, Iteration: e.iter})
-					e.releaseCopy(dropped)
-					e.markDirty(q)
-				}
-				e.syncChain(q)
-				e.reindexAvail(q, was)
+				e.dropCopies(q, noTask, true)
 			}
 			e.buildView() // cancellations changed pipeline state
 		}
@@ -1043,14 +1058,13 @@ func (e *engine) allocateChannels() int {
 		if w.hasProgram(tprog) && tdata == 0 {
 			// Zero-cost image: bind and complete instantly, no channel, no
 			// chain entry (the transfer is already done).
-			e.bindCopy(w, pl)
-			w.incoming.dataDone = true
+			e.bindCopy(pl)
 			continue
 		}
 		if used >= channels {
 			continue // plan evaporates; re-planned next slot
 		}
-		e.bindCopy(w, pl)
+		e.bindCopy(pl)
 		e.serveChain(pl.worker)
 		used++
 	}
@@ -1080,10 +1094,8 @@ func (e *engine) serveChain(i int) {
 // workers to conts in ascending rank.
 func (e *engine) rankedChains(conts []contRec) []contRec {
 	for _, pl := range e.plans {
-		w := &e.workers[pl.worker]
-		if e.states[pl.worker] == avail.Up && w.incoming == nil {
-			e.bindCopy(w, pl)
-			w.incoming.dataDone = w.hasProgram(e.params.Tprog) && e.params.Tdata == 0
+		if e.states[pl.worker] == avail.Up && e.workers[pl.worker].incoming == nil {
+			e.bindCopy(pl)
 			e.syncChain(pl.worker)
 		}
 	}
@@ -1103,15 +1115,22 @@ func (e *engine) rankedChains(conts []contRec) []contRec {
 	return conts
 }
 
-// bindCopy attaches a planned copy to a worker and updates bookkeeping.
-func (e *engine) bindCopy(w *workerState, pl plannedAssignment) {
+// bindCopy attaches a planned copy to its worker's free incoming slot and
+// updates bookkeeping. A zero-cost image (program held, Tdata = 0) binds
+// with its transfer already done. The worker's chain membership is left to
+// the caller, which serves or indexes the chain next.
+func (e *engine) bindCopy(pl plannedAssignment) {
+	w := &e.workers[pl.worker]
 	was := e.availKey(pl.worker)
 	replica := pl.replica
 	if replica != 0 {
 		e.nextReplica[pl.task]++
 		replica = e.nextReplica[pl.task]
+		e.stats.ReplicasStarted++
 	}
-	w.incoming = e.newCopy(pl.task, replica)
+	c := e.newCopy(pl.task, replica)
+	c.dataDone = w.hasProgram(e.params.Tprog) && e.params.Tdata == 0
+	w.incoming = c
 	e.taskGainedCopy(pl.task, pl.worker)
 	e.reindexAvail(pl.worker, was)
 	e.markDirty(pl.worker)
@@ -1120,10 +1139,7 @@ func (e *engine) bindCopy(w *workerState, pl plannedAssignment) {
 	if !w.hasProgram(e.params.Tprog) {
 		kind = EvProgramStart
 	}
-	if replica != 0 {
-		e.stats.ReplicasStarted++
-	}
-	e.emit(Event{Slot: e.slot, Kind: kind, Worker: w.proc.ID, Task: pl.task, Replica: replica, Iteration: e.iter})
+	e.emitCopy(kind, pl.worker, c)
 }
 
 // compute advances every eligible computation by one slot and returns the
@@ -1140,8 +1156,7 @@ func (e *engine) compute() int {
 			continue
 		}
 		if w.computing.computeDone == 0 {
-			e.emit(Event{Slot: e.slot, Kind: EvComputeStart, Worker: w.proc.ID,
-				Task: w.computing.task, Replica: w.computing.replica, Iteration: e.iter})
+			e.emitCopy(EvComputeStart, i, w.computing)
 		}
 		w.computing.computeDone++
 		if w.computing.computeDone >= w.proc.W {
@@ -1185,8 +1200,7 @@ func (e *engine) finishSlot() {
 		e.trk.remaining--
 		e.trk.bucketRemove(c.task)
 		e.stats.TasksCompleted++
-		e.emit(Event{Slot: e.slot, Kind: EvTaskComplete, Worker: w.proc.ID,
-			Task: c.task, Replica: c.replica, Iteration: e.iter})
+		e.emitCopy(EvTaskComplete, i, c)
 		// Cancel all other live copies of this task — exactly the recorded
 		// holders (at most copyCap workers), not a scan of all P. The task is
 		// completed, so the drops only adjust the raw copy count — it is
@@ -1206,21 +1220,7 @@ func (e *engine) finishSlot() {
 		}
 		e.holderScratch = hs
 		for _, h := range hs {
-			j := int(h)
-			other := &e.workers[j]
-			wasKey := e.availKey(j)
-			e.dropBuf = other.dropCopiesOf(c.task, e.dropBuf[:0])
-			for _, dropped := range e.dropBuf {
-				ts.copies--
-				e.holdersRemove(c.task, j)
-				e.markDirty(j)
-				e.wasteCopy(dropped)
-				e.emit(Event{Slot: e.slot, Kind: EvCopyCancelled, Worker: other.proc.ID,
-					Task: dropped.task, Replica: dropped.replica, Iteration: e.iter})
-				e.releaseCopy(dropped)
-				e.syncChain(j)
-			}
-			e.reindexAvail(j, wasKey)
+			e.dropCopies(int(h), c.task, true)
 		}
 		e.releaseCopy(c)
 	}
@@ -1256,10 +1256,10 @@ func (e *engine) finishSlot() {
 	// table is touched: at this instant every task is completed, so the
 	// slow-check view recount agrees with the zeroed remaining counter. The
 	// resize itself waits until after the defensive drop scan below (it
-	// indexes the holder lists by the old iteration's task IDs); both happen
-	// before the tracker reset, so the event clock's quiet-span check —
-	// which reads the pending set and remaining count right after this
-	// returns — already sees the decided iteration.
+	// indexes the task table and holder lists by the old iteration's task
+	// IDs); both happen before the tracker reset, so the event clock's
+	// quiet-span check — which reads the pending set and remaining count
+	// right after this returns — already sees the decided iteration.
 	n := len(e.tasks)
 	if e.cfg.Alloc != nil {
 		n = e.decideAlloc(IterationInfo{
@@ -1268,36 +1268,22 @@ func (e *engine) finishSlot() {
 			Slots:     e.slot + 1 - e.iterStart,
 		})
 	}
-	// Reset tasks for the next iteration. Task data is iteration-specific:
-	// every pipeline entry is discarded; programs are kept.
+	// Task data is iteration-specific: every pipeline entry is discarded;
+	// programs are kept. Every completion already cancelled its sibling
+	// copies, so by the time the last task completes no worker holds any
+	// copy and nBusy is zero: the drop scan has nothing to do and is
+	// skipped — the barrier costs O(1), not O(P). The scan is kept as a
+	// defensive path (and exercised as dead code by the slow checks, which
+	// recount nBusy). It runs before the task table is wiped, so the drops
+	// see completed tasks and only adjust raw copy counts and holder lists.
+	if e.nBusy > 0 {
+		for i := range e.workers {
+			e.dropCopies(i, noTask, true)
+		}
+	}
 	for t := range e.tasks {
 		e.tasks[t] = taskState{}
 		e.nextReplica[t] = 0
-	}
-	// Every completion already cancelled its sibling copies, so by the time
-	// the last task completes no worker holds any copy and nBusy is zero:
-	// the barrier drop scan below has nothing to do and is skipped — the
-	// barrier costs O(1), not O(P). The scan is kept as a defensive path
-	// (and exercised as dead code by the slow checks, which recount nBusy).
-	if e.nBusy > 0 {
-		for i := range e.workers {
-			w := &e.workers[i]
-			was := e.availKey(i)
-			e.dropBuf = w.dropAllCopies(e.dropBuf[:0])
-			if len(e.dropBuf) == 0 {
-				continue
-			}
-			for _, dropped := range e.dropBuf {
-				e.holdersRemove(dropped.task, i)
-				e.markDirty(i)
-				e.wasteCopy(dropped)
-				e.emit(Event{Slot: e.slot, Kind: EvCopyCancelled, Worker: w.proc.ID,
-					Task: dropped.task, Replica: dropped.replica, Iteration: e.iter})
-				e.releaseCopy(dropped)
-			}
-			e.syncChain(i)
-			e.reindexAvail(i, was)
-		}
 	}
 	if n != len(e.tasks) {
 		e.resizeTasks(n)
@@ -1314,4 +1300,9 @@ func (e *engine) emit(ev Event) {
 	if e.cfg.OnEvent != nil {
 		e.cfg.OnEvent(ev)
 	}
+}
+
+// emitCopy emits a kind event about copy c on worker.
+func (e *engine) emitCopy(kind EventKind, worker int, c *copyState) {
+	e.emit(Event{Slot: e.slot, Kind: kind, Worker: worker, Task: c.task, Replica: c.replica, Iteration: e.iter})
 }

@@ -25,9 +25,9 @@ import (
 //     straight to that transition (nextSlot). Slot mode executes every
 //     slot, because skipping would change the random family's RNG use.
 //
-// All per-slot mutation sites (crash handling, tracker updates, dirty
-// marks, metrics) are shared by both time bases — event mode only changes
-// when they run, never what they do.
+// All per-slot mutation sites (applyState's crash handling, the dropCopies
+// removal path, tracker updates, dirty marks, metrics) are shared by both
+// time bases — event mode only changes when they run, never what they do.
 
 // transitionHeap is a binary min-heap of pending availability transitions
 // ordered by (slot, worker). Same-slot entries pop in ascending worker

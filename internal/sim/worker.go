@@ -30,12 +30,15 @@ type workerState struct {
 	// analytics is the interned per-model cache the scheduler view exposes.
 	analytics *expect.Analytics
 	// progRecv counts program slots held; == Tprog means the full program.
+	// Only a crash (the engine's applyState) clears it.
 	progRecv int
 	// computing is the copy being computed (data complete), if any.
 	computing *copyState
 	// incoming is the copy whose data is bound to this worker (receiving or
 	// suspended), if any. Its transfer chain is: remaining program first,
-	// then the task data.
+	// then the task data. Both slots are filled by the engine's bindCopy and
+	// promote and emptied by completion or by dropCopies, the single removal
+	// path for crashes, cancellations and barrier drops.
 	incoming *copyState
 }
 
@@ -47,52 +50,6 @@ func (w *workerState) remProgram(tprog int) int { return tprog - w.progRecv }
 
 // busy reports whether any begun work is attached to the worker.
 func (w *workerState) busy() bool { return w.computing != nil || w.incoming != nil }
-
-// crash applies a transition into DOWN: the program, all task data and all
-// partial computation are lost (Section 3.2). It appends the killed copies
-// to buf (a caller-owned scratch buffer, so the steady-state hot path stays
-// allocation-free) and returns the extended buffer.
-func (w *workerState) crash(buf []*copyState) []*copyState {
-	if w.computing != nil {
-		buf = append(buf, w.computing)
-		w.computing = nil
-	}
-	if w.incoming != nil {
-		buf = append(buf, w.incoming)
-		w.incoming = nil
-	}
-	w.progRecv = 0
-	return buf
-}
-
-// dropCopiesOf removes any copy of the given task from the worker (used when
-// another copy completed, and at iteration barriers), appending the dropped
-// copies to buf for waste accounting. The program is kept: only DOWN loses it.
-func (w *workerState) dropCopiesOf(task int, buf []*copyState) []*copyState {
-	if w.computing != nil && w.computing.task == task {
-		buf = append(buf, w.computing)
-		w.computing = nil
-	}
-	if w.incoming != nil && w.incoming.task == task {
-		buf = append(buf, w.incoming)
-		w.incoming = nil
-	}
-	return buf
-}
-
-// dropAllCopies clears the whole pipeline (iteration barrier), appending the
-// dropped copies to buf.
-func (w *workerState) dropAllCopies(buf []*copyState) []*copyState {
-	if w.computing != nil {
-		buf = append(buf, w.computing)
-		w.computing = nil
-	}
-	if w.incoming != nil {
-		buf = append(buf, w.incoming)
-		w.incoming = nil
-	}
-	return buf
-}
 
 // needsTransfer reports whether the worker's bound chain still needs channel
 // slots (program remainder or incoming data).

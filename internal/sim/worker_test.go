@@ -85,54 +85,6 @@ func TestWorkerPromote(t *testing.T) {
 	}
 }
 
-func TestWorkerCrashLosesEverything(t *testing.T) {
-	w := testWorker(2)
-	w.progRecv = 2
-	w.computing = &copyState{task: 1, dataDone: true, computeDone: 1}
-	w.incoming = &copyState{task: 2, dataRecv: 1}
-	killed := w.crash(nil)
-	if len(killed) != 2 {
-		t.Fatalf("crash killed %d copies, want 2", len(killed))
-	}
-	if w.progRecv != 0 || w.computing != nil || w.incoming != nil {
-		t.Fatal("crash must clear program and pipeline")
-	}
-}
-
-func TestWorkerDropCopiesOfKeepsProgram(t *testing.T) {
-	w := testWorker(2)
-	w.progRecv = 2
-	w.computing = &copyState{task: 1, dataDone: true}
-	w.incoming = &copyState{task: 1, replica: 1}
-	dropped := w.dropCopiesOf(1, nil)
-	if len(dropped) != 2 {
-		t.Fatalf("dropped %d, want 2", len(dropped))
-	}
-	if w.progRecv != 2 {
-		t.Fatal("cancelling copies must keep the program")
-	}
-	// Other tasks untouched.
-	w.computing = &copyState{task: 5, dataDone: true}
-	if n := len(w.dropCopiesOf(1, nil)); n != 0 {
-		t.Fatalf("dropped %d copies of absent task", n)
-	}
-	if w.computing == nil {
-		t.Fatal("unrelated copy dropped")
-	}
-}
-
-func TestWorkerDropAllCopies(t *testing.T) {
-	w := testWorker(2)
-	w.computing = &copyState{task: 0, dataDone: true}
-	w.incoming = &copyState{task: 1}
-	if n := len(w.dropAllCopies(nil)); n != 2 {
-		t.Fatalf("dropAllCopies returned %d", n)
-	}
-	if w.busy() {
-		t.Fatal("worker still busy after dropAllCopies")
-	}
-}
-
 func TestWorkerBusy(t *testing.T) {
 	w := testWorker(1)
 	if w.busy() {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -79,11 +78,9 @@ type SweepConfig struct {
 	// MaxRetries bounds per-instance rerun attempts after a failed run
 	// (default 0: fail fast). Retries re-derive the identical trial seed, so
 	// a transient failure recovered within the budget leaves the sweep
-	// output bit-identical to an undisturbed run.
+	// output bit-identical to an undisturbed run. A retry runs at once:
+	// the simulation is deterministic, so waiting would change nothing.
 	MaxRetries int
-	// RetryBackoff is the wait before the first retry, doubling per attempt
-	// (default 0: retry immediately).
-	RetryBackoff time.Duration
 	// ContinueOnError switches retry-exhausted instances from aborting the
 	// sweep to record-and-continue: the instance is dropped from the
 	// aggregates and surfaced via SweepResult.FailedInstances /
@@ -145,6 +142,12 @@ func (cfg SweepConfig) plan() (*sweepPlan, error) {
 	}
 	if cfg.Scenarios <= 0 || cfg.Trials <= 0 {
 		return nil, fmt.Errorf("volatile: sweep needs Scenarios > 0 and Trials > 0")
+	}
+	// RunSweep counts chunks and instances in int; a grid whose instance
+	// count does not fit is rejected here, so ConfigDigest rejects it too.
+	if cfg.Scenarios > math.MaxInt/len(cfg.Cells)/cfg.Trials {
+		return nil, fmt.Errorf("volatile: %d cells × %d scenarios × %d trials overflows the instance count",
+			len(cfg.Cells), cfg.Scenarios, cfg.Trials)
 	}
 	if err := cfg.Options.Validate(); err != nil {
 		return nil, err
@@ -321,17 +324,6 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 	}
 
-	// Scenario cache: scenario generation is deterministic in
-	// (seed, cell, scenario index), shared across trials. Chunks the
-	// checkpoint already covers are never touched, so their scenarios are
-	// not built.
-	scenarios := make([]*Scenario, chunks)
-	for ci := startChunk; ci < chunks; ci++ {
-		c, s := ci/cfg.Scenarios, ci%cfg.Scenarios
-		scnSeed := deriveSeed(cfg.Seed, uint64(c), uint64(s), 0xA11CE)
-		scenarios[ci] = NewScenario(scnSeed, cfg.Cells[c], cfg.Options)
-	}
-
 	type doneChunk struct {
 		idx    int
 		shard  *stats.ShardAggregator
@@ -362,10 +354,13 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			run := plan.newInstanceRunner(&cfg)
-			sleep := cfg.Faults.SleepFn()
 			for ci := range jobCh {
-				scn := scenarios[ci]
+				// A chunk's scenario is deterministic in (seed, cell,
+				// scenario index), so the worker running the chunk builds
+				// it and shares it across the chunk's trials.
 				cellIdx, scenIdx := ci/cfg.Scenarios, ci%cfg.Scenarios
+				scnSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), 0xA11CE)
+				scn := NewScenario(scnSeed, cfg.Cells[cellIdx], cfg.Options)
 				shard := shardPool.Get().(*stats.ShardAggregator)
 				chunkFailed := 0
 				var chunkErrs []string
@@ -377,7 +372,6 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 					// undisturbed sweep would have.
 					var nCens int
 					var err error
-					backoff := cfg.RetryBackoff
 					for attempt := 0; ; attempt++ {
 						if err = cfg.Faults.InstanceFault(ci, tr, attempt); err == nil {
 							nCens, err = run(scn, cellIdx, scenIdx, tr, ir)
@@ -392,10 +386,6 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 						// result; wipe it before the rerun.
 						clear(ir.Makespans)
 						clear(ir.Censored)
-						if backoff > 0 {
-							sleep(backoff)
-							backoff *= 2
-						}
 					}
 					if err != nil {
 						if cfg.ContinueOnError {

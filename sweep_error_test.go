@@ -1,6 +1,8 @@
 package volatile
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -64,5 +66,37 @@ func TestRunSweepErrorReturnsInsteadOfDeadlocking(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("RunSweep deadlocked on the all-workers-error path")
+	}
+}
+
+// TestRunSweepHugeGridStopsWithoutAllocating pins that a sweep's memory does
+// not grow with its chunk count: 2^40 scenarios per cell of the paper grid
+// fit the instance counter, and a sweep stopped before it starts returns
+// *InterruptedError instead of sizing anything by the chunk count.
+func TestRunSweepHugeGridStopsWithoutAllocating(t *testing.T) {
+	cfg := Table2Config(1<<40, 1, 0)
+	cfg.Workers = 1
+	stop := make(chan struct{})
+	close(stop)
+	cfg.Stop = stop
+	_, err := RunSweep(cfg)
+	var ie *InterruptedError
+	if !errors.As(err, &ie) {
+		t.Fatalf("stopped huge sweep returned %v, want *InterruptedError", err)
+	}
+	if want := len(cfg.Cells) << 40; ie.Chunks != want {
+		t.Fatalf("InterruptedError.Chunks = %d, want %d", ie.Chunks, want)
+	}
+}
+
+// TestSweepInstanceCountOverflowRejected pins that a grid whose instance
+// count overflows int is rejected by RunSweep and ConfigDigest alike.
+func TestSweepInstanceCountOverflowRejected(t *testing.T) {
+	cfg := Table2Config(math.MaxInt/2, 3, 0)
+	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("RunSweep = %v, want an overflow error", err)
+	}
+	if _, err := cfg.ConfigDigest(); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("ConfigDigest = %v, want an overflow error", err)
 	}
 }

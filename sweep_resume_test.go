@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
@@ -212,31 +211,6 @@ func TestTransientFaultsRetriedBitIdentical(t *testing.T) {
 	}
 	if got := res.Digest(); got != want {
 		t.Fatalf("retried sweep drifted: %s != %s", got, want)
-	}
-}
-
-// TestRetryBackoffDoubles pins the backoff shape through the injectable
-// sleeper: 1ms, then 2ms, per doubly-failing instance.
-func TestRetryBackoffDoubles(t *testing.T) {
-	var mu sync.Mutex
-	var waits []time.Duration
-	cfg := resumeTestConfig()
-	cfg.Workers = 1
-	cfg.MaxRetries = 2
-	cfg.RetryBackoff = time.Millisecond
-	cfg.Faults = &faultinject.Plan{
-		Instance: faultinject.PersistentInstanceFaultUntil(2, 0, 2),
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			waits = append(waits, d)
-			mu.Unlock()
-		},
-	}
-	if _, err := RunSweep(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(waits) != 2 || waits[0] != time.Millisecond || waits[1] != 2*time.Millisecond {
-		t.Fatalf("backoff sequence %v, want [1ms 2ms]", waits)
 	}
 }
 
