@@ -133,6 +133,26 @@ func buildSnapshot(digest string, chunks, next, censored, failed int,
 	return s
 }
 
+// newSweepResult renders the committer's aggregates as a SweepResult.
+func newSweepResult(overall *stats.Aggregator, byWmin map[int]*stats.Aggregator,
+	byCell map[Cell]*stats.Aggregator, censored, failed int) *SweepResult {
+	res := &SweepResult{
+		Instances:       overall.Instances(),
+		Overall:         overall.Rows(),
+		ByWmin:          make(map[int][]TableRow, len(byWmin)),
+		ByCell:          make(map[Cell][]TableRow, len(byCell)),
+		Censored:        censored,
+		FailedInstances: failed,
+	}
+	for wmin, agg := range byWmin {
+		res.ByWmin[wmin] = agg.Rows()
+	}
+	for cell, agg := range byCell {
+		res.ByCell[cell] = agg.Rows()
+	}
+	return res
+}
+
 // restoreSnapshot rebuilds the committer's aggregates from a validated
 // snapshot. The caller has already checked digest and chunk count; here
 // only the keyed-aggregate names must parse.
@@ -183,6 +203,14 @@ func (res *SweepResult) Format() string {
 	for _, w := range wmins {
 		writeRows(fmt.Sprintf("wmin=%d", w), res.ByWmin[w])
 	}
+	for _, c := range res.sortedCells() {
+		writeRows(c.String(), res.ByCell[c])
+	}
+	return b.String()
+}
+
+// sortedCells returns the cells of ByCell ordered by (Tasks, Ncom, Wmin).
+func (res *SweepResult) sortedCells() []Cell {
 	cells := make([]Cell, 0, len(res.ByCell))
 	for c := range res.ByCell {
 		cells = append(cells, c)
@@ -196,10 +224,7 @@ func (res *SweepResult) Format() string {
 		}
 		return cells[i].Wmin < cells[j].Wmin
 	})
-	for _, c := range cells {
-		writeRows(c.String(), res.ByCell[c])
-	}
-	return b.String()
+	return cells
 }
 
 // Digest is the SHA-256 hex of Format — the sweep's result fingerprint.

@@ -158,8 +158,8 @@ func main() {
 	}
 
 	start := time.Now()
-	switch *exp {
-	case "table2", "figure2", "table3x5", "table3x10", "tracesweep", "dfrs", "largep", "moldable":
+	switch {
+	case sweepreq.IsSweep(*exp):
 		// Every sweep-family experiment goes through the shared request
 		// layer: Build validates, constructs the config and resolves its
 		// content digest exactly as the sweep service does.
@@ -227,13 +227,13 @@ func main() {
 		}
 		reportSweepHealth(res, dur)
 
-	case "ablation":
+	case *exp == "ablation":
 		runAblation(simMode, *scenarios, *trials, *seed, *workers, progress)
 
-	case "emctgain":
+	case *exp == "emctgain":
 		runEMCTGain(simMode, *scenarios, *trials, *seed, false)
 
-	case "emctgain-norepl":
+	case *exp == "emctgain-norepl":
 		runEMCTGain(simMode, *scenarios, *trials, *seed, true)
 
 	default:
@@ -398,8 +398,11 @@ func runAblation(mode volatile.Mode, scenarios, trials int, seed uint64, workers
 // runEMCTGain reproduces the paper's headline "EMCT makespans are 10%
 // smaller than MCT's": it runs both heuristics on identical instances across
 // the grid, reports the mean makespan ratio, and tests significance with the
-// Wilcoxon signed-rank test.
+// Wilcoxon signed-rank test. Both heuristics of a trial run on one Runner,
+// so they replay one recorded world.
 func runEMCTGain(mode volatile.Mode, scenarios, trials int, seed uint64, noReplication bool) {
+	rn := volatile.NewRunner()
+	rn.SetMode(mode)
 	var emct, mct []float64
 	cells := volatile.PaperGrid()
 	opt := volatile.ScenarioOptions{}
@@ -410,9 +413,9 @@ func runEMCTGain(mode volatile.Mode, scenarios, trials int, seed uint64, noRepli
 		for s := 0; s < scenarios; s++ {
 			scn := volatile.NewScenario(seed+uint64(ci*1000+s), cell, opt)
 			for tr := 0; tr < trials; tr++ {
-				a, err := scn.RunMode("emct", uint64(tr), mode)
+				a, err := scn.RunWith(rn, "emct", uint64(tr))
 				fatalIf(err)
-				b, err := scn.RunMode("mct", uint64(tr), mode)
+				b, err := scn.RunWith(rn, "mct", uint64(tr))
 				fatalIf(err)
 				if a.Completed && b.Completed {
 					emct = append(emct, float64(a.Makespan))

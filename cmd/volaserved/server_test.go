@@ -348,6 +348,7 @@ func TestBadRequestsAndNotFound(t *testing.T) {
 		{"unknown-exp", `{"exp":"table9"}`, "unknown experiment"},
 		{"non-sweep-exp", `{"exp":"ablation"}`, "does not run through the sweep pipeline"},
 		{"bad-scenarios", `{"exp":"table2","scenarios":-1}`, "-scenarios must be positive"},
+		{"oversized", `{"exp":"table2","scenarios":1099511627776}`, "exceeds the limit of 16777216 instances"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

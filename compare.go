@@ -11,7 +11,6 @@ package volatile
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -19,8 +18,8 @@ import (
 // Batch discipline names, accepted wherever a heuristic name is (Run,
 // RunWith, SweepConfig.Heuristics). They appear as row names in sweep
 // results, alongside the heuristic names they are compared against. A batch
-// discipline samples availability per slot in every mode: it always replays
-// the slot-mode world of its trial.
+// discipline runs in the time base of its Runner or sweep, on the same
+// replayed world as the heuristics of its instance.
 const (
 	// BatchFCFS is strict-order batch dispatch (head-of-line blocking).
 	BatchFCFS = core.BatchFCFS
@@ -55,19 +54,7 @@ type CompareCellRow struct {
 // best fractional row versus the best batch row. Cells are ordered by
 // (Tasks, Ncom, Wmin).
 func CompareCells(res *SweepResult) []CompareCellRow {
-	cells := make([]Cell, 0, len(res.ByCell))
-	for c := range res.ByCell {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Tasks != cells[j].Tasks {
-			return cells[i].Tasks < cells[j].Tasks
-		}
-		if cells[i].Ncom != cells[j].Ncom {
-			return cells[i].Ncom < cells[j].Ncom
-		}
-		return cells[i].Wmin < cells[j].Wmin
-	})
+	cells := res.sortedCells()
 	out := make([]CompareCellRow, 0, len(cells))
 	for _, c := range cells {
 		row := CompareCellRow{Cell: c, FractionalDFB: math.NaN(), BatchDFB: math.NaN()}

@@ -601,9 +601,8 @@ func (e *engine) applyState(i int, next avail.State) {
 // tables (taskLostCopy), its sunk work is wasted and, when cancelled is
 // set, an EvCopyCancelled is emitted; then the copy returns to the pool and
 // the worker's indexes are reconciled once. It is the single removal path
-// for crashes, proactive and sibling cancellations and the iteration
-// barrier; the program survives it (only a crash loses that, in
-// applyState).
+// for crashes and for proactive and sibling cancellations; the program
+// survives it (only a crash loses that, in applyState).
 func (e *engine) dropCopies(i, task int, cancelled bool) {
 	w := &e.workers[i]
 	if !w.busy() {
@@ -708,7 +707,7 @@ func (e *engine) taskGainedCopy(t, w int) {
 }
 
 // taskLostCopy records the death of one live copy of task t on worker w
-// (dropCopies). Completed tasks — sibling and barrier drops — are already
+// (dropCopies). Completed tasks (sibling drops) are already
 // out of every index; incomplete ones move down a bucket, or back into the
 // pending list when their last copy died.
 func (e *engine) taskLostCopy(t, w int) {
@@ -1175,7 +1174,9 @@ func (e *engine) finishSlot() {
 	// Completions: only a worker whose computation advanced to W this slot
 	// can complete, so the candidates are exactly compute's finishers
 	// (ascending worker order, like the full scan). A finisher's copy may
-	// have been cancelled by an earlier finisher of the same task.
+	// have been cancelled by an earlier finisher of the same task, which
+	// drops every other holder's copy; so a finisher whose copy survives
+	// holds an uncompleted task.
 	for _, i := range e.finishers {
 		w := &e.workers[i]
 		c := w.computing
@@ -1189,13 +1190,6 @@ func (e *engine) finishSlot() {
 		ts := &e.tasks[c.task]
 		ts.copies--
 		e.holdersRemove(c.task, i)
-		if ts.completed {
-			// A sibling copy finished earlier in this same loop; this work
-			// is redundant.
-			e.wasteCopy(c)
-			e.releaseCopy(c)
-			continue
-		}
 		ts.completed = true
 		e.trk.remaining--
 		e.trk.bucketRemove(c.task)
@@ -1255,9 +1249,8 @@ func (e *engine) finishSlot() {
 	// Moldable runs decide the next iteration's size here, before the task
 	// table is touched: at this instant every task is completed, so the
 	// slow-check view recount agrees with the zeroed remaining counter. The
-	// resize itself waits until after the defensive drop scan below (it
-	// indexes the task table and holder lists by the old iteration's task
-	// IDs); both happen before the tracker reset, so the event clock's
+	// resize itself waits until the task table is wiped below; both happen
+	// before the tracker reset, so the event clock's
 	// quiet-span check — which reads the pending set and remaining count
 	// right after this returns — already sees the decided iteration.
 	n := len(e.tasks)
@@ -1268,18 +1261,12 @@ func (e *engine) finishSlot() {
 			Slots:     e.slot + 1 - e.iterStart,
 		})
 	}
-	// Task data is iteration-specific: every pipeline entry is discarded;
-	// programs are kept. Every completion already cancelled its sibling
-	// copies, so by the time the last task completes no worker holds any
-	// copy and nBusy is zero: the drop scan has nothing to do and is
-	// skipped — the barrier costs O(1), not O(P). The scan is kept as a
-	// defensive path (and exercised as dead code by the slow checks, which
-	// recount nBusy). It runs before the task table is wiped, so the drops
-	// see completed tasks and only adjust raw copy counts and holder lists.
-	if e.nBusy > 0 {
-		for i := range e.workers {
-			e.dropCopies(i, noTask, true)
-		}
+	// Task data is iteration-specific, programs are kept. Every completion
+	// already cancelled its sibling copies, so by the time the last task
+	// completes no worker holds any copy and the barrier costs O(1), not
+	// O(P): the slow checks assert that nothing is left to drop.
+	if e.slowChecks {
+		e.verifyBarrierIdle()
 	}
 	for t := range e.tasks {
 		e.tasks[t] = taskState{}

@@ -209,6 +209,16 @@ func (e *engine) verifyPipelines() {
 	}
 }
 
+// verifyBarrierIdle checks that no worker holds a copy when an iteration
+// completes: every completion drops its siblings, so the barrier has
+// nothing to discard.
+func (e *engine) verifyBarrierIdle() {
+	if e.nBusy != 0 {
+		panic(fmt.Sprintf("sim: slot %d: iteration %d completed with %d busy workers",
+			e.slot, e.iter-1, e.nBusy))
+	}
+}
+
 // verifyRoundSetup checks the two O(1)/O(plans) round-start invariants
 // against their reference recounts: the incrementally maintained busy count
 // (n_active's base) and the all-zero NQ queues schedule restores in

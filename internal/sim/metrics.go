@@ -12,10 +12,10 @@ type Stats struct {
 	// ComputeSlots is the total number of UP slots workers spent computing.
 	ComputeSlots int64
 	// WastedComputeSlots counts compute slots of copies that were later
-	// crashed, cancelled, or discarded at an iteration barrier.
+	// crashed or cancelled.
 	WastedComputeSlots int64
 	// WastedDataSlots counts data-transfer slots of copies that never
-	// completed (crashes, cancellations, barriers).
+	// completed (crashes, cancellations).
 	WastedDataSlots int64
 	// WastedProgramSlots counts program slots lost to crashes.
 	WastedProgramSlots int64
@@ -63,8 +63,8 @@ const (
 	EvComputeStart
 	// EvTaskComplete: a task copy finished and the task is done.
 	EvTaskComplete
-	// EvCopyCancelled: a live copy was cancelled (another copy finished, or
-	// an iteration barrier discarded it).
+	// EvCopyCancelled: a live copy was cancelled (another copy of its task
+	// finished, or a proactive scheduler cancelled it).
 	EvCopyCancelled
 	// EvCrash: a worker transitioned into DOWN, losing its state.
 	EvCrash

@@ -22,7 +22,7 @@ func streamGoldenHeuristics() []string {
 
 // streamGoldenDigest is the SHA-256 over the %+v rendering of every Result,
 // Event and SlotReport of the corpus below. It pins the engine's full
-// observable behaviour — crash, cancel, sibling and barrier drops included —
+// observable behaviour — crash, cancel and sibling drops included —
 // so a refactor of the mutation sites cannot move a single event unnoticed.
 const streamGoldenDigest = "22d28eca7d5d2526507d4cd122d600e6e351335f5ba111056bd9522eb609509d"
 

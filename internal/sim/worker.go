@@ -38,7 +38,7 @@ type workerState struct {
 	// suspended), if any. Its transfer chain is: remaining program first,
 	// then the task data. Both slots are filled by the engine's bindCopy and
 	// promote and emptied by completion or by dropCopies, the single removal
-	// path for crashes, cancellations and barrier drops.
+	// path for crashes and cancellations.
 	incoming *copyState
 }
 

@@ -17,10 +17,10 @@ import (
 )
 
 // experiments lists every -exp value the CLI dispatches on, in the order
-// the usage text presents them. sweepExperiments is the subset that runs
-// through the sharded sweep pipeline — the ones that support the durability
-// flags and that the sweep service accepts. The other experiments
-// (ablation, emctgain*) run several sweeps or none and exist only as CLI
+// the usage text presents them. Those with a preset (IsSweep) run through
+// the sharded sweep pipeline — the ones that support the durability flags
+// and that the sweep service accepts. The other experiments (ablation,
+// emctgain*) run several sweeps or none and exist only as CLI
 // conveniences.
 var experiments = []string{
 	"table2", "figure2", "table3x5", "table3x10",
@@ -28,17 +28,26 @@ var experiments = []string{
 	"largep", "moldable",
 }
 
-var sweepExperiments = []string{
-	"table2", "figure2", "table3x5", "table3x10", "tracesweep", "dfrs", "largep",
-	"moldable",
-}
+// maxInstances bounds a sweep request's instance count (cells × scenarios
+// × trials): 2^24 instances, about 56 times the paper's full Table 2
+// (120 cells × 247 scenarios × 10 trials). A larger request would hold a
+// job slot for longer than any real reproduction needs.
+const maxInstances = 1 << 24
 
 // Experiments returns every valid experiment name, in usage order.
 func Experiments() []string { return append([]string(nil), experiments...) }
 
 // SweepExperiments returns the experiments that run through the sharded
-// sweep pipeline (checkpointable, streamable, servable).
-func SweepExperiments() []string { return append([]string(nil), sweepExperiments...) }
+// sweep pipeline (checkpointable, streamable, servable), in usage order.
+func SweepExperiments() []string {
+	var out []string
+	for _, e := range experiments {
+		if IsSweep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // IsSweep reports whether exp runs through the sharded sweep pipeline.
 func IsSweep(exp string) bool {
@@ -261,13 +270,17 @@ func Build(r Request) (*Built, error) {
 	preset, ok := presets[r.Exp]
 	if !ok {
 		return nil, fmt.Errorf("experiment %q does not run through the sweep pipeline (sweep experiments: %s)",
-			r.Exp, strings.Join(sweepExperiments, ", "))
+			r.Exp, strings.Join(SweepExperiments(), ", "))
 	}
 	mode, err := volatile.ParseMode(r.Mode)
 	if err != nil {
 		return nil, err
 	}
 	cfg := preset(r)
+	if cells := len(cfg.Cells); r.Scenarios > maxInstances/cells/r.Trials {
+		return nil, fmt.Errorf("%d cells × %d scenarios × %d trials exceeds the limit of %d instances per sweep",
+			cells, r.Scenarios, r.Trials, maxInstances)
+	}
 	if r.Procs != 0 {
 		cfg.Options.Processors = r.Procs
 	}

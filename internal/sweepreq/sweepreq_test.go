@@ -1,6 +1,7 @@
 package sweepreq
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,27 @@ func TestBuildRejectsNonSweepExperiments(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "does not run through the sweep pipeline") {
 			t.Fatalf("Build(%q) = %v, want sweep-pipeline rejection", exp, err)
 		}
+	}
+}
+
+// TestBuildRejectsOversizedRequest pins the instance-count bound: a request
+// beyond maxInstances is refused with a message naming the limit, and one
+// exactly at it still builds.
+func TestBuildRejectsOversizedRequest(t *testing.T) {
+	_, err := Build(Request{Exp: "table2", Scenarios: 1 << 40})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit of %d instances", maxInstances)) {
+		t.Fatalf("Build(table2, 2^40 scenarios) = %v, want the instance limit", err)
+	}
+	_, err = Build(Request{Exp: "largep", Scenarios: maxInstances + 1, Trials: 1})
+	if err == nil {
+		t.Fatal("Build(largep, maxInstances+1 scenarios) accepted")
+	}
+	b, err := Build(Request{Exp: "largep", Scenarios: maxInstances / 4, Trials: 4})
+	if err != nil {
+		t.Fatalf("Build at the limit: %v", err)
+	}
+	if b.Instances != maxInstances {
+		t.Fatalf("Instances = %d, want %d", b.Instances, maxInstances)
 	}
 }
 
@@ -208,7 +230,9 @@ func TestSweepExperimentsAllBuild(t *testing.T) {
 // pinnedRequestDigests are the config digests of every sweep experiment's
 // flag-default request in both time bases. volaserved keys its cached
 // results and request stubs on these digests, so a digest that moves
-// orphans every result the service has stored.
+// orphans every result the service has stored. dfrs/event moved once,
+// deliberately, when batch contenders stopped replaying the slot-mode world
+// of an event-mode sweep.
 var pinnedRequestDigests = map[string]string{
 	"table2/slot":      "3105001a1f32641fb597aa72e47c65395f39b56d72e81a48c5ebf3e04ae7b4fd",
 	"table2/event":     "03d7ad2eb88514dee8d1f368ea065ba77aff32c477aa9fe2af941a2a9c8df95c",
@@ -221,7 +245,7 @@ var pinnedRequestDigests = map[string]string{
 	"tracesweep/slot":  "0becb6a0008dc3c1f07d82c0bc6d35699072d758e648488c1210f8c80dd4c522",
 	"tracesweep/event": "8c9c4b05bc37e4dfa15961471f3cf03c68a6e89ab8e82a5f2dfc9c6977a27b0b",
 	"dfrs/slot":        "95ecdd705cd38f40390517fe0a8851394ba8e765b628fda7a08b5152db4a5a4e",
-	"dfrs/event":       "48461caeee9a84f199479e9db33c2caa230f43247bfdd491eba4d539fa0febbd",
+	"dfrs/event":       "53f6df8d0bcb3eca73b4c1fcd548498565f56919789541a6305aba2bc2734d5a",
 	"largep/slot":      "46a3de59439ac28e37501beee7060a6708e60668dfa53d668f4e9133493c6e20",
 	"largep/event":     "770e93c7a526c30f84d8f6522e0f76f572e17c05c27b4b5bfa592a5d8849bdd2",
 	"moldable/slot":    "3976177d563c0fac6c443f8aea675d1d51d27b342b813376e6ea381368c546ae",

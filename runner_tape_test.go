@@ -8,13 +8,11 @@ import (
 
 // TestRunnerTapeReuse drives one Runner through instances in the order A,
 // B, A across both time bases, with batch runs between heuristic runs, and
-// requires every result to equal a fresh one-shot run. The Runner replays
-// one recorded trial per (scenario, trial seed, time base); the sequence
-// changes exactly one part of that key at a time (and repeats keys after
-// others evicted them), so a tape reused under a wrong key, a batch run
-// (which replays the slot-mode world in either mode) disturbing a live
-// recording, or a scheduler stream split from the wrong RNG state all show
-// up as a mismatch.
+// requires every result to equal a run on a fresh Runner. The Runner
+// replays one recorded trial keyed by (scenario, trial seed, time base);
+// the sequence changes exactly one part of that key at a time (and repeats
+// keys after others evicted them), so a tape reused under a wrong key or a
+// scheduler stream split from the wrong RNG state shows up as a mismatch.
 func TestRunnerTapeReuse(t *testing.T) {
 	a := NewScenario(5, Cell{Tasks: 10, Ncom: 5, Wmin: 2}, ScenarioOptions{Iterations: 4})
 	b := NewScenario(6, Cell{Tasks: 10, Ncom: 5, Wmin: 2}, ScenarioOptions{Iterations: 4})
@@ -53,11 +51,7 @@ func TestRunnerTapeReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fresh := st.mode
-		if isBatch(st.contender) {
-			fresh = ModeSlot // the slot-mode world, whatever the Runner's mode
-		}
-		want, err := scn.RunMode(st.contender, st.seed, fresh)
+		want, err := scn.RunMode(st.contender, st.seed, st.mode)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", name, err)
 		}

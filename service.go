@@ -58,24 +58,10 @@ func ReadCheckpoint(path string) (*CheckpointStatus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("volatile: checkpoint %s: %w", path, err)
 	}
-	res := &SweepResult{
-		Instances:       overall.Instances(),
-		Overall:         overall.Rows(),
-		ByWmin:          make(map[int][]TableRow, len(byWmin)),
-		ByCell:          make(map[Cell][]TableRow, len(byCell)),
-		Censored:        snap.Censored,
-		FailedInstances: snap.Failed,
-	}
-	for wmin, agg := range byWmin {
-		res.ByWmin[wmin] = agg.Rows()
-	}
-	for cell, agg := range byCell {
-		res.ByCell[cell] = agg.Rows()
-	}
 	return &CheckpointStatus{
 		ConfigDigest:    snap.ConfigDigest,
 		CommittedChunks: snap.NextChunk,
 		Chunks:          snap.Chunks,
-		Partial:         res,
+		Partial:         newSweepResult(overall, byWmin, byCell, snap.Censored, snap.Failed),
 	}, nil
 }

@@ -54,8 +54,8 @@ type SweepConfig struct {
 	// Mode selects the engine time base (default ModeSlot). Event mode is
 	// distribution-equivalent but consumes the availability RNG streams at
 	// sojourn granularity, so sweep aggregates differ from slot mode within
-	// sampling noise; see EXPERIMENTS.md. Batch disciplines always replay
-	// the slot-mode world of each instance.
+	// sampling noise; see EXPERIMENTS.md. Every contender, batch
+	// disciplines included, replays the instance's world in this mode.
 	Mode Mode
 	// Seed makes the whole sweep reproducible.
 	Seed uint64
@@ -182,6 +182,12 @@ func (cfg SweepConfig) plan() (*sweepPlan, error) {
 		}
 	case hasBatch:
 		flavour, extra = "comparesweep", disciplines
+		// Batch contenders once replayed the slot-mode world of an event-mode
+		// sweep; this line keeps results of that kind from being resumed or
+		// served for a sweep whose contenders share one clock.
+		if cfg.Mode == ModeEvent {
+			extra = append(extra, "batch-clock event")
+		}
 	case hasAlloc:
 		pol, err := ParseAllocPolicy(cfg.Alloc)
 		if err != nil {
@@ -230,7 +236,7 @@ func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
 			}
 		}
 		for _, h := range p.contenders {
-			res, err := scn.run(rn, h, trialSeed, cfg.Mode, nil, nil, pol)
+			res, err := scn.run(rn, h, trialSeed, nil, nil, pol)
 			if err != nil {
 				return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
 			}
@@ -563,22 +569,8 @@ feed:
 		return nil, &InterruptedError{Path: path, Committed: next, Chunks: chunks}
 	}
 
-	out := &SweepResult{
-		Instances:       overall.Instances(),
-		Overall:         overall.Rows(),
-		ByWmin:          make(map[int][]TableRow, len(byWmin)),
-		ByCell:          make(map[Cell][]TableRow, len(byCell)),
-		Censored:        censored,
-		FailedInstances: failed,
-		InstanceErrors:  instanceErrors,
-		Warnings:        warnings,
-	}
-	for wmin, agg := range byWmin {
-		out.ByWmin[wmin] = agg.Rows()
-	}
-	for cell, agg := range byCell {
-		out.ByCell[cell] = agg.Rows()
-	}
+	out := newSweepResult(overall, byWmin, byCell, censored, failed)
+	out.InstanceErrors, out.Warnings = instanceErrors, warnings
 	return out, nil
 }
 

@@ -253,25 +253,24 @@ func (s *Scenario) ProcessorModel(i int) *avail.Markov3 {
 	return s.inner.Platform.Processors[i].Avail
 }
 
-// Runner wraps a reusable simulation engine plus per-trial scratch. Tight
-// loops (sweeps, benchmarks) that execute many runs on one goroutine should
-// create one Runner and pass it to RunWith: every engine-internal buffer
-// (worker states, task tables, scheduler view, scratch, the copy pool) and
-// every trial resource (availability processes, their RNG streams, trace
-// replay processes) is then recycled across runs instead of reallocated.
-// Consecutive runs on the same (scenario, trial seed) — every contender of
-// one sweep instance — replay one recorded world (trialTape) instead of
-// sampling it again. Results are identical to Run's. A Runner must not be
-// shared between goroutines.
+// Runner wraps a reusable simulation engine plus per-trial scratch, and is
+// the one way a scenario runs: Run, RunMode and RunWithHooks use a fresh
+// Runner. Tight loops (sweeps, benchmarks) that execute many runs on one
+// goroutine should create one Runner and pass it to RunWith: every
+// engine-internal buffer (worker states, task tables, scheduler view,
+// scratch, the copy pool) and every trial resource (availability processes,
+// their RNG streams, trace replay processes) is then recycled across runs
+// instead of reallocated. Consecutive runs on the same (scenario, trial
+// seed) — every contender of one sweep instance, batch disciplines
+// included — replay one recorded world (trialTape) in the Runner's time
+// base instead of sampling it again. A Runner must not be shared between
+// goroutines.
 type Runner struct {
 	r sim.Runner
 	// mode is the engine time base every run on this Runner uses.
 	mode Mode
-	// trialRng is the pooled per-trial generator, reseeded per run.
-	trialRng rng.PCG
-	// slotTape and eventTape hold the current model-driven trial of each
-	// time base.
-	slotTape, eventTape trialTape
+	// tape holds the current model-driven trial.
+	tape trialTape
 	// vprocs/vps pool the replay processes of trace-driven runs.
 	vprocs []avail.VectorProcess
 	vps    []avail.Process
@@ -342,123 +341,91 @@ func (r *Runner) SetMode(m Mode) { r.mode = m }
 // traced) and any heuristic randomness; the same (scenario, trialSeed) pair
 // confronts every heuristic with the same world.
 func (s *Scenario) Run(heuristic string, trialSeed uint64) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, ModeSlot, nil, nil, nil)
+	return s.RunWith(nil, heuristic, trialSeed)
 }
 
 // RunMode is Run under an explicit engine time base.
 func (s *Scenario) RunMode(heuristic string, trialSeed uint64, mode Mode) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, mode, nil, nil, nil)
+	return s.RunWith(&Runner{mode: mode}, heuristic, trialSeed)
 }
 
-// RunWith is Run on a reusable Runner (nil falls back to a one-shot
-// engine). The run uses the Runner's mode (SetMode).
+// RunWith is Run on a reusable Runner (nil runs on a fresh one), under the
+// Runner's mode (SetMode).
 func (s *Scenario) RunWith(r *Runner, heuristic string, trialSeed uint64) (*RunResult, error) {
-	mode := ModeSlot
-	if r != nil {
-		mode = r.mode
+	if r == nil {
+		r = NewRunner()
 	}
-	return s.run(r, heuristic, trialSeed, mode, nil, nil, nil)
+	return s.run(r, heuristic, trialSeed, nil, nil, nil)
 }
 
 // RunWithHooks is Run with optional per-slot observer and event callbacks.
 func (s *Scenario) RunWithHooks(heuristic string, trialSeed uint64,
 	observer func(*SlotReport), onEvent func(Event)) (*RunResult, error) {
-	return s.run(nil, heuristic, trialSeed, ModeSlot, observer, onEvent, nil)
+	return s.run(NewRunner(), heuristic, trialSeed, observer, onEvent, nil)
 }
 
 // trialTape is one model-driven trial recorded for replay: the trial's
 // availability processes and streams (owned by the tape, so no other run
 // can draw from them while it records), the trial RNG state right after
-// Trial, and the tape itself. It is keyed by (scenario, trial seed): the
-// Runner keeps one per time base, since the two read different
-// trajectories from the same streams.
+// Trial, and the tape itself. It is keyed by (scenario, trial seed, time
+// base), since the two time bases read different trajectories from the
+// same streams.
 type trialTape struct {
 	scn  *workload.Scenario // nil until the first recording
 	seed uint64
+	mode Mode
 	pool workload.TrialPool
 	rng  rng.PCG
 	tape avail.Tape
 }
 
-// trial returns the availability processes of (s, trialSeed) under mode
-// as replay cursors on the Runner's tape, recording the trial afresh when
-// the key changed, and leaves r.trialRng exactly where Trial leaves it, so
-// the scheduler stream splits off it as on a fresh trial. Slot mode gets a
-// per-slot tape.
-func (r *Runner) trial(s *Scenario, trialSeed uint64, mode Mode) []avail.Process {
-	tt := &r.slotTape
-	if mode == ModeEvent {
-		tt = &r.eventTape
-	}
-	if tt.scn != s.inner || tt.seed != trialSeed {
-		tt.scn, tt.seed = s.inner, trialSeed
+// trial returns the availability processes of (s, trialSeed) in the
+// Runner's time base as replay cursors on its tape, recording the trial
+// afresh when the key changed, and splits the scheduler's stream into
+// stream off the trial RNG exactly where Trial leaves it, as on a fresh
+// trial. Slot mode gets a per-slot tape.
+func (r *Runner) trial(s *Scenario, trialSeed uint64, stream *rng.PCG) []avail.Process {
+	tt := &r.tape
+	if tt.scn != s.inner || tt.seed != trialSeed || tt.mode != r.mode {
+		tt.scn, tt.seed, tt.mode = s.inner, trialSeed, r.mode
 		tt.rng.Reseed(trialSeed)
 		procs := tt.pool.Trial(s.inner, &tt.rng)
-		tt.tape.Reset(procs, mode != ModeEvent, s.inner.Params.EffectiveMaxSlots())
+		tt.tape.Reset(procs, r.mode != ModeEvent, s.inner.Params.EffectiveMaxSlots())
 	}
-	r.trialRng = tt.rng
+	trialRng := tt.rng
+	trialRng.SplitInto(stream)
 	return tt.tape.Replay()
 }
 
-// run executes one trial. It picks the availability processes and the
-// scheduler's stream: a traced scenario replays its vectors and seeds the
-// scheduler from the trial seed itself (replay draws no randomness); a
-// model scenario draws the trial's processes and splits the scheduler's
-// stream off the trial RNG. The pooled path consumes the RNG exactly as the
-// one-shot path does (Reseed mirrors New, TrialPool.Trial mirrors Trial,
-// SplitInto mirrors Split, the tape replays the processes' own
-// trajectories), so both produce identical results for the same trial seed.
-func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64, mode Mode,
+// run executes one trial on r. A traced scenario replays its vectors and
+// seeds the scheduler from the trial seed itself (replay draws no
+// randomness); a model scenario replays the Runner's tape of the trial and
+// splits the scheduler's stream off the trial RNG. The RNG is consumed as
+// workload.Scenario.Trial and sim.Run would consume it on their own
+// (Reseed mirrors rng.New, TrialPool.Trial mirrors Trial, SplitInto mirrors
+// Split, the tape replays the processes' own trajectories).
+func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64,
 	observer func(*SlotReport), onEvent func(Event), alloc AllocationPolicy) (*RunResult, error) {
-	if isBatch(heuristic) {
-		mode = ModeSlot // batch disciplines sample availability per slot
-	}
+	ps := r.pooled(heuristic)
 	var procs []avail.Process
-	var stream *rng.PCG // the one-shot scheduler's stream
-	var ps *pooledSched
-	if r != nil {
-		ps = r.pooled(heuristic)
-	}
-	switch {
-	case s.vectors != nil && r != nil:
+	if s.vectors != nil {
 		procs = r.vectorProcs(s.vectors)
 		ps.pcg.Reseed(trialSeed)
-	case s.vectors != nil:
-		procs = make([]avail.Process, len(s.vectors))
-		for i, v := range s.vectors {
-			procs[i] = avail.NewVectorProcess(v)
-		}
-		stream = rng.New(trialSeed)
-	case r != nil:
-		procs = r.trial(s, trialSeed, mode)
-		r.trialRng.SplitInto(&ps.pcg)
-	default:
-		trialRng := rng.New(trialSeed)
-		procs = s.inner.Trial(trialRng)
-		stream = trialRng.Split()
-	}
-	var sched sim.Scheduler
-	var err error
-	if ps != nil {
-		sched, err = ps.instance(heuristic)
 	} else {
-		sched, err = core.New(heuristic, stream)
+		procs = r.trial(s, trialSeed, &ps.pcg)
 	}
+	sched, err := ps.instance(heuristic)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.Config{
+	return r.r.Run(sim.Config{
 		Platform:  s.inner.Platform,
 		Params:    s.inner.Params,
 		Procs:     procs,
 		Scheduler: sched,
-		Mode:      mode,
+		Mode:      r.mode,
 		Observer:  observer,
 		OnEvent:   onEvent,
 		Alloc:     alloc,
-	}
-	if r == nil {
-		return sim.Run(cfg)
-	}
-	return r.r.Run(cfg)
+	})
 }
