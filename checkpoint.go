@@ -112,69 +112,110 @@ func aggKeyCell(c Cell) string {
 	return fmt.Sprintf("cell %d %d %d", c.Tasks, c.Ncom, c.Wmin)
 }
 
-// buildSnapshot captures the committer's aggregates at a chunk boundary.
-func buildSnapshot(digest string, chunks, next, censored, failed int,
-	overall *stats.Aggregator, byWmin map[int]*stats.Aggregator, byCell map[Cell]*stats.Aggregator) *checkpoint.Snapshot {
+// sweepAggregates is the committer's state: the overall, per-wmin and
+// per-cell aggregates plus the censored-run and failed-instance counts.
+// RunSweep folds chunks into it in chunk order, checkpoints carry it
+// bit-exactly, and ReadCheckpoint renders a restored one.
+type sweepAggregates struct {
+	overall  *stats.Aggregator
+	byWmin   map[int]*stats.Aggregator
+	byCell   map[Cell]*stats.Aggregator
+	censored int
+	failed   int
+}
+
+func newSweepAggregates() *sweepAggregates {
+	return &sweepAggregates{
+		overall: stats.NewAggregator(),
+		byWmin:  make(map[int]*stats.Aggregator),
+		byCell:  make(map[Cell]*stats.Aggregator),
+	}
+}
+
+// commit folds one chunk of cell into the aggregates, its instances in
+// trial order. The cell's keyed aggregates exist once any of its chunks
+// commits, even one whose every instance failed.
+func (a *sweepAggregates) commit(cell Cell, c *chunkResult) {
+	bw := a.byWmin[cell.Wmin]
+	if bw == nil {
+		bw = stats.NewAggregator()
+		a.byWmin[cell.Wmin] = bw
+	}
+	bc := a.byCell[cell]
+	if bc == nil {
+		bc = stats.NewAggregator()
+		a.byCell[cell] = bc
+	}
+	for _, ir := range c.instances {
+		a.overall.Add(ir)
+		bw.Add(ir)
+		bc.Add(ir)
+	}
+	a.censored += c.censored
+	a.failed += c.failed
+}
+
+// snapshot captures the aggregates at a chunk boundary: chunks [0, next)
+// of the sweep's chunks are folded in.
+func (a *sweepAggregates) snapshot(digest string, chunks, next int) *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{
 		ConfigDigest: digest,
 		Chunks:       chunks,
 		NextChunk:    next,
-		Censored:     censored,
-		Failed:       failed,
-		Overall:      overall.State(),
-		Keyed:        make(map[string]stats.AggregatorState, len(byWmin)+len(byCell)),
+		Censored:     a.censored,
+		Failed:       a.failed,
+		Overall:      a.overall.State(),
+		Keyed:        make(map[string]stats.AggregatorState, len(a.byWmin)+len(a.byCell)),
 	}
-	for wmin, agg := range byWmin {
+	for wmin, agg := range a.byWmin {
 		s.Keyed[aggKeyWmin(wmin)] = agg.State()
 	}
-	for cell, agg := range byCell {
+	for cell, agg := range a.byCell {
 		s.Keyed[aggKeyCell(cell)] = agg.State()
 	}
 	return s
 }
 
-// newSweepResult renders the committer's aggregates as a SweepResult.
-func newSweepResult(overall *stats.Aggregator, byWmin map[int]*stats.Aggregator,
-	byCell map[Cell]*stats.Aggregator, censored, failed int) *SweepResult {
-	res := &SweepResult{
-		Instances:       overall.Instances(),
-		Overall:         overall.Rows(),
-		ByWmin:          make(map[int][]TableRow, len(byWmin)),
-		ByCell:          make(map[Cell][]TableRow, len(byCell)),
-		Censored:        censored,
-		FailedInstances: failed,
-	}
-	for wmin, agg := range byWmin {
-		res.ByWmin[wmin] = agg.Rows()
-	}
-	for cell, agg := range byCell {
-		res.ByCell[cell] = agg.Rows()
-	}
-	return res
-}
-
-// restoreSnapshot rebuilds the committer's aggregates from a validated
-// snapshot. The caller has already checked digest and chunk count; here
-// only the keyed-aggregate names must parse.
-func restoreSnapshot(s *checkpoint.Snapshot) (overall *stats.Aggregator,
-	byWmin map[int]*stats.Aggregator, byCell map[Cell]*stats.Aggregator, err error) {
-	overall = stats.FromState(s.Overall)
-	byWmin = make(map[int]*stats.Aggregator)
-	byCell = make(map[Cell]*stats.Aggregator)
+// restore replaces the aggregates with a snapshot's. Digest and chunk
+// count are the caller's to check; here only the keyed-aggregate names
+// must parse.
+func (a *sweepAggregates) restore(s *checkpoint.Snapshot) error {
+	*a = *newSweepAggregates()
+	a.overall = stats.FromState(s.Overall)
+	a.censored, a.failed = s.Censored, s.Failed
 	for key, st := range s.Keyed {
 		var wmin int
 		var cell Cell
 		if n, _ := fmt.Sscanf(key, "wmin %d", &wmin); n == 1 {
-			byWmin[wmin] = stats.FromState(st)
+			a.byWmin[wmin] = stats.FromState(st)
 			continue
 		}
 		if n, _ := fmt.Sscanf(key, "cell %d %d %d", &cell.Tasks, &cell.Ncom, &cell.Wmin); n == 3 {
-			byCell[cell] = stats.FromState(st)
+			a.byCell[cell] = stats.FromState(st)
 			continue
 		}
-		return nil, nil, nil, fmt.Errorf("volatile: checkpoint has unknown aggregate key %q", key)
+		return fmt.Errorf("volatile: checkpoint has unknown aggregate key %q", key)
 	}
-	return overall, byWmin, byCell, nil
+	return nil
+}
+
+// result renders the aggregates as a SweepResult.
+func (a *sweepAggregates) result() *SweepResult {
+	res := &SweepResult{
+		Instances:       a.overall.Instances(),
+		Overall:         a.overall.Rows(),
+		ByWmin:          make(map[int][]TableRow, len(a.byWmin)),
+		ByCell:          make(map[Cell][]TableRow, len(a.byCell)),
+		Censored:        a.censored,
+		FailedInstances: a.failed,
+	}
+	for wmin, agg := range a.byWmin {
+		res.ByWmin[wmin] = agg.Rows()
+	}
+	for cell, agg := range a.byCell {
+		res.ByCell[cell] = agg.Rows()
+	}
+	return res
 }
 
 // Format renders every field of the sweep's numeric output deterministically

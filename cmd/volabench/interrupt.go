@@ -58,9 +58,6 @@ func validateDurability(exp string, d durabilityArgs) error {
 	if d.every <= 0 {
 		return fmt.Errorf("-checkpoint-every must be positive (got %d)", d.every)
 	}
-	if d.retries < 0 {
-		return fmt.Errorf("-retries must be >= 0 (got %d)", d.retries)
-	}
 	if d.crashAfter < 0 {
 		return fmt.Errorf("-crash-after must be >= 0, where 0 disables the injected crash (got %d)", d.crashAfter)
 	}

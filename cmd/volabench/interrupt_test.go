@@ -35,7 +35,6 @@ func TestValidateDurabilityTable(t *testing.T) {
 
 		{"resume-without-checkpoint", "table2", ck(durabilityArgs{resume: true}), "-resume needs -checkpoint"},
 		{"crash-without-checkpoint", "table2", ck(durabilityArgs{crashAfter: 2}), "-crash-after without -checkpoint"},
-		{"negative-retries", "table2", ck(durabilityArgs{retries: -1}), "-retries must be >= 0"},
 		{"negative-crash", "table2", ck(durabilityArgs{checkpoint: "x.ckpt", crashAfter: -1}), "-crash-after must be >= 0"},
 		{"zero-every", "table2", durabilityArgs{checkpoint: "x.ckpt"}, "-checkpoint-every must be positive"},
 		{"checkpoint-ablation", "ablation", ck(durabilityArgs{checkpoint: "x.ckpt"}), "apply only to sweep experiments"},

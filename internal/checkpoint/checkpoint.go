@@ -1,4 +1,4 @@
-// Package checkpoint persists the running state of a sharded sweep so a
+// Package checkpoint persists the running state of a chunked sweep so a
 // killed process can resume instead of restarting from zero.
 //
 // A Snapshot captures everything the sweep committer owns at a chunk

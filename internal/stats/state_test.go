@@ -105,23 +105,3 @@ func TestFromStateRoundTripsSumBits(t *testing.T) {
 		t.Fatalf("restored avg dfb drifted: %x != %x", math.Float64bits(av), math.Float64bits(bv))
 	}
 }
-
-// TestShardDiscardRecyclesResult pins the failure-path pooling: a Discarded
-// result is handed back by the next Acquire with cleared maps.
-func TestShardDiscardRecyclesResult(t *testing.T) {
-	s := NewShardAggregator()
-	ir := s.Acquire()
-	ir.Makespans["h"] = 42
-	ir.Censored["h"] = true
-	s.Discard(ir)
-	got := s.Acquire()
-	if got != ir {
-		t.Fatal("Acquire after Discard did not reuse the discarded result")
-	}
-	if len(got.Makespans) != 0 || len(got.Censored) != 0 {
-		t.Fatalf("recycled result not cleared: %+v", got)
-	}
-	if s.Instances() != 0 {
-		t.Fatalf("Discard leaked into the buffered instances: %d", s.Instances())
-	}
-}

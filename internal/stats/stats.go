@@ -58,8 +58,7 @@ type accum struct {
 //
 // Because floating-point addition is order-sensitive, two Aggregators are
 // bit-identical only when they received the same instances in the same
-// order; sharded sweeps therefore replay shards in a deterministic order
-// (see ShardAggregator and Merge).
+// order; parallel sweeps therefore add instances in a deterministic order.
 type Aggregator struct {
 	acc map[string]*accum
 	n   int

@@ -54,14 +54,14 @@ func ReadCheckpoint(path string) (*CheckpointStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	overall, byWmin, byCell, err := restoreSnapshot(snap)
-	if err != nil {
+	var agg sweepAggregates
+	if err := agg.restore(snap); err != nil {
 		return nil, fmt.Errorf("volatile: checkpoint %s: %w", path, err)
 	}
 	return &CheckpointStatus{
 		ConfigDigest:    snap.ConfigDigest,
 		CommittedChunks: snap.NextChunk,
 		Chunks:          snap.Chunks,
-		Partial:         newSweepResult(overall, byWmin, byCell, snap.Censored, snap.Failed),
+		Partial:         agg.result(),
 	}, nil
 }

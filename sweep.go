@@ -200,50 +200,115 @@ func (cfg SweepConfig) plan() (*sweepPlan, error) {
 	return p, nil
 }
 
-// instanceRunner executes one (cell, scenario, trial) instance, filling ir
-// with every contender's makespan. It returns the instance's censored-run
-// count. Each worker goroutine gets its own instanceRunner (and thus its own
-// engine and trial scratch) from newInstanceRunner.
-type instanceRunner func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (censoredRuns int, err error)
+// chunkResult is one chunk's contribution, sent by its worker to the
+// committer: the completed instances in trial order and their censored-run
+// count, the instances dropped under ContinueOnError with a sample of
+// their errors, or the error that aborts the sweep.
+type chunkResult struct {
+	instances []*stats.InstanceResult
+	censored  int
+	failed    int
+	errs      []string
+	err       error
+}
 
-// newInstanceRunner returns one worker's instance runner. The worker owns
-// its engines and its policy instance (stateful policies reset at every
-// run boundary, so reuse across the worker's runs changes nothing). Per
-// instance, the availability source is resolved once — a trace source
-// swaps in the instance's traced scenario — and every contender replays
-// the same world.
-func (p *sweepPlan) newInstanceRunner(cfg *SweepConfig) instanceRunner {
-	rn := NewRunner()
-	rn.SetMode(cfg.Mode)
-	var pol AllocationPolicy
+// chunkRunner is one worker's executor. The worker owns its engines and
+// trial scratch (the Runner) and its policy instance (stateful policies
+// reset at every run boundary, so reuse across the worker's runs changes
+// nothing).
+type chunkRunner struct {
+	plan  *sweepPlan
+	cfg   *SweepConfig
+	rn    *Runner
+	pol   AllocationPolicy
+	done  *atomic.Int64 // instances finished sweep-wide, for Progress
+	total int
+}
+
+func (p *sweepPlan) newChunkRunner(cfg *SweepConfig, done *atomic.Int64, total int) *chunkRunner {
+	w := &chunkRunner{plan: p, cfg: cfg, rn: NewRunner(), done: done, total: total}
+	w.rn.SetMode(cfg.Mode)
 	if cfg.Alloc != "" {
-		pol, _ = ParseAllocPolicy(cfg.Alloc) // the plan has validated the spec
+		w.pol, _ = ParseAllocPolicy(cfg.Alloc) // the plan has validated the spec
 	}
-	return func(scn *Scenario, cellIdx, scenIdx, trialIdx int, ir *stats.InstanceResult) (int, error) {
-		if cfg.Trace != nil {
-			var err error
-			if scn, err = p.instanceTrace(scn, cfg, cellIdx, scenIdx, trialIdx); err != nil {
-				return 0, err
+	return w
+}
+
+// run executes chunk ci's trials in order. A chunk's scenario is
+// deterministic in (seed, cell, scenario index), so it is built once and
+// shared across the chunk's trials. Every retry re-derives the identical
+// trial seed, so a recovered transient failure contributes exactly the
+// instance an undisturbed sweep would have. Under ContinueOnError a
+// retry-exhausted instance is dropped; that verdict depends only on
+// (chunk, trial), so it is the same for every worker count.
+func (w *chunkRunner) run(ci int) *chunkResult {
+	cfg := w.cfg
+	cellIdx, scenIdx := ci/cfg.Scenarios, ci%cfg.Scenarios
+	scnSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), 0xA11CE)
+	scn := NewScenario(scnSeed, cfg.Cells[cellIdx], cfg.Options)
+	out := &chunkResult{instances: make([]*stats.InstanceResult, 0, cfg.Trials)}
+	for tr := 0; tr < cfg.Trials; tr++ {
+		var ir *stats.InstanceResult
+		var nCens int
+		var err error
+		for attempt := 0; ; attempt++ {
+			if err = cfg.Faults.InstanceFault(ci, tr, attempt); err == nil {
+				ir, nCens, err = w.instance(scn, cellIdx, scenIdx, tr)
+			}
+			if err == nil || attempt >= cfg.MaxRetries {
+				break
 			}
 		}
-		trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
-		nCens := 0
-		record := func(name string, makespan int, completed bool) {
-			ir.Makespans[name] = makespan
-			if !completed {
-				ir.Censored[name] = true
-				nCens++
+		switch {
+		case err == nil:
+			out.instances = append(out.instances, ir)
+			out.censored += nCens
+		case !cfg.ContinueOnError:
+			out.err = err
+			return out
+		default:
+			out.failed++
+			if len(out.errs) < maxChunkErrors {
+				out.errs = append(out.errs, err.Error())
 			}
 		}
-		for _, h := range p.contenders {
-			res, err := scn.run(rn, h, trialSeed, nil, nil, pol)
-			if err != nil {
-				return 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
-			}
-			record(h, res.Makespan, res.Completed)
+		if cfg.Progress != nil {
+			cfg.Progress(int(w.done.Add(1)), w.total)
 		}
-		return nCens, nil
 	}
+	return out
+}
+
+// instance runs every contender on one (cell, scenario, trial) instance
+// and returns their makespans with the instance's censored-run count. The
+// availability source is resolved once — a trace source swaps in the
+// instance's traced scenario — and every contender replays the same world.
+func (w *chunkRunner) instance(scn *Scenario, cellIdx, scenIdx, trialIdx int) (*stats.InstanceResult, int, error) {
+	cfg := w.cfg
+	if cfg.Trace != nil {
+		var err error
+		if scn, err = w.plan.instanceTrace(scn, cfg, cellIdx, scenIdx, trialIdx); err != nil {
+			return nil, 0, err
+		}
+	}
+	trialSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx))
+	ir := &stats.InstanceResult{
+		Makespans: make(map[string]int, len(w.plan.contenders)),
+		Censored:  make(map[string]bool),
+	}
+	nCens := 0
+	for _, h := range w.plan.contenders {
+		res, err := scn.run(w.rn, h, trialSeed, nil, nil, w.pol)
+		if err != nil {
+			return nil, 0, fmt.Errorf("volatile: %s on %s: %w", h, scn.inner.Name, err)
+		}
+		ir.Makespans[h] = res.Makespan
+		if !res.Completed {
+			ir.Censored[h] = true
+			nCens++
+		}
+	}
+	return ir, nCens, nil
 }
 
 // maxInstanceErrors bounds SweepResult.InstanceErrors; a sweep degrading on
@@ -258,17 +323,16 @@ const maxChunkErrors = 2
 // deterministic for a fixed config, independent of worker count.
 //
 // Work is dispatched at chunk granularity, one chunk per (cell, scenario)
-// pair, and every chunk's trials run in order on a single worker. Each
-// worker folds its current chunk into a stats.ShardAggregator; completed
-// shards are handed to a single committer goroutine that merges them into
-// the overall / per-wmin / per-cell aggregates strictly in chunk order
-// (buffering out-of-order arrivals in a reorder window). Chunk order equals
-// the job order of a sequential pass, and stats.Merge replays instances in
-// that order, so the aggregates — floating-point summation order included —
-// are bit-identical for every worker count. Committed shards are recycled
-// through a pool, and the feeder holds a window permit per uncommitted
-// chunk, so even when one slow chunk stalls the commit cursor the reorder
-// window — and with it sweep memory — stays proportional to the worker
+// pair, and every chunk's trials run in order on a single worker. Chunk
+// order is enforced in one place, the order queue: the feeder hands each
+// chunk to a worker and appends the chunk's result channel to the queue,
+// and the caller's goroutine, the committer, reads it front to back, waits
+// for each chunk's result and folds the instances into the overall /
+// per-wmin / per-cell aggregates. Chunk order equals the job order of a
+// sequential pass, so the aggregates — floating-point summation order
+// included — are bit-identical for every worker count. The queue's
+// capacity bounds the fed-but-uncommitted chunks, so even when one slow
+// chunk stalls the commit, sweep memory stays proportional to the worker
 // count (× chunk size), never to the total instance count.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	plan, err := cfg.plan()
@@ -302,10 +366,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	// chunk count). A missing file is a fresh start, so resume commands are
 	// idempotent; a damaged or mismatched file is an error, never a silent
 	// restart from zero.
-	overall := stats.NewAggregator()
-	byWmin := make(map[int]*stats.Aggregator)
-	byCell := make(map[Cell]*stats.Aggregator)
-	censored, failed := 0, 0
+	agg := newSweepAggregates()
 	startChunk := 0
 	if ck != nil && ck.Resume {
 		switch snap, err := checkpoint.Load(ck.Path); {
@@ -322,244 +383,127 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 				return nil, fmt.Errorf("volatile: checkpoint %s covers %d chunks, sweep has %d",
 					ck.Path, snap.Chunks, chunks)
 			}
-			if overall, byWmin, byCell, err = restoreSnapshot(snap); err != nil {
+			if err := agg.restore(snap); err != nil {
 				return nil, err
 			}
-			censored, failed = snap.Censored, snap.Failed
 			startChunk = snap.NextChunk
 		}
 	}
 
-	type doneChunk struct {
-		idx    int
-		shard  *stats.ShardAggregator
-		failed int
-		errs   []string
+	type job struct {
+		ci  int
+		res chan<- *chunkResult
 	}
-	jobCh := make(chan int)
-	commitCh := make(chan doneChunk, workers)
-	errCh := make(chan error, workers)
-	// stop is closed on the first worker error so the feeder below never
-	// blocks on a channel no worker is draining (a worker that aborts stops
-	// receiving; with an unbuffered jobCh the feed would deadlock otherwise).
-	stop := make(chan struct{})
-	var stopOnce sync.Once
+	jobs := make(chan job)
+	// order is the commit queue: each fed chunk's result channel, in chunk
+	// order. Its capacity bounds the chunks fed but not yet committed, and
+	// with them sweep memory; four per worker lets the other workers run
+	// ahead while one chunk holds up the commit.
+	order := make(chan chan *chunkResult, 4*workers+4)
+	// quit is closed by the committer once it stops reading order, which
+	// releases a feeder blocked on a full queue or on busy workers.
+	quit := make(chan struct{})
 	var done atomic.Int64
 	done.Store(int64(startChunk) * int64(cfg.Trials))
-	shardPool := sync.Pool{New: func() any { return stats.NewShardAggregator() }}
-	// window bounds the number of fed-but-uncommitted chunks: the feeder
-	// acquires a permit per chunk, the committer releases it once the chunk
-	// is merged. Without it, one slow chunk at the commit cursor would let
-	// fast workers pile arbitrarily many completed shards into the reorder
-	// buffer, growing memory toward the total instance count.
-	window := make(chan struct{}, 4*workers+4)
 
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := plan.newInstanceRunner(&cfg)
-			for ci := range jobCh {
-				// A chunk's scenario is deterministic in (seed, cell,
-				// scenario index), so the worker running the chunk builds
-				// it and shares it across the chunk's trials.
-				cellIdx, scenIdx := ci/cfg.Scenarios, ci%cfg.Scenarios
-				scnSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), 0xA11CE)
-				scn := NewScenario(scnSeed, cfg.Cells[cellIdx], cfg.Options)
-				shard := shardPool.Get().(*stats.ShardAggregator)
-				chunkFailed := 0
-				var chunkErrs []string
-				for tr := 0; tr < cfg.Trials; tr++ {
-					ir := shard.Acquire()
-					// Retry loop: every attempt re-derives the identical
-					// trial seed inside run, so a recovered transient
-					// failure contributes exactly the instance an
-					// undisturbed sweep would have.
-					var nCens int
-					var err error
-					for attempt := 0; ; attempt++ {
-						if err = cfg.Faults.InstanceFault(ci, tr, attempt); err == nil {
-							nCens, err = run(scn, cellIdx, scenIdx, tr, ir)
-						}
-						if err == nil {
-							break
-						}
-						if attempt >= cfg.MaxRetries {
-							break
-						}
-						// A failed attempt may have partially filled the
-						// result; wipe it before the rerun.
-						clear(ir.Makespans)
-						clear(ir.Censored)
-					}
-					if err != nil {
-						if cfg.ContinueOnError {
-							// Record-and-continue: drop the instance, keep
-							// the sweep alive. The loss is surfaced via
-							// FailedInstances, and — because the verdict to
-							// drop depends only on (chunk, trial) — is the
-							// same for every worker count.
-							shard.Discard(ir)
-							chunkFailed++
-							if len(chunkErrs) < maxChunkErrors {
-								chunkErrs = append(chunkErrs, err.Error())
-							}
-							if cfg.Progress != nil {
-								cfg.Progress(int(done.Add(1)), total)
-							}
-							continue
-						}
-						select {
-						case errCh <- err:
-						default:
-						}
-						stopOnce.Do(func() { close(stop) })
-						shard.Reset()
-						shardPool.Put(shard)
-						return
-					}
-					shard.Add(ir, nCens)
-					if cfg.Progress != nil {
-						cfg.Progress(int(done.Add(1)), total)
-					}
-				}
-				commitCh <- doneChunk{idx: ci, shard: shard, failed: chunkFailed, errs: chunkErrs}
+			w := plan.newChunkRunner(&cfg, &done, total)
+			for j := range jobs {
+				j.res <- w.run(j.ci)
 			}
 		}()
 	}
+	// Only the feeder writes stopped; the committer reads it after wg.Wait.
+	stopped := false
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(order)
+		defer close(jobs)
+		for ci := startChunk; ci < chunks; ci++ {
+			// Buffered, so a worker never waits on the committer.
+			res := make(chan *chunkResult, 1)
+			select {
+			case jobs <- job{ci, res}:
+			case <-quit:
+				return
+			case <-cfg.Stop:
+				stopped = true
+				return
+			}
+			// A fed chunk is always queued, so a graceful stop commits it.
+			select {
+			case order <- res:
+			case <-quit:
+				return
+			}
+		}
+	}()
 
-	// Committer: merges shards in chunk order, holding out-of-order
-	// arrivals in a reorder window. It owns the aggregates (and all
-	// durability bookkeeping), so no lock guards them; main reads them only
-	// after committerDone.
+	// Committer: the aggregates and all durability bookkeeping belong to
+	// this goroutine alone, so no lock guards them.
 	next := startChunk
 	var instanceErrors, warnings []string
-	var crashErr error
-	ckSeq := 0
-	committerDone := make(chan struct{})
+	ckSeq, sinceCk := 0, 0
 	persist := func() {
-		if ferr := cfg.Faults.CheckpointFault(ckSeq); ferr != nil {
-			ckSeq++
-			warnings = append(warnings, fmt.Sprintf("checkpoint write %s failed: %v", ck.Path, ferr))
-			return
-		}
+		err := cfg.Faults.CheckpointFault(ckSeq)
 		ckSeq++
-		snap := buildSnapshot(plan.digest, chunks, next, censored, failed, overall, byWmin, byCell)
-		if err := checkpoint.Save(ck.Path, snap); err != nil {
+		if err == nil {
+			err = checkpoint.Save(ck.Path, agg.snapshot(plan.digest, chunks, next))
+		}
+		if err != nil {
 			// A failed checkpoint degrades durability, not correctness: the
 			// sweep carries on and the caller learns via Warnings.
 			warnings = append(warnings, fmt.Sprintf("checkpoint write %s failed: %v", ck.Path, err))
 		}
 	}
-	go func() {
-		defer close(committerDone)
-		pending := make(map[int]doneChunk, workers)
-		sinceCk := 0
-		discard := func(dc doneChunk) {
-			dc.shard.Reset()
-			shardPool.Put(dc.shard)
-			<-window
+	var abortErr, crashErr error
+	for res := range order {
+		r := <-res
+		if r.err != nil {
+			abortErr = r.err
+			break
 		}
-		for dc := range commitCh {
-			if crashErr != nil {
-				// Simulated committer death: drain without merging, as a
-				// killed process would simply never see these shards.
-				discard(dc)
-				continue
-			}
-			pending[dc.idx] = dc
-			for {
-				d, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				cell := cfg.Cells[next/cfg.Scenarios]
-				bw := byWmin[cell.Wmin]
-				if bw == nil {
-					bw = stats.NewAggregator()
-					byWmin[cell.Wmin] = bw
-				}
-				bc := byCell[cell]
-				if bc == nil {
-					bc = stats.NewAggregator()
-					byCell[cell] = bc
-				}
-				stats.Merge(d.shard, overall, bw, bc)
-				censored += d.shard.CensoredRuns()
-				failed += d.failed
-				for _, e := range d.errs {
-					if len(instanceErrors) < maxInstanceErrors {
-						instanceErrors = append(instanceErrors, e)
-					}
-				}
-				d.shard.Reset()
-				shardPool.Put(d.shard)
-				<-window
-				next++
-				sinceCk++
-				if cfg.Faults != nil && cfg.Faults.CrashAfterChunks > 0 && next == cfg.Faults.CrashAfterChunks {
-					// Injected crash at the worst point of the boundary: the
-					// chunk is merged in memory but not yet checkpointed, so
-					// resume must re-run it.
-					crashErr = fmt.Errorf("volatile: %w after %d/%d chunks",
-						faultinject.ErrCommitterCrash, next, chunks)
-					stopOnce.Do(func() { close(stop) })
-					for idx, p := range pending {
-						delete(pending, idx)
-						discard(p)
-					}
-					break
-				}
-				if ck != nil && sinceCk >= every {
-					persist()
-					sinceCk = 0
-				}
+		agg.commit(cfg.Cells[next/cfg.Scenarios], r)
+		for _, e := range r.errs {
+			if len(instanceErrors) < maxInstanceErrors {
+				instanceErrors = append(instanceErrors, e)
 			}
 		}
-		// Final checkpoint: covers completion, graceful stop and worker
-		// abort alike — but not an injected committer crash, which models a
-		// process that died before it could write anything more.
-		if ck != nil && crashErr == nil {
+		next++
+		sinceCk++
+		if cfg.Faults != nil && cfg.Faults.CrashAfterChunks > 0 && next == cfg.Faults.CrashAfterChunks {
+			// Injected crash at the worst point of the boundary: the chunk
+			// is merged in memory but not yet checkpointed, so resume must
+			// re-run it.
+			crashErr = fmt.Errorf("volatile: %w after %d/%d chunks",
+				faultinject.ErrCommitterCrash, next, chunks)
+			break
+		}
+		if ck != nil && sinceCk >= every {
 			persist()
-		}
-	}()
-
-	stopped := false
-feed:
-	for ci := startChunk; ci < chunks; ci++ {
-		select {
-		case window <- struct{}{}:
-		case <-stop:
-			break feed
-		case <-cfg.Stop:
-			stopped = true
-			break feed
-		}
-		select {
-		case jobCh <- ci:
-		case <-stop:
-			break feed
-		case <-cfg.Stop:
-			stopped = true
-			break feed
+			sinceCk = 0
 		}
 	}
-	close(jobCh)
+	close(quit)
 	wg.Wait()
-	close(commitCh)
-	<-committerDone
 	if crashErr != nil {
+		// A process that died at the boundary writes nothing more.
 		return nil, crashErr
 	}
-	select {
-	case err := <-errCh:
+	// Final checkpoint: covers completion, graceful stop and worker abort.
+	if ck != nil {
+		persist()
+	}
+	if abortErr != nil {
 		if ck != nil {
-			return nil, fmt.Errorf("%w (committed progress checkpointed to %s; rerun with Checkpoint.Resume)", err, ck.Path)
+			return nil, fmt.Errorf("%w (committed progress checkpointed to %s; rerun with Checkpoint.Resume)", abortErr, ck.Path)
 		}
-		return nil, err
-	default:
+		return nil, abortErr
 	}
 	if stopped {
 		path := ""
@@ -569,7 +513,7 @@ feed:
 		return nil, &InterruptedError{Path: path, Committed: next, Chunks: chunks}
 	}
 
-	out := newSweepResult(overall, byWmin, byCell, censored, failed)
+	out := agg.result()
 	out.InstanceErrors, out.Warnings = instanceErrors, warnings
 	return out, nil
 }

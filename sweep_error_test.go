@@ -28,9 +28,10 @@ func (s *failingSched) Pick(v *sim.View, eligible []int, rs *sim.RoundState, ti 
 }
 
 // TestRunSweepErrorReturnsInsteadOfDeadlocking is the regression test for
-// the sweep error path: when all workers abort, the unbuffered job feed must
-// be released (it used to block forever once no worker was left receiving)
-// and the first error must surface.
+// the sweep error path: when every chunk fails, the committer must stop at
+// the first failing chunk and release the feeder (the job feed once blocked
+// forever once no worker was left receiving), and that chunk's error must
+// surface.
 func TestRunSweepErrorReturnsInsteadOfDeadlocking(t *testing.T) {
 	var instances atomic.Int64
 	if err := core.Register("test-failing", func(*rng.PCG) sim.Scheduler {

@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
@@ -490,5 +492,84 @@ func TestFormatMatchesDigest(t *testing.T) {
 	sum := sha256.Sum256([]byte(res.Format()))
 	if got := hex.EncodeToString(sum[:]); got != res.Digest() {
 		t.Fatalf("Digest %s is not the hash of Format (%s)", res.Digest(), got)
+	}
+}
+
+// TestCommitQueueBoundsStartedChunks pins the memory bound of the commit
+// queue: while chunk 0 stalls the commit, at most 4×workers+5 other chunks
+// may start, however many the grid holds. Chunk 0's hook holds it for up
+// to a second, or until the bound is exceeded.
+func TestCommitQueueBoundsStartedChunks(t *testing.T) {
+	const workers = 2
+	const bound = 4*workers + 5
+	cfg := SweepConfig{
+		Cells:      []Cell{{Tasks: 2, Ncom: 2, Wmin: 1}},
+		Heuristics: []string{"mct"},
+		Scenarios:  40,
+		Trials:     1,
+		Seed:       99,
+		Workers:    workers,
+	}
+	var started atomic.Int64
+	release := make(chan struct{})
+	var once sync.Once
+	whileStalled := int64(-1)
+	cfg.Faults = &faultinject.Plan{Instance: func(chunk, trial, attempt int) error {
+		if chunk == 0 {
+			select {
+			case <-release:
+			case <-time.After(time.Second):
+			}
+			whileStalled = started.Load()
+			return nil
+		}
+		if started.Add(1) > bound {
+			once.Do(func() { close(release) })
+		}
+		return nil
+	}}
+	if _, err := RunSweep(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d other chunks started while chunk 0 stalled", whileStalled)
+	if whileStalled > bound {
+		t.Fatalf("%d chunks started while chunk 0 stalled the commit, want <= %d", whileStalled, bound)
+	}
+}
+
+// TestAbortReturnsLowestFailingChunk pins that a worker abort is
+// deterministic: chunks 1 and 4 both fail, chunk 4 first, and the sweep
+// still returns chunk 1's error with a final checkpoint that covers chunk 0.
+func TestAbortReturnsLowestFailingChunk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "abort.ckpt")
+	cfg := resumeTestConfig()
+	cfg.Workers = 2
+	cfg.Checkpoint = &CheckpointConfig{Path: path, Every: 1}
+	fired := make(chan struct{})
+	var once sync.Once
+	cfg.Faults = &faultinject.Plan{Instance: func(chunk, trial, attempt int) error {
+		switch chunk {
+		case 1:
+			select {
+			case <-fired:
+			case <-time.After(10 * time.Second):
+			}
+			return errors.New("chunk 1 fault")
+		case 4:
+			once.Do(func() { close(fired) })
+			return errors.New("chunk 4 fault")
+		}
+		return nil
+	}}
+	_, err := RunSweep(cfg)
+	if err == nil || !strings.Contains(err.Error(), "chunk 1 fault") {
+		t.Fatalf("RunSweep = %v, want chunk 1's error", err)
+	}
+	snap, ckErr := checkpoint.Load(path)
+	if ckErr != nil {
+		t.Fatalf("no usable checkpoint after abort: %v", ckErr)
+	}
+	if snap.NextChunk != 1 {
+		t.Fatalf("abort checkpoint watermark %d, want 1", snap.NextChunk)
 	}
 }
