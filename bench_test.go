@@ -95,6 +95,29 @@ func BenchmarkMoldableSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkLargePSweep runs the large-P family through RunSweep on the
+// event clock (P = 1000, one scenario, two trials, one iteration, one
+// worker), so the four contenders of each instance replay one shared
+// availability recording. BenchmarkLargePlatform (internal/sim) hands the
+// engine its processes directly and cannot see that sharing; CI's
+// bench-smoke records this entry next to it in BENCH_table2.json.
+func BenchmarkLargePSweep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := LargePConfig(1000, 1, 2, 1)
+		cfg.Mode = ModeEvent
+		cfg.Options.Iterations = 1
+		cfg.Workers = 1
+		res, err := RunSweep(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Instances != 2 {
+			b.Fatalf("%d instances, want 2", res.Instances)
+		}
+	}
+}
+
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := Figure2Config(benchScenarios, benchTrials, 42)

@@ -1,4 +1,4 @@
-package sim
+package avail
 
 import (
 	"math/rand"
@@ -91,11 +91,11 @@ func TestTransitionHeapInterleaved(t *testing.T) {
 }
 
 // TestTransitionHeapReplaceTop interleaves push, pop and replace-top — the
-// event clock's access pattern: a due worker's next transition replaces the
+// tape's access pattern: a logged worker's next transition replaces the
 // root, and a worker whose state then holds forever is popped — over dense
 // same-slot ties, and checks the full drain order (every popped or replaced
 // root, then what remains) against a sort of the same entries on (slot,
-// worker). As in the engine, nothing is queued before the last removed
+// worker). As in the tape, nothing is queued before the last removed
 // root — a replacement is strictly later than the root it replaces, a push
 // no earlier than the clock — and each worker has at most one entry.
 func TestTransitionHeapReplaceTop(t *testing.T) {

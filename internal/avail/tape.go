@@ -1,296 +1,247 @@
 package avail
 
-import "fmt"
-
-// Tape records the availability trajectories of a platform once, as one
-// run-length log of (startSlot, state) runs per processor, so that several
-// consumers can replay the identical world. The paper compares heuristics
-// with common random numbers: every contender on one (scenario, trial)
-// instance faces the same trajectories, so sampling them once and replaying
-// them to each contender changes no result, only the cost.
-//
-// Logs are extended lazily, one run at a time, when a cursor reads past
-// what is recorded, and never past the horizon given to Reset: a run that
-// would start at or beyond it is not recorded, and the last recorded run
-// holds Forever. Consumers that stop at the horizon (the engines stop at
-// Params.EffectiveMaxSlots) therefore see exactly the source trajectory.
-//
-// A per-slot tape records what the sources' Next yields slot by slot: it
-// steps each source until its state changes, so its runs are exactly the
-// slot-mode trajectory. A transition tape records what the sources'
-// NextTransition yields, which for a Markov3Process is the sojourn-sampled
-// event-mode trajectory. The tape owns its sources from Reset on: nothing
-// else may draw from them, or the recorded world would skip states.
-type Tape struct {
-	perSlot bool
-	limit   int
-	logs    []tapeLog
-	// free holds overflow chunks released by Reset, for reuse.
-	free []*tapeChunk
-	// long holds the lengths of closed runs too long for a tapeRun.
-	long map[longRun]int
-	// procs is the pooled replay set Replay hands out.
-	procs []Process
-}
-
-// tapeRun is one recorded run in 16 bits: its state in the low two bits
-// and its length in slots above them. The length is 0 while the run is the
-// last one recorded, and for a closed run too long to pack, whose length
-// Tape.long then holds. Runs are read in order, so a cursor finds the start
-// slot of each run by summing the lengths before it; a few thousand runs
-// per processor cost a few kilobytes.
-type tapeRun uint16
-
-// maxPackedLen is the longest run length a tapeRun holds.
-const maxPackedLen = 1<<14 - 1
-
-func (r tapeRun) state() State { return State(r & 3) }
-
-// longRun names run k of a log.
-type longRun struct {
-	lg *tapeLog
-	k  int
-}
-
-// A log keeps its first firstRuns runs inline, so short recordings (a
-// large platform's processors see a handful of transitions per run) cost
-// no allocation, and the rest in fixed chunks of chunkRuns runs that the
-// tape recycles across recordings, so a log grows without copying or
-// leaving garbage behind.
-const (
-	firstRuns = 16
-	chunkRuns = 32
+import (
+	"encoding/binary"
+	"fmt"
 )
 
-type tapeChunk [chunkRuns]tapeRun
-
-// tapeLog is one processor's recording.
-type tapeLog struct {
-	// The log's pooled replay cursor and what a replay reads of every run
-	// come first, so that replaying a run mostly touches one cache line.
-	cursor Cursor
-	// n runs are recorded: the first ones inline, the rest in chunks.
-	n     int
-	first [firstRuns]tapeRun
-	more  []*tapeChunk
-	t     *Tape
-	src   Process
-	// byRuns records src through NextTransition: on a transition tape, and
-	// on a per-slot tape for a source whose runs are exactly its per-slot
-	// sequence (see SlotTrajectory). Otherwise the tape steps src.Next.
-	byRuns bool
-	// done reports that the last recorded run holds for the rest of the
-	// horizon.
-	done bool
-	// last is the start slot of the last recorded run.
-	last int
-	// next is the next slot a per-slot source emits; slots before it are
-	// recorded.
-	next int
+// Tape records the availability trajectories of a platform once, as one
+// merged, (slot, worker)-ordered log of transitions, so that several
+// consumers can replay the identical world. The paper compares heuristics
+// with common random numbers: every contender on one (scenario, trial)
+// instance faces the same trajectories, so sampling them once — and merging
+// the per-processor streams once — and replaying the log to each contender
+// changes no result, only the cost.
+//
+// The tape keeps the slot-0 states apart (Initial) and a (slot, worker)
+// min-heap over each source's next change. The log is extended lazily, one
+// transition at a time, when a Reader reads past what is recorded: the
+// heap's root is appended, and its source is asked for its next change only
+// when the log is extended again. Same-slot transitions are logged in
+// ascending worker order. Nothing at or beyond the horizon given to Reset
+// is recorded, so consumers that stop at the horizon (the engine stops at
+// Params.EffectiveMaxSlots) see exactly the source trajectories.
+//
+// A per-slot tape records what the sources' Next yields slot by slot: it
+// steps each source until its state changes, except a replayed vector,
+// whose runs are exactly its per-slot sequence and are read run by run
+// (stepping it slot by slot would cost the whole horizon once it holds its
+// last state). A transition tape records what the sources' NextTransition
+// yields, which for a Markov3Process is the sojourn-sampled event-mode
+// trajectory. The tape owns its sources from Reset on: nothing else may
+// draw from them, or the recorded world would skip states.
+type Tape struct {
+	limit int
+	// srcs are the recorded sources; initial[i] is source i's slot-0 state
+	// and pend[i] the state it enters at its heap entry.
+	srcs    []tapeSource
+	initial []State
+	pend    []State
+	heap    transitionHeap
+	// rootLogged reports that the heap's root is already in the log and
+	// its source still owes its next change.
+	rootLogged bool
+	// The log holds one entry per transition — uvarint(slot - previous
+	// entry's slot) then uvarint(worker<<2 | state) — in chunks of
+	// logChunk bytes that no entry straddles, so it grows without copying
+	// or leaving garbage behind: chunks[:used] hold the recording, the rest
+	// wait for the next one. last is the slot of the last entry.
+	chunks [][]byte
+	used   int
+	last   int
+	// err is the first Trajectory contract violation met while recording.
+	err error
 }
 
-// run returns recorded run k.
-func (lg *tapeLog) run(k int) *tapeRun {
-	if k < firstRuns {
-		return &lg.first[k]
-	}
-	k -= firstRuns
-	return &lg.more[k/chunkRuns][k%chunkRuns]
-}
+// logChunk is the size of a log chunk; maxEntry bounds one encoded entry.
+const (
+	logChunk = 8 << 10
+	maxEntry = 2 * binary.MaxVarintLen64
+)
 
-// runLen returns the length of closed run k.
-func (lg *tapeLog) runLen(k int) int {
-	if l := int(*lg.run(k) >> 2); l != 0 {
-		return l
-	}
-	return lg.t.long[longRun{lg, k}]
-}
-
-// push records a run of state s starting at slot at, closing the previous
-// run.
-func (lg *tapeLog) push(at int, s State) {
-	t := lg.t
-	if lg.n > 0 {
-		if l := at - lg.last; l <= maxPackedLen {
-			*lg.run(lg.n - 1) |= tapeRun(l) << 2
-		} else {
-			if t.long == nil {
-				t.long = make(map[longRun]int)
-			}
-			t.long[longRun{lg, lg.n - 1}] = l
-		}
-	}
-	if k := lg.n - firstRuns; k >= 0 && k%chunkRuns == 0 {
-		if f := len(t.free); f > 0 {
-			lg.more = append(lg.more, t.free[f-1])
-			t.free = t.free[:f-1]
-		} else {
-			lg.more = append(lg.more, new(tapeChunk))
-		}
-	}
-	*lg.run(lg.n) = tapeRun(s)
-	lg.n++
-	lg.last = at
+// tapeSource is one recorded source: tr is set when it is read run by run.
+type tapeSource struct {
+	p  Process
+	tr Trajectory
 }
 
 // Reset points the tape at one source per processor, recording per slot
-// (Next) or per transition (NextTransition), capped at limit slots. It
-// reuses the previous recording's storage. A transition tape needs every
-// source to implement Trajectory and honour its contract (first run at
-// slot 0, strictly increasing run starts); it panics otherwise.
+// (Next) or per transition (NextTransition), capped at limit slots, and
+// draws every source's slot-0 state and next change. It reuses the
+// previous recording's storage. A transition tape needs every source to
+// implement Trajectory and panics otherwise; a source that breaks the
+// Trajectory contract (first run at slot 0, strictly increasing run starts)
+// makes every Reader of the tape return an error.
 func (t *Tape) Reset(srcs []Process, perSlot bool, limit int) {
-	t.perSlot, t.limit = perSlot, limit
 	p := len(srcs)
-	if cap(t.logs) < p {
-		logs := make([]tapeLog, p)
-		copy(logs, t.logs[:cap(t.logs)])
-		t.logs = logs
+	t.limit, t.rootLogged, t.err = limit, false, nil
+	t.used, t.last = 0, 0
+	t.heap.reset()
+	if cap(t.srcs) < p {
+		t.srcs = make([]tapeSource, p)
+		t.initial = make([]State, p)
+		t.pend = make([]State, p)
 	}
-	t.logs = t.logs[:p]
-	for i := range t.logs[:cap(t.logs)] {
-		lg := &t.logs[:cap(t.logs)][i]
-		t.free = append(t.free, lg.more...)
-		*lg = tapeLog{more: lg.more[:0], t: t}
-	}
-	clear(t.long)
+	t.srcs, t.initial, t.pend = t.srcs[:p], t.initial[:p], t.pend[:p]
 	for i, src := range srcs {
-		lg := &t.logs[i]
-		lg.src = src
+		ts := tapeSource{p: src}
 		if perSlot {
-			_, lg.byRuns = SlotTrajectory(src)
-			continue
-		}
-		if _, ok := src.(Trajectory); !ok {
+			if v, ok := src.(*VectorProcess); ok {
+				ts.tr = v
+			}
+		} else if tr, ok := src.(Trajectory); ok {
+			ts.tr = tr
+		} else {
 			panic(fmt.Sprintf("avail: transition tape source %d (%T) is not a Trajectory", i, src))
 		}
-		lg.byRuns = true
-	}
-}
-
-// Cursor returns a new replay cursor for processor i, positioned at slot 0.
-func (t *Tape) Cursor(i int) *Cursor {
-	return &Cursor{lg: &t.logs[i]}
-}
-
-// Replay rewinds the tape's pooled cursors, one per processor, and returns
-// them as the process slice an engine takes. The slice and its cursors are
-// valid until the next Replay or Reset.
-func (t *Tape) Replay() []Process {
-	p := len(t.logs)
-	if cap(t.procs) < p {
-		t.procs = make([]Process, p)
-	}
-	t.procs = t.procs[:p]
-	for i := range t.logs {
-		lg := &t.logs[i]
-		lg.cursor = Cursor{lg: lg}
-		t.procs[i] = &lg.cursor
-	}
-	return t.procs
-}
-
-// extend records one more run of lg, or marks it done when its last run
-// holds to the horizon.
-func (lg *tapeLog) extend() {
-	if lg.byRuns {
-		s, at := lg.src.(Trajectory).NextTransition()
-		if lg.n == 0 && at != 0 || lg.n > 0 && at <= lg.last {
-			panic(fmt.Sprintf("avail: tape source %T: run %d at slot %d, previous at %d", lg.src, lg.n, at, lg.last))
+		t.srcs[i] = ts
+		s := State(0)
+		if ts.tr != nil {
+			var at int
+			if s, at = ts.tr.NextTransition(); at != 0 {
+				t.err = fmt.Errorf("availability trajectory %d: first transition at slot %d, want 0", i, at)
+				return
+			}
+		} else {
+			s = src.Next()
 		}
-		if at >= lg.t.limit && lg.n > 0 {
-			lg.done = true
-			return
-		}
-		lg.push(at, s)
-		return
-	}
-	if lg.n == 0 {
-		lg.push(0, lg.src.Next())
-		lg.next = 1
-		return
-	}
-	cur := lg.run(lg.n - 1).state()
-	for lg.next < lg.t.limit {
-		s := lg.src.Next()
-		lg.next++
-		if s != cur {
-			lg.push(lg.next-1, s)
+		t.initial[i], t.pend[i] = s, s
+		if at, ok := t.next(i, 0); ok {
+			t.heap.push(transition{at, i})
+		} else if t.err != nil {
 			return
 		}
 	}
-	lg.done = true
 }
 
-// Cursor replays one processor's recording. It implements Trajectory: Next
-// replays slot by slot (for per-slot consumers such as the batch engine),
-// NextTransition run by run, and like any Trajectory a cursor is driven
-// through one of the two. The zero position is slot 0.
-type Cursor struct {
-	lg *tapeLog
-	// k is the next run to enter; the current run k-1 starts at slot at.
-	k, at int
-	// slot is the next slot Next returns; the current run holds until end.
-	slot, end int
+// next draws source i's next change after its change at slot prev into
+// pend[i] and returns its slot, or false when the source's state holds to
+// the horizon or it broke the Trajectory contract (t.err).
+func (t *Tape) next(i, prev int) (int, bool) {
+	src := &t.srcs[i]
+	if src.tr != nil {
+		s, at := src.tr.NextTransition()
+		if at >= t.limit {
+			return 0, false
+		}
+		if at <= prev {
+			t.err = fmt.Errorf("availability trajectory %d: transition slot %d not after %d", i, at, prev)
+			return 0, false
+		}
+		t.pend[i] = s
+		return at, true
+	}
+	cur := t.pend[i]
+	for slot := prev + 1; slot < t.limit; slot++ {
+		if s := src.p.Next(); s != cur {
+			t.pend[i] = s
+			return slot, true
+		}
+	}
+	return 0, false
 }
 
-// has reports whether run k is recorded, extending the log as needed.
-func (c *Cursor) has(k int) bool {
-	for k >= c.lg.n {
-		if c.lg.done {
+// extend appends the next merged transition to the log. It returns false
+// when no source changes again before the horizon, or recording failed.
+func (t *Tape) extend() bool {
+	if t.err != nil {
+		return false
+	}
+	if t.rootLogged {
+		t.rootLogged = false
+		root := t.heap.q[0]
+		if at, ok := t.next(root.worker, root.slot); ok {
+			t.heap.replaceTop(transition{at, root.worker})
+		} else if t.err != nil {
 			return false
+		} else {
+			t.heap.pop()
 		}
-		c.lg.extend()
 	}
+	root, ok := t.heap.min()
+	if !ok {
+		return false
+	}
+	if t.used == 0 || len(t.chunks[t.used-1])+maxEntry > logChunk {
+		if t.used == len(t.chunks) {
+			t.chunks = append(t.chunks, make([]byte, 0, logChunk))
+		}
+		t.chunks[t.used] = t.chunks[t.used][:0]
+		t.used++
+	}
+	c := &t.chunks[t.used-1]
+	*c = binary.AppendUvarint(*c, uint64(root.slot-t.last))
+	*c = binary.AppendUvarint(*c, uint64(root.worker)<<2|uint64(t.pend[root.worker]))
+	t.last = root.slot
+	t.rootLogged = true
 	return true
 }
 
-// NextTransition implements Trajectory: the recorded runs in order, then
-// the last state holding Forever.
-func (c *Cursor) NextTransition() (State, int) {
-	if !c.has(c.k) {
-		return c.lg.run(c.lg.n - 1).state(), Forever
-	}
-	if c.k > 0 {
-		c.at += c.lg.runLen(c.k - 1)
-	}
-	c.k++
-	return c.lg.run(c.k - 1).state(), c.at
+// P returns the number of recorded processors.
+func (t *Tape) P() int { return len(t.srcs) }
+
+// Limit returns the horizon the tape records to.
+func (t *Tape) Limit() int { return t.limit }
+
+// Initial returns every processor's slot-0 state, indexed by processor.
+// The slice is valid until the next Reset.
+func (t *Tape) Initial() []State { return t.initial }
+
+// Reader replays a Tape's log: the transitions after slot 0 in (slot,
+// worker) order. Any number of readers may replay one tape, each at its own
+// position; a reader that reads past the recording extends it for all.
+type Reader struct {
+	t *Tape
+	// chunk and off locate the next entry in the log.
+	chunk, off int
+	// slot, worker and state are the current transition; slot is Forever
+	// once the log holds no further transition.
+	slot, worker int
+	state        State
 }
 
-// Next implements Process: the recorded state of each slot in turn. Past
-// the horizon it keeps returning the last recorded state.
-func (c *Cursor) Next() State {
-	for c.slot >= c.end {
-		// Enter run k, which starts where the current run ends (run 0 is
-		// always recorded; later ones were checked below).
-		c.has(c.k)
-		c.at = c.end
-		c.k++
-		if c.has(c.k) {
-			c.end = c.at + c.lg.runLen(c.k-1)
-		} else {
-			c.end = Forever
+// Rewind positions r at the first transition of t.
+func (r *Reader) Rewind(t *Tape) error {
+	*r = Reader{t: t}
+	return r.Advance()
+}
+
+// Slot returns the slot of the current transition, or Forever.
+func (r *Reader) Slot() int { return r.slot }
+
+// Worker returns the processor the current transition changes.
+func (r *Reader) Worker() int { return r.worker }
+
+// State returns the state the current transition enters.
+func (r *Reader) State() State { return r.state }
+
+// Advance moves r to the next transition, extending the log as needed. It
+// returns the tape's error when a source broke the Trajectory contract.
+func (r *Reader) Advance() error {
+	t := r.t
+	for r.chunk == t.used || r.off == len(t.chunks[r.chunk]) {
+		if r.chunk+1 < t.used {
+			r.chunk, r.off = r.chunk+1, 0
+		} else if !t.extend() {
+			r.slot = Forever
+			return t.err
 		}
 	}
-	c.slot++
-	return c.lg.run(c.k - 1).state()
+	delta := r.uvarint()
+	code := r.uvarint()
+	r.slot += delta
+	r.worker, r.state = code>>2, State(code&3)
+	return nil
 }
 
-// SlotTrajectory returns p's run-level view when its runs are exactly its
-// per-slot Next sequence, and false otherwise. A cursor on a per-slot tape
-// qualifies, and so does a replayed vector, whose runs are fixed (stepping
-// it slot by slot would cost the whole horizon once it holds its last
-// state). A Markov3Process does not: its NextTransition samples sojourns in
-// closed form and so draws a different trajectory from the same stream.
-// Neither does a cursor on a transition tape, whose runs were recorded that
-// way. Slot-clock consumers record any other process through a per-slot
-// Tape.
-func SlotTrajectory(p Process) (Trajectory, bool) {
-	switch p := p.(type) {
-	case *VectorProcess:
-		return p, true
-	case *Cursor:
-		return p, p.lg.t.perSlot
+// uvarint decodes the log entry field at r.off; most fit in one byte.
+func (r *Reader) uvarint() int {
+	c := r.t.chunks[r.chunk]
+	if b := c[r.off]; b < 0x80 {
+		r.off++
+		return int(b)
 	}
-	return nil, false
+	v, n := binary.Uvarint(c[r.off:])
+	r.off += n
+	return int(v)
 }

@@ -40,8 +40,16 @@ type Config struct {
 	// Procs supplies the actual availability trajectory of each processor
 	// (same order as Platform.Processors). The trajectories may follow the
 	// processors' declared Markov models, or deliberately deviate from them
-	// (trace-driven and semi-Markov experiments).
+	// (trace-driven and semi-Markov experiments). The engine records them on
+	// its own pooled avail.Tape and replays that.
 	Procs []avail.Process
+	// Tape, set instead of Procs, is an availability recording to replay:
+	// it must cover every processor up to at least the run's horizon
+	// (Params.EffectiveMaxSlots) and be recorded per slot for ModeSlot and
+	// per transition for ModeEvent. Runs that replay one tape face the same
+	// world and share its recording; results equal a run on the recorded
+	// processes given as Procs.
+	Tape *avail.Tape
 	// Scheduler is the heuristic under test.
 	Scheduler Scheduler
 	// Alloc, when non-nil, makes the application moldable: the policy is
@@ -53,8 +61,8 @@ type Config struct {
 	// Mode selects the engine's time base: ModeSlot (the default) executes
 	// every slot on the per-slot (Next) trajectories; ModeEvent reads
 	// availability at sojourn granularity (requires Procs that implement
-	// avail.Trajectory) and skips quiet spans. Both advance states through
-	// the same transition heap (eventclock.go).
+	// avail.Trajectory) and skips quiet spans. Both advance states by
+	// replaying one merged transition log (eventclock.go).
 	Mode Mode
 	// Observer, when non-nil, is invoked after every slot.
 	Observer func(*SlotReport)
@@ -73,7 +81,18 @@ func (c *Config) validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return err
 	}
-	if len(c.Procs) != c.Platform.P() {
+	if !c.Mode.valid() {
+		return fmt.Errorf("sim: invalid mode %d", c.Mode)
+	}
+	if t := c.Tape; t != nil {
+		if c.Procs != nil {
+			return fmt.Errorf("sim: both Procs and Tape set")
+		}
+		if t.P() != c.Platform.P() || t.Limit() < c.Params.EffectiveMaxSlots() {
+			return fmt.Errorf("sim: tape of %d processors to slot %d for %d processors to slot %d",
+				t.P(), t.Limit(), c.Platform.P(), c.Params.EffectiveMaxSlots())
+		}
+	} else if len(c.Procs) != c.Platform.P() {
 		return fmt.Errorf("sim: %d availability processes for %d processors",
 			len(c.Procs), c.Platform.P())
 	}
@@ -81,15 +100,8 @@ func (c *Config) validate() error {
 		if p == nil {
 			return fmt.Errorf("sim: nil availability process %d", i)
 		}
-	}
-	if !c.Mode.valid() {
-		return fmt.Errorf("sim: invalid mode %d", c.Mode)
-	}
-	if c.Mode == ModeEvent {
-		for i, p := range c.Procs {
-			if _, ok := p.(avail.Trajectory); !ok {
-				return fmt.Errorf("sim: event mode requires availability processes implementing avail.Trajectory; process %d (%T) does not", i, p)
-			}
+		if _, ok := p.(avail.Trajectory); !ok && c.Mode == ModeEvent {
+			return fmt.Errorf("sim: event mode requires availability processes implementing avail.Trajectory; process %d (%T) does not", i, p)
 		}
 	}
 	if c.Scheduler == nil {
@@ -203,15 +215,9 @@ type engine struct {
 	// bit, so the scheduling round reads its n_active base in O(1) instead
 	// of recounting all P workers.
 	nBusy int
-	// trajs/pendState/evq advance availability on both clocks
-	// (eventclock.go): trajs are the run-level views of cfg.Procs,
-	// pendState[i] is the state worker i enters at its queued transition
-	// slot, and evq is the (slot, worker) min-heap of pending transitions.
-	trajs     []avail.Trajectory
-	pendState []avail.State
-	evq       transitionHeap
-	// tape records, in slot mode, the per-slot trajectory of every process
-	// that is not already a run-level view of it (see initClock).
+	// log replays the run's availability tape on both clocks
+	// (eventclock.go); tape records cfg.Procs when the run has no cfg.Tape.
+	log  avail.Reader
 	tape avail.Tape
 	// skipQuiet permits quiet-span skipping: event mode with a scheduler
 	// that does not implement Canceller (a Canceller may act on slots where
@@ -409,8 +415,6 @@ func (e *engine) reset(cfg Config) {
 	e.overlaid = false
 	e.finishers = e.finishers[:0]
 
-	e.trajs = e.trajs[:0]
-	e.evq.reset()
 	e.skipQuiet = false
 
 	e.allocPending = cfg.Alloc != nil

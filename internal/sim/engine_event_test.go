@@ -228,3 +228,60 @@ func TestParseMode(t *testing.T) {
 		t.Fatalf("want invalid-mode error, got %v", err)
 	}
 }
+
+// fixedRuns replays fixed (state, slot) runs, however malformed, then holds
+// its last state Forever.
+type fixedRuns struct {
+	states []avail.State
+	starts []int
+}
+
+func (f *fixedRuns) Next() avail.State { panic("fixedRuns is read run by run") }
+
+func (f *fixedRuns) NextTransition() (avail.State, int) {
+	if len(f.starts) == 0 {
+		return avail.Up, avail.Forever
+	}
+	s, at := f.states[0], f.starts[0]
+	f.states, f.starts = f.states[1:], f.starts[1:]
+	return s, at
+}
+
+// TestMalformedTrajectoryErrors pins that a run whose Procs break the
+// avail.Trajectory contract returns an error naming the process instead of
+// panicking in the tape that records them: a first run that does not start
+// at slot 0, and a run that does not start after the previous one, met
+// mid-run. It also pins the Procs/Tape exclusivity of Config.
+func TestMalformedTrajectoryErrors(t *testing.T) {
+	pl := platform.RandomPlatform(rng.New(1), 2, 1)
+	prm := platform.Params{M: 2, Iterations: 50, Ncom: 2, Tprog: 1, Tdata: 1, MaxSlots: 100}
+	for _, tc := range []struct {
+		name string
+		bad  *fixedRuns
+		want string
+	}{
+		{"late-start", &fixedRuns{[]avail.State{avail.Up}, []int{3}},
+			"sim: availability trajectory 1: first transition at slot 3, want 0"},
+		{"not-after", &fixedRuns{[]avail.State{avail.Up, avail.Down, avail.Up}, []int{0, 7, 4}},
+			"sim: availability trajectory 1: transition slot 4 not after 7"},
+	} {
+		procs := []avail.Process{avail.NewVectorProcess(avail.Vector{avail.Up}), tc.bad}
+		_, err := sim.NewRunner().Run(sim.Config{Platform: pl, Params: prm, Procs: procs,
+			Scheduler: leastLoaded{}, Mode: sim.ModeEvent})
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: Run error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	var tape avail.Tape
+	procs := []avail.Process{avail.NewVectorProcess(avail.Vector{avail.Up}), avail.NewVectorProcess(avail.Vector{avail.Up})}
+	tape.Reset(procs, true, prm.EffectiveMaxSlots())
+	for _, cfg := range []sim.Config{
+		{Platform: pl, Params: prm, Procs: procs, Tape: &tape, Scheduler: leastLoaded{}},
+		{Platform: platform.RandomPlatform(rng.New(1), 3, 1), Params: prm, Tape: &tape, Scheduler: leastLoaded{}},
+	} {
+		if _, err := sim.Run(cfg); err == nil {
+			t.Fatalf("Run accepted a config with Procs %v and a tape of %d processors for %d", cfg.Procs != nil, tape.P(), cfg.Platform.P())
+		}
+	}
+}

@@ -23,16 +23,16 @@ const largePActive = 256
 // cost tracks the number of availability changes, not the platform size P.
 // A fixed pool of largePActive cycling workers does all the computing while
 // the remaining P-largePActive workers are permanently DOWN — a one-entry
-// vector trajectory whose first transition holds Forever, so the event
-// queue primes them once at slot 0 and never revisits them. Growing P from
-// 1k to 100k therefore adds only per-run setup (trajectory priming,
-// pooled-buffer zeroing), amortized across the run's slots: event-mode
+// vector trajectory whose first transition holds Forever, so the tape
+// records their slot-0 state once and never logs them. Growing P from 1k
+// to 100k therefore adds only per-run setup (tape priming, pooled-buffer
+// zeroing), amortized across the run's slots: event-mode
 // ns/slot must stay in the same band across P, which is the measured
 // acceptance criterion for the O(changes) engine work (quiet-skip checks,
 // dirty-set view rebuilds, holder-list cancels). The slot-mode rows run
 // the same platform on the slot clock: it still draws one sample per slot
-// for each cycling Markov worker, but reads the DOWN pool's vectors run by
-// run through the same transition heap, so its ns/slot also tracks the
+// for each cycling Markov worker, but records the DOWN pool's vectors run
+// by run on the same merged transition log, so its ns/slot also tracks the
 // changes rather than P.
 //
 // CI's bench-smoke job records the P=1k pair as the regression smoke point;

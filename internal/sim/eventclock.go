@@ -1,26 +1,21 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/avail"
-)
+import "fmt"
 
 // This file is the engine's clock. Two mechanisms keep per-slot costs flat:
 //
-//   - availability advances through one transition heap on both time
-//     bases: each processor's run-level trajectory (avail.Trajectory)
-//     yields (state, startSlot) runs, queued on a (slot, worker) min-heap,
-//     so advancing states costs O(changes) per slot instead of O(P). The
-//     time bases differ only in which runs they read (initClock): event
-//     mode reads each process's own NextTransition, which samples sojourns
-//     in closed form; slot mode reads runs that are exactly the per-slot
-//     Next sequence — a per-slot tape cursor or vector as given, any other
-//     process recorded through the engine-owned per-slot tape;
+//   - availability advances by replaying one merged transition log
+//     (avail.Tape) on both time bases: the tape merges every processor's
+//     changes into one (slot, worker)-ordered log, so advancing states
+//     costs O(changes) per slot instead of O(P), and every contender of an
+//     instance replays the log its first run recorded. The time bases
+//     differ only in what the tape records: event mode each process's own
+//     NextTransition, which samples sojourns in closed form; slot mode the
+//     per-slot Next sequence;
 //
 //   - in event mode only, quiet spans are skipped: when a finished slot
 //     mutated no scheduler-visible state and no scheduler decision could
-//     bind work on the frozen platform, every slot before the next queued
+//     bind work on the frozen platform, every slot before the next logged
 //     availability transition would replay identically, so the clock jumps
 //     straight to that transition (nextSlot). Slot mode executes every
 //     slot, because skipping would change the random family's RNG use.
@@ -29,164 +24,51 @@ import (
 // removal path, tracker updates, dirty marks, metrics) are shared by both
 // time bases — event mode only changes when they run, never what they do.
 
-// transitionHeap is a binary min-heap of pending availability transitions
-// ordered by (slot, worker). Same-slot entries pop in ascending worker
-// order, so simultaneous transitions always apply in the same order and
-// crash event streams stay bit-identical across modes on identical
-// trajectories. Sifts move a hole, writing each displaced entry once.
-type transitionHeap struct{ q []transition }
-
-// transition is one queued availability change: worker enters its pending
-// state at slot.
-type transition struct{ slot, worker int }
-
-func (a transition) less(b transition) bool {
-	return a.slot < b.slot || (a.slot == b.slot && a.worker < b.worker)
-}
-
-func (h *transitionHeap) reset() { h.q = h.q[:0] }
-
-func (h *transitionHeap) push(t transition) {
-	h.q = append(h.q, t)
-	i := len(h.q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.less(h.q[parent]) {
-			break
-		}
-		h.q[i] = h.q[parent]
-		i = parent
-	}
-	h.q[i] = t
-}
-
-// min returns the earliest queued transition.
-func (h *transitionHeap) min() (transition, bool) {
-	if len(h.q) == 0 {
-		return transition{}, false
-	}
-	return h.q[0], true
-}
-
-// pop removes and returns the root entry.
-func (h *transitionHeap) pop() transition {
-	root, last := h.q[0], h.q[len(h.q)-1]
-	h.q = h.q[:len(h.q)-1]
-	if len(h.q) > 0 {
-		h.replaceTop(last)
-	}
-	return root
-}
-
-// replaceTop replaces the root entry with t and sifts it down as a hole:
-// one sift where a pop followed by a push would take two.
-func (h *transitionHeap) replaceTop(t transition) {
-	n := len(h.q)
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if right := child + 1; right < n && h.q[right].less(h.q[child]) {
-			child = right
-		}
-		if !h.q[child].less(t) {
-			break
-		}
-		h.q[i] = h.q[child]
-		i = child
-	}
-	h.q[i] = t
-}
-
-// initClock sizes and fills the clock after reset: one trajectory per
-// worker, its slot-0 state applied directly and its first real transition
-// queued. Applying slot 0 here — in ascending worker order, the same order
-// the queue would drain a slot-0 tie — keeps the heap free of the initial
-// P-way tie, and workers whose slot-0 state holds Forever (a
-// permanently-down volunteer, a recorded vector past its end) never enter
-// the queue at all. That makes priming O(P) with per-worker O(1) instead
-// of the O(P log P) push-pop churn a 100k-worker platform paid on its
-// first slot. In event mode Config.validate has already checked every
-// process implements avail.Trajectory; in slot mode the engine-owned tape
-// records, up to the horizon, every process that is not already a run-level
-// view of its per-slot sequence.
+// initClock points the clock at the run's tape after reset — cfg.Tape, or
+// the engine-owned tape recording cfg.Procs up to the horizon — rewinds the
+// log reader to the first transition after slot 0 and applies every
+// worker's slot-0 state directly, in ascending worker order. Workers
+// whose slot-0 state holds Forever (a permanently-down volunteer, a
+// recorded vector past its end) never appear in the log at all.
 func (e *engine) initClock(maxSlots int) error {
-	p := len(e.workers)
-	if cap(e.trajs) < p {
-		e.trajs = make([]avail.Trajectory, 0, p)
+	tape := e.cfg.Tape
+	if tape == nil {
+		e.tape.Reset(e.cfg.Procs, e.cfg.Mode == ModeSlot, maxSlots)
+		tape = &e.tape
 	}
-	if cap(e.pendState) < p {
-		e.pendState = make([]avail.State, p)
+	if err := e.log.Rewind(tape); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
-	e.pendState = e.pendState[:p]
-	var taped []avail.Process
-	for i, proc := range e.cfg.Procs {
-		var tr avail.Trajectory
-		if e.cfg.Mode == ModeEvent {
-			tr = proc.(avail.Trajectory)
-		} else if st, ok := avail.SlotTrajectory(proc); ok {
-			tr = st
-		} else {
-			if taped == nil {
-				e.tape.Reset(e.cfg.Procs, true, maxSlots)
-				taped = e.tape.Replay()
-			}
-			tr = taped[i].(avail.Trajectory)
-		}
-		e.trajs = append(e.trajs, tr)
-		s, at := tr.NextTransition()
-		if at != 0 {
-			return fmt.Errorf("sim: availability trajectory %d: first transition at slot %d, want 0", i, at)
-		}
+	for i, s := range tape.Initial() {
 		if s != e.states[i] {
 			e.applyState(i, s)
 		}
-		ns, nat := tr.NextTransition()
-		if nat == avail.Forever {
-			continue // the worker's slot-0 state holds for the whole run
-		}
-		if nat <= 0 {
-			return fmt.Errorf("sim: availability trajectory %d: transition slot %d not after 0", i, nat)
-		}
-		e.pendState[i] = ns
-		e.evq.push(transition{nat, i})
 	}
 	_, canceller := e.cfg.Scheduler.(Canceller)
 	e.skipQuiet = e.cfg.Mode == ModeEvent && !canceller
 	return nil
 }
 
-// applyTransitions applies the availability transitions due at the
-// current slot and refills the queue from the trajectories. Between queued
-// transitions a worker's state is constant, so slots with no due entry
-// leave every state untouched — the same states a per-slot scan of every
-// worker would compute, at O(changes) instead of O(P) cost.
+// applyTransitions applies the availability transitions the log holds for
+// the current slot. Between logged transitions a worker's state is
+// constant, so slots with no due entry leave every state untouched — the
+// same states a per-slot scan of every worker would compute, at O(changes)
+// instead of O(P) cost.
 func (e *engine) applyTransitions() error {
-	for t, ok := e.evq.min(); ok && t.slot <= e.slot; t, ok = e.evq.min() {
-		i := t.worker
-		next := e.pendState[i]
-		if next != e.states[i] {
+	for e.log.Slot() <= e.slot {
+		if i, next := e.log.Worker(), e.log.State(); next != e.states[i] {
 			e.applyState(i, next)
 		}
-		ns, nat := e.trajs[i].NextTransition()
-		if nat == avail.Forever {
-			e.evq.pop() // the worker's state holds for the rest of the run
-			continue
+		if err := e.log.Advance(); err != nil {
+			return fmt.Errorf("sim: %w", err)
 		}
-		if nat <= t.slot {
-			return fmt.Errorf("sim: availability trajectory %d: transition slot %d not after %d", i, nat, t.slot)
-		}
-		e.pendState[i] = ns
-		e.evq.replaceTop(transition{nat, i})
 	}
 	return nil
 }
 
 // nextSlot returns the slot the run executes after the current one. Slot
 // mode always advances by one (skipQuiet is event-only). Event mode jumps
-// over quiet spans: between queued availability transitions the platform
+// over quiet spans: between logged availability transitions the platform
 // is frozen except for computations grinding toward known completion
 // slots, so when no chain on an UP worker can advance, no computation is
 // about to emit its start event or finish, and canMaterialize rules out
@@ -202,10 +84,7 @@ func (e *engine) nextSlot(maxSlots int) int {
 	if !e.skipQuiet || e.upChains() > 0 {
 		return e.slot + 1
 	}
-	target := maxSlots
-	if t, ok := e.evq.min(); ok && t.slot < maxSlots {
-		target = t.slot
-	}
+	target := min(e.log.Slot(), maxSlots)
 	if target <= e.slot+1 {
 		return e.slot + 1
 	}

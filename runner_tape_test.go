@@ -3,6 +3,7 @@ package volatile
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -13,10 +14,21 @@ import (
 // the sequence changes exactly one part of that key at a time (and repeats
 // keys after others evicted them), so a tape reused under a wrong key or a
 // scheduler stream split from the wrong RNG state shows up as a mismatch.
+// T is A traced on fixed vectors, whose tape is keyed on (scenario, time
+// base) alone: its trials reuse one recording but seed the scheduler
+// from each trial seed.
 func TestRunnerTapeReuse(t *testing.T) {
 	a := NewScenario(5, Cell{Tasks: 10, Ncom: 5, Wmin: 2}, ScenarioOptions{Iterations: 4})
 	b := NewScenario(6, Cell{Tasks: 10, Ncom: 5, Wmin: 2}, ScenarioOptions{Iterations: 4})
-	scenarios := map[string]*Scenario{"A": a, "B": b}
+	vectors := make([]string, a.Processors())
+	for i := range vectors {
+		vectors[i] = strings.Repeat("uur"[i%3:], 5) + strings.Repeat("d", i%4) + "uurrd"[:1+i%5]
+	}
+	traced, err := a.Traced(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := map[string]*Scenario{"A": a, "B": b, "T": traced}
 	type step struct {
 		scn       string
 		seed      uint64
@@ -40,6 +52,13 @@ func TestRunnerTapeReuse(t *testing.T) {
 		{"B", 2, ModeEvent, "mct*"},
 		{"A", 2, ModeSlot, "emct"},
 		{"A", 1, ModeSlot, BatchEASY},
+		{"A", 1, ModeSlot, "random"},
+		{"T", 1, ModeSlot, "random"},
+		{"T", 2, ModeSlot, "random"},
+		{"T", 2, ModeSlot, BatchFCFS},
+		{"T", 2, ModeEvent, "emct"},
+		{"A", 2, ModeEvent, "random"},
+		{"T", 1, ModeEvent, "random"},
 		{"A", 1, ModeSlot, "random"},
 	}
 	rn := NewRunner()

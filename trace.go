@@ -134,20 +134,20 @@ func (s *Scenario) replaying(vectors []avail.Vector) (*Scenario, error) {
 	return &Scenario{inner: inner, vectors: vectors}, nil
 }
 
-// vectorProcs rewinds the Runner's pooled replay processes onto the given
-// vectors. The returned slice is valid until the next call.
-func (r *Runner) vectorProcs(vectors []avail.Vector) []avail.Process {
+// vectorProcs rewinds the pooled replay processes onto the given vectors.
+// The returned slice is valid until the next call.
+func (tt *trialTape) vectorProcs(vectors []avail.Vector) []avail.Process {
 	p := len(vectors)
-	if cap(r.vprocs) < p {
-		r.vprocs = make([]avail.VectorProcess, p)
-		r.vps = make([]avail.Process, p)
+	if cap(tt.vprocs) < p {
+		tt.vprocs = make([]avail.VectorProcess, p)
+		tt.vps = make([]avail.Process, p)
 	}
-	r.vprocs, r.vps = r.vprocs[:p], r.vps[:p]
+	tt.vprocs, tt.vps = tt.vprocs[:p], tt.vps[:p]
 	for i, v := range vectors {
-		r.vprocs[i].Reset(v)
-		r.vps[i] = &r.vprocs[i]
+		tt.vprocs[i].Reset(v)
+		tt.vps[i] = &tt.vprocs[i]
 	}
-	return r.vps
+	return tt.vps
 }
 
 // TraceSource is a sweep's trace-driven availability source: every

@@ -262,18 +262,16 @@ func (s *Scenario) ProcessorModel(i int) *avail.Markov3 {
 // their RNG streams, trace replay processes) is then recycled across runs
 // instead of reallocated. Consecutive runs on the same (scenario, trial
 // seed) — every contender of one sweep instance, batch disciplines
-// included — replay one recorded world (trialTape) in the Runner's time
-// base instead of sampling it again. A Runner must not be shared between
-// goroutines.
+// included — replay one recorded, merged transition log (trialTape) in the
+// Runner's time base instead of sampling and merging the trajectories
+// again; a traced scenario's vectors are recorded once for all its trials.
+// A Runner must not be shared between goroutines.
 type Runner struct {
 	r sim.Runner
 	// mode is the engine time base every run on this Runner uses.
 	mode Mode
-	// tape holds the current model-driven trial.
+	// tape holds the current trial.
 	tape trialTape
-	// vprocs/vps pool the replay processes of trace-driven runs.
-	vprocs []avail.VectorProcess
-	vps    []avail.Process
 	// scheds pools one scheduler per heuristic name. Schedulers that opt
 	// into cross-run reuse (sim.PoolSafe: the whole core registry) are
 	// constructed once and reused, which amortizes their internal state —
@@ -331,9 +329,9 @@ func NewRunner() *Runner { return &Runner{} }
 // modes — the same trial seed draws the same platform trajectories — but
 // event mode consumes the per-processor streams at sojourn rather than
 // slot granularity, so Markov-driven results are distribution-equivalent,
-// not bit-identical, across modes. Both modes advance availability through
-// the engine's one transition heap, replaying the Runner's tape of the
-// trial (per slot or per transition); only event mode skips quiet spans.
+// not bit-identical, across modes. Both modes advance availability by
+// replaying the Runner's tape of the trial, one merged transition log
+// recorded per slot or per transition; only event mode skips quiet spans.
 func (r *Runner) SetMode(m Mode) { r.mode = m }
 
 // Run executes the named heuristic on one trial of the scenario. The trial
@@ -364,56 +362,62 @@ func (s *Scenario) RunWithHooks(heuristic string, trialSeed uint64,
 	return s.run(NewRunner(), heuristic, trialSeed, observer, onEvent, nil)
 }
 
-// trialTape is one model-driven trial recorded for replay: the trial's
-// availability processes and streams (owned by the tape, so no other run
-// can draw from them while it records), the trial RNG state right after
-// Trial, and the tape itself. It is keyed by (scenario, trial seed, time
-// base), since the two time bases read different trajectories from the
-// same streams.
+// trialTape is one trial recorded for replay: the trial's availability
+// processes and streams (owned by the tape, so no other run can draw from
+// them while it records), the trial RNG state right after Trial, and the
+// tape itself. It is keyed by (scenario, trial seed, time base), since the
+// two time bases read different trajectories from the same streams; a
+// traced scenario replays the same vectors in every trial, so its key
+// ignores the seed.
 type trialTape struct {
 	scn  *workload.Scenario // nil until the first recording
 	seed uint64
 	mode Mode
 	pool workload.TrialPool
 	rng  rng.PCG
-	tape avail.Tape
+	// vprocs/vps pool the replay processes of traced scenarios.
+	vprocs []avail.VectorProcess
+	vps    []avail.Process
+	tape   avail.Tape
 }
 
-// trial returns the availability processes of (s, trialSeed) in the
-// Runner's time base as replay cursors on its tape, recording the trial
-// afresh when the key changed, and splits the scheduler's stream into
-// stream off the trial RNG exactly where Trial leaves it, as on a fresh
-// trial. Slot mode gets a per-slot tape.
-func (r *Runner) trial(s *Scenario, trialSeed uint64, stream *rng.PCG) []avail.Process {
+// trial returns the tape of (s, trialSeed) in the Runner's time base,
+// recording the trial afresh when the key changed, and seeds the
+// scheduler's stream: split off the trial RNG exactly where Trial leaves
+// it, as on a fresh trial, or — on a traced scenario, whose replay draws no
+// randomness — from the trial seed itself. Slot mode gets a per-slot tape.
+func (r *Runner) trial(s *Scenario, trialSeed uint64, stream *rng.PCG) *avail.Tape {
 	tt := &r.tape
-	if tt.scn != s.inner || tt.seed != trialSeed || tt.mode != r.mode {
+	traced := s.vectors != nil
+	if tt.scn != s.inner || tt.mode != r.mode || !traced && tt.seed != trialSeed {
 		tt.scn, tt.seed, tt.mode = s.inner, trialSeed, r.mode
-		tt.rng.Reseed(trialSeed)
-		procs := tt.pool.Trial(s.inner, &tt.rng)
+		var procs []avail.Process
+		if traced {
+			procs = tt.vectorProcs(s.vectors)
+		} else {
+			tt.rng.Reseed(trialSeed)
+			procs = tt.pool.Trial(s.inner, &tt.rng)
+		}
 		tt.tape.Reset(procs, r.mode != ModeEvent, s.inner.Params.EffectiveMaxSlots())
 	}
-	trialRng := tt.rng
-	trialRng.SplitInto(stream)
-	return tt.tape.Replay()
+	if traced {
+		stream.Reseed(trialSeed)
+	} else {
+		trialRng := tt.rng
+		trialRng.SplitInto(stream)
+	}
+	return &tt.tape
 }
 
-// run executes one trial on r. A traced scenario replays its vectors and
-// seeds the scheduler from the trial seed itself (replay draws no
-// randomness); a model scenario replays the Runner's tape of the trial and
-// splits the scheduler's stream off the trial RNG. The RNG is consumed as
-// workload.Scenario.Trial and sim.Run would consume it on their own
-// (Reseed mirrors rng.New, TrialPool.Trial mirrors Trial, SplitInto mirrors
-// Split, the tape replays the processes' own trajectories).
+// run executes one trial on r, replaying the Runner's tape of the trial.
+// The RNG is consumed as workload.Scenario.Trial and sim.Run would consume
+// it on their own (Reseed mirrors rng.New, TrialPool.Trial mirrors Trial,
+// SplitInto mirrors Split, the tape replays the processes' own
+// trajectories).
 func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64,
 	observer func(*SlotReport), onEvent func(Event), alloc AllocationPolicy) (*RunResult, error) {
 	ps := r.pooled(heuristic)
-	var procs []avail.Process
-	if s.vectors != nil {
-		procs = r.vectorProcs(s.vectors)
-		ps.pcg.Reseed(trialSeed)
-	} else {
-		procs = r.trial(s, trialSeed, &ps.pcg)
-	}
+	tape := r.trial(s, trialSeed, &ps.pcg)
 	sched, err := ps.instance(heuristic)
 	if err != nil {
 		return nil, err
@@ -421,7 +425,7 @@ func (s *Scenario) run(r *Runner, heuristic string, trialSeed uint64,
 	return r.r.Run(sim.Config{
 		Platform:  s.inner.Platform,
 		Params:    s.inner.Params,
-		Procs:     procs,
+		Tape:      tape,
 		Scheduler: sched,
 		Mode:      r.mode,
 		Observer:  observer,
