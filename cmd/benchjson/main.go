@@ -7,9 +7,11 @@
 //
 // Each benchmark line ("BenchmarkX <N> <value> <unit> ...") becomes an entry
 // with its iteration count and a metrics map keyed by unit — ns/op, B/op,
-// allocs/op, and any custom b.ReportMetric units. The goos/goarch/pkg/cpu
-// header lines are carried through when present. Log blocks ("--- BENCH:")
-// and the trailing ok/FAIL line are ignored.
+// allocs/op, and any custom b.ReportMetric units — and the package of the
+// nearest "pkg:" header above it, so output concatenated from several
+// packages keeps every entry's own label. The goos/goarch/cpu header lines
+// are carried through when present. Log blocks ("--- BENCH:") and the
+// trailing ok/FAIL line are ignored.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 
 type benchmark struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -34,7 +37,6 @@ type benchmark struct {
 type document struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
@@ -116,6 +118,7 @@ func missingRequired(doc *document, require []string) []string {
 func parse(sc *bufio.Scanner) (*document, error) {
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	doc := &document{}
+	pkg := ""
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
@@ -124,7 +127,7 @@ func parse(sc *bufio.Scanner) (*document, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
@@ -133,6 +136,7 @@ func parse(sc *bufio.Scanner) (*document, error) {
 				return nil, err
 			}
 			if ok {
+				b.Pkg = pkg
 				doc.Benchmarks = append(doc.Benchmarks, b)
 			}
 		}

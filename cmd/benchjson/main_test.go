@@ -43,6 +43,22 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+func TestParseLabelsEachBenchmarkWithItsPackage(t *testing.T) {
+	// go test over several packages repeats the header per package; each
+	// entry must carry the package it ran in, not the last one seen.
+	two := sampleBench + strings.NewReplacer("pkg: repro\n", "pkg: repro/internal/sim\n",
+		"BenchmarkTable2 ", "BenchmarkLargePlatform/p=1k/slot ").Replace(sampleBench)
+	doc := parseSample(t, two)
+	if len(doc.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2", len(doc.Benchmarks))
+	}
+	for i, want := range []string{"repro", "repro/internal/sim"} {
+		if got := doc.Benchmarks[i].Pkg; got != want {
+			t.Fatalf("benchmark %d (%s) labelled %q, want %q", i, doc.Benchmarks[i].Name, got, want)
+		}
+	}
+}
+
 func TestMissingRequired(t *testing.T) {
 	doc := parseSample(t, sampleBench)
 	if m := missingRequired(doc, []string{"BenchmarkTable2"}); len(m) != 0 {

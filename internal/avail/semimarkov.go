@@ -87,8 +87,8 @@ func GeometricSojourn(stay float64) SojournSampler {
 		panic("avail: GeometricSojourn needs stay in [0,1)")
 	}
 	if stay == 0 {
-		// Degenerate chain: every sojourn is exactly one slot, no RNG draw
-		// (matching geometricSojournSlots' stay <= 0 path).
+		// Degenerate chain: every sojourn is exactly one slot, drawn
+		// without consuming the RNG (the inversion would spend a uniform).
 		return func(*rng.PCG) int { return 1 }
 	}
 	invLogStay := 1 / math.Log(stay)

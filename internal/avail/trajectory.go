@@ -33,20 +33,12 @@ type Trajectory interface {
 	NextTransition() (State, int)
 }
 
-// geometricSojournSlots draws L >= 1 with P(L = k) = stay^(k-1) * (1-stay)
-// by inversion: L = 1 + floor(ln(1-u)/ln(stay)). One uniform draw per
-// sojourn, no rejection loop, so stay arbitrarily close to 1 stays O(1).
-// stay >= 1 means the state is absorbing; the caller maps that to Forever.
-func geometricSojournSlots(r *rng.PCG, stay float64) int {
-	if stay <= 0 {
-		return 1
-	}
-	return geometricSojournSlotsInv(r, 1/math.Log(stay))
-}
-
-// geometricSojournSlotsInv is geometricSojournSlots with 1/ln(stay)
-// precomputed (negative for stay in (0,1)), so hot callers pay one log per
-// draw instead of two.
+// geometricSojournSlotsInv draws L >= 1 with P(L = k) = stay^(k-1) *
+// (1-stay) by inversion: L = 1 + floor(ln(1-u)/ln(stay)). One uniform draw
+// per sojourn, no rejection loop, so stay arbitrarily close to 1 stays O(1).
+// The caller passes 1/ln(stay) precomputed (negative for stay in (0,1)), so
+// it pays one log per draw instead of two; stay = 0 (every sojourn one slot)
+// and stay >= 1 (absorbing, Forever) are the caller's to handle.
 func geometricSojournSlotsInv(r *rng.PCG, invLogStay float64) int {
 	u := r.Float64() // [0,1), so 1-u is in (0,1] and the log is finite
 	f := math.Log(1-u) * invLogStay

@@ -12,7 +12,7 @@ package rng
 import "math/bits"
 
 // PCG is a PCG-XSL-RR 128/64 pseudo-random generator. The zero value is not
-// ready for use; construct instances with New or NewFromState.
+// ready for use; construct instances with New.
 //
 // PCG is not safe for concurrent use; derive one generator per goroutine with
 // Split.
@@ -45,12 +45,6 @@ func (p *PCG) Reseed(seed uint64) {
 	p.hi, p.lo = sm.Next(), sm.Next()
 	// Advance once so that nearby seeds diverge immediately.
 	p.Uint64()
-}
-
-// NewFromState returns a generator with the exact 128-bit internal state.
-// It is intended for tests and for restoring saved generators.
-func NewFromState(hi, lo uint64) *PCG {
-	return &PCG{hi: hi, lo: lo}
 }
 
 // State reports the current 128-bit internal state.
@@ -102,11 +96,6 @@ func (p *PCG) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	return int(p.boundedUint64(uint64(n)))
-}
-
-// Int63 returns a uniform non-negative int64.
-func (p *PCG) Int63() int64 {
-	return int64(p.Uint64() >> 1)
 }
 
 // boundedUint64 returns a uniform value in [0, bound) using Lemire's

@@ -33,11 +33,13 @@ type IterationInfo struct {
 
 // AllocationPolicy decides the tasks-per-iteration count of a moldable
 // application. It sits alongside Scheduler in the engine's configuration and
-// sees the same View: TasksFor is consulted once per iteration, at the
-// boundary (before the iteration's first scheduling round, and — in event
-// mode — before the quiet-span check can read the pending set), with v
-// reflecting the worker states at decision time and prev the iteration that
-// just completed. The returned count is clamped to [1, MaxIterTasks].
+// sees the same View: TasksFor is consulted once per iteration, before the
+// iteration's first scheduling round. Iteration 0 is decided when the run
+// starts, once the slot-0 worker states are applied; every later one at the
+// barrier that completes its predecessor, before — in event mode — the
+// quiet-span check can read the pending set. v reflects the worker states
+// at decision time and prev the iteration that just completed. The returned
+// count is clamped to [1, MaxIterTasks].
 //
 // Policies must be deterministic: the same sequence of views and iteration
 // summaries must yield the same counts, or the golden digests and

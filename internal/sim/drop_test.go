@@ -90,7 +90,7 @@ func checkBothPending(t *testing.T, mode Mode, e *engine, slot int) {
 			t.Fatalf("mode %v slot %d: task %d keeps %d copies, holders %v", mode, slot, task, c, e.holders[task])
 		}
 	}
-	if n := e.trk.pendCount(); n != 2 {
+	if n := e.trk.pending.size(); n != 2 {
 		t.Fatalf("mode %v slot %d: %d pending originals, want 2", mode, slot, n)
 	}
 }

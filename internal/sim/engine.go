@@ -148,19 +148,23 @@ type engine struct {
 	slot   int
 	iter   int
 	stats  Stats
-	ends   []int
+	// ends[k] is the slot after iteration k's barrier, so iteration k ran
+	// from ends[k-1] (0 for the first) to ends[k].
+	ends []int
 	// nextReplica numbers replica copies per task within an iteration.
 	nextReplica []int
 	// scratch buffers reused across slots.
 	view     View
 	eligible []int
-	plans    []plannedAssignment
-	rs       RoundState
-	// plannedCopies[t] counts copies of task t planned in the current round
-	// (the per-slot replacement for a per-round map).
-	plannedCopies []int
-	conts         []contRec
-	idle          []int
+	// plans holds the current round's decisions in pick order; outside a
+	// round it is the last round's, which allocateChannels materializes.
+	plans []plannedAssignment
+	// rs is the round state handed to Pick; rs.NQ is all-zero between
+	// rounds (schedule restores it), so rs.NQ[q] == 0 means q has no plan
+	// this round.
+	rs    RoundState
+	conts []contRec
+	idle  []int
 	// freeCopies pools retired copyState objects for reuse by bindCopy.
 	freeCopies []*copyState
 	// trk indexes the task table incrementally (remaining count, pending
@@ -173,9 +177,6 @@ type engine struct {
 	// mutates scheduler-visible worker state calls markDirty.
 	procDirty  []bool
 	dirtyProcs []int
-	// overlaid records that the current round moved planned copies into the
-	// replication buckets; schedule undoes the overlay after the round.
-	overlaid bool
 	// finishers lists the workers whose computation reached W this slot
 	// (filled by compute, consumed by finishSlot), so the completion pass
 	// visits candidates instead of scanning every worker.
@@ -202,14 +203,6 @@ type engine struct {
 	// P workers. holderScratch is the completion pass's sorted snapshot.
 	holders       [][]int32
 	holderScratch []int32
-	// eligStamp/eligEpoch validate replica-phase picks in O(1): a worker is
-	// eligible iff its stamp equals the epoch. Originals-phase picks are
-	// validated directly against the availability state (the originals
-	// slate is exactly the UP set), so that phase needs no stamping pass;
-	// replicaPick selects which rule notePick applies.
-	eligStamp   []int
-	eligEpoch   int
-	replicaPick bool
 	// nBusy counts the workers with begun work (computing or incoming) in
 	// any state, maintained by reindexAvail from the availability key's busy
 	// bit, so the scheduling round reads its n_active base in O(1) instead
@@ -223,18 +216,9 @@ type engine struct {
 	// that does not implement Canceller (a Canceller may act on slots where
 	// no engine state changed, so its slots cannot be skipped).
 	skipQuiet bool
-	// allocPending defers the allocation policy's first decision to the
-	// start of slot 0, after the slot's availability states are applied, so
-	// iteration 0 is sized from real worker states like every later one.
-	allocPending bool
-	// iterStart is the slot the current iteration started at, feeding the
-	// per-iteration duration the reshape-style policies observe.
-	iterStart int
 	// iterTasks records each iteration's task count (moldable runs only;
 	// the fixed path leaves it empty and Result.IterationTasks nil).
 	iterTasks []int
-	// runID stamps View.Run; drawn from runCounter at reset.
-	runID int64
 	// epoch is the last epoch handed out; epochs up to epochEnd are
 	// reserved for this engine (see epochBlock).
 	epoch, epochEnd int64
@@ -311,39 +295,32 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	if err := e.initClock(maxSlots); err != nil {
 		return nil, err
 	}
+	if cfg.Alloc != nil {
+		// Moldable runs size iteration 0 from the slot-0 worker states
+		// initClock just applied — the same decision inputs in both time
+		// bases. Its completed-iteration summary is the -1 sentinel
+		// (nothing ran yet); stateful policies reset on it.
+		e.startIteration(e.decideAlloc(IterationInfo{Iteration: -1}))
+	}
 
-	for e.slot = 0; e.slot < maxSlots; {
+	for e.slot = 0; e.slot < maxSlots; e.slot = e.nextSlot(maxSlots) {
 		if err := e.step(); err != nil {
 			return nil, err
 		}
 		if e.iter >= e.params.Iterations {
-			return &Result{
-				Completed:      true,
-				Makespan:       e.slot + 1,
-				IterationEnds:  append([]int(nil), e.ends...),
-				IterationTasks: e.iterTasksCopy(),
-				Stats:          e.stats,
-			}, nil
+			break
 		}
-		e.slot = e.nextSlot(maxSlots)
 	}
+	// A completed run stops in its finishing slot; a censored one leaves the
+	// clock at maxSlots. Fixed-model runs record no iteration sizes, so the
+	// copy of the empty iterTasks is nil.
 	return &Result{
-		Completed:      false,
-		Makespan:       maxSlots,
+		Completed:      e.iter >= e.params.Iterations,
+		Makespan:       min(e.slot+1, maxSlots),
 		IterationEnds:  append([]int(nil), e.ends...),
-		IterationTasks: e.iterTasksCopy(),
+		IterationTasks: append([]int(nil), e.iterTasks...),
 		Stats:          e.stats,
 	}, nil
-}
-
-// iterTasksCopy snapshots the per-iteration task counts for the Result.
-// Fixed-model runs (no allocation policy) record none and return nil, so
-// the original path allocates nothing extra.
-func (e *engine) iterTasksCopy() []int {
-	if len(e.iterTasks) == 0 {
-		return nil
-	}
-	return append([]int(nil), e.iterTasks...)
 }
 
 // reset (re)initializes the engine for a run, growing buffers as needed and
@@ -378,8 +355,6 @@ func (e *engine) reset(cfg Config) {
 	e.upSet.reset(p)
 	e.nUp, e.nFreeUp, e.nIdleUp = 0, 0, 0
 
-	e.resizeTasks(m)
-
 	if cap(e.rs.NQ) < p {
 		e.rs.NQ = make([]int, p)
 		e.view.Procs = make([]ProcView, p)
@@ -389,36 +364,25 @@ func (e *engine) reset(cfg Config) {
 	for i := range e.rs.NQ {
 		e.rs.NQ[i] = 0 // rounds keep NQ all-zero between them (see schedule)
 	}
-	e.runID = runCounter.Add(1)
 	e.view = View{Params: e.params, Procs: e.view.Procs[:p],
-		ProcEpochs: e.view.ProcEpochs[:p], Run: e.runID}
+		ProcEpochs: e.view.ProcEpochs[:p], Run: runCounter.Add(1)}
 	e.prevValid = false
 	e.nBusy = 0
-	e.replicaPick = false
 
-	e.trk.reset(m, 1+cfg.Params.MaxReplicas)
 	if cap(e.procDirty) < p {
 		e.procDirty = make([]bool, p)
-		e.eligStamp = make([]int, p)
 	}
 	e.procDirty = e.procDirty[:p]
-	e.eligStamp = e.eligStamp[:p]
 	e.dirtyProcs = e.dirtyProcs[:0]
 	for i := 0; i < p; i++ {
 		e.procDirty[i] = true
 		e.dirtyProcs = append(e.dirtyProcs, i)
-		e.eligStamp[i] = 0
 	}
 	e.origChains.reset(p)
 	e.replicaChains.reset(p)
-	e.eligEpoch = 0
-	e.overlaid = false
 	e.finishers = e.finishers[:0]
 
 	e.skipQuiet = false
-
-	e.allocPending = cfg.Alloc != nil
-	e.iterStart = 0
 	e.iterTasks = e.iterTasks[:0]
 
 	e.slot, e.iter = 0, 0
@@ -428,27 +392,36 @@ func (e *engine) reset(cfg Config) {
 	e.plans = e.plans[:0]
 	e.conts = e.conts[:0]
 	e.idle = e.idle[:0]
+	e.startIteration(m)
+}
+
+// startIteration puts every per-task table and the tracker in the
+// start-of-iteration state for an iteration of n tasks. Every iteration
+// starts here: reset's (Params.M tasks), a moldable run's first decision in
+// Run, and each barrier in finishSlot.
+func (e *engine) startIteration(n int) {
+	e.resizeTasks(n)
+	e.trk.reset(n, 1+e.params.MaxReplicas)
+	if e.slowChecks {
+		e.verifyTaskTables()
+	}
 }
 
 // resizeTasks (re)sizes the per-task tables — the task states, replica
-// counters, round overlay and holder lists — to m tasks, growing capacity as
-// needed and zeroing every entry. Shared by reset and the moldable
-// iteration boundary; growing within capacity re-exposes stale entries from
-// an earlier, larger iteration, so the wipe is unconditional. Holder lists
-// keep their underlying arrays for reuse.
+// counters and holder lists — to m tasks, growing capacity as needed and
+// zeroing every entry: growing within capacity re-exposes stale entries
+// from an earlier, larger iteration, so the wipe is unconditional. Holder
+// lists keep their underlying arrays for reuse.
 func (e *engine) resizeTasks(m int) {
 	if cap(e.tasks) < m {
 		e.tasks = make([]taskState, m)
 		e.nextReplica = make([]int, m)
-		e.plannedCopies = make([]int, m)
 	}
 	e.tasks = e.tasks[:m]
 	e.nextReplica = e.nextReplica[:m]
-	e.plannedCopies = e.plannedCopies[:m]
 	for t := range e.tasks {
 		e.tasks[t] = taskState{}
 		e.nextReplica[t] = 0
-		e.plannedCopies[t] = 0
 	}
 	if cap(e.holders) < m {
 		holders := make([][]int32, m)
@@ -495,22 +468,6 @@ func (e *engine) releaseCopy(c *copyState) {
 func (e *engine) step() error {
 	if err := e.applyTransitions(); err != nil {
 		return err
-	}
-	if e.allocPending {
-		// Moldable runs size iteration 0 here — after the slot's
-		// availability states are applied, before the first scheduling
-		// round — so the policy sees the same decision inputs in both time
-		// bases. Iteration 0's completed-iteration summary is the -1
-		// sentinel (nothing ran yet); stateful policies reset on it.
-		e.allocPending = false
-		before := len(e.tasks) // reset sized the tables (and tracker) to Params.M
-		if n := e.decideAlloc(IterationInfo{Iteration: -1}); n != before {
-			e.resizeTasks(n)
-			e.trk.reset(n, 1+e.params.MaxReplicas)
-		}
-		if e.slowChecks {
-			e.verifyTaskTables()
-		}
 	}
 	if err := e.schedule(); err != nil {
 		return err
@@ -701,7 +658,7 @@ func (e *engine) holdersRemove(t, w int) {
 func (e *engine) taskGainedCopy(t, w int) {
 	ts := &e.tasks[t]
 	if ts.copies == 0 {
-		e.trk.pendRemove(t)
+		e.trk.pending.remove(t)
 	} else {
 		e.trk.bucketRemove(t)
 	}
@@ -723,38 +680,31 @@ func (e *engine) taskLostCopy(t, w int) {
 	}
 	e.trk.bucketRemove(t)
 	if ts.copies == 0 {
-		e.trk.pendInsert(t)
+		e.trk.pending.add(t)
 	} else {
 		e.trk.bucketAdd(t, ts.copies)
 	}
 }
 
-// schedule runs one scheduler round (scheduleRound), then clears the
-// round's planned-copy overlay and its NQ entries: plannedCopies and the
-// round queues are zeroed, and any task the round moved through the
-// replication buckets is re-keyed to its live copy count. Iterating e.plans
-// touches exactly the tasks and workers the round planned (every notePick
-// is followed by a plan append), so the cleanup is O(plans), not O(m) or
-// O(P) — and rs.NQ is all-zero again when the next round starts.
+// schedule runs one scheduler round (scheduleRound), then undoes the
+// round's planned-copy overlay and zeroes its NQ entries: every planned task
+// is re-keyed to its live copy count — out of the buckets when it has none.
+// The re-key is idempotent, so a task planned several times, or planned in
+// a round that never overlaid, needs no bookkeeping of its own. Iterating
+// e.plans touches exactly the tasks and workers the round planned (every
+// notePick is followed by a plan append), so the cleanup is O(plans), not
+// O(m) or O(P) — and rs.NQ is all-zero again when the next round starts.
 func (e *engine) schedule() error {
 	e.plans = e.plans[:0]
 	err := e.scheduleRound()
-	for i := range e.plans {
-		t := e.plans[i].task
-		e.rs.NQ[e.plans[i].worker] = 0
-		if e.plannedCopies[t] == 0 {
-			continue // already restored (task planned more than once)
+	for _, pl := range e.plans {
+		e.rs.NQ[pl.worker] = 0
+		if c := e.tasks[pl.task].copies; c > 0 {
+			e.trk.bucketMove(pl.task, c)
+		} else if e.trk.bucketOf[pl.task] != noTask {
+			e.trk.bucketRemove(pl.task)
 		}
-		if e.overlaid {
-			if e.tasks[t].copies == 0 {
-				e.trk.bucketRemove(t)
-			} else {
-				e.trk.bucketMove(t, e.tasks[t].copies)
-			}
-		}
-		e.plannedCopies[t] = 0
 	}
-	e.overlaid = false
 	return err
 }
 
@@ -762,7 +712,9 @@ func (e *engine) schedule() error {
 // (when the scheduler requests them), then plans processors for all unbegun
 // original tasks, then for replicas when UP processors outnumber the
 // remaining tasks (Section 6.1). For a PickSkipper the round ends at its
-// last bindable pick (see the originals loop).
+// last bindable pick (see the originals loop). Its only lasting state is
+// e.plans: the NQ counts and the buckets' planned-copy overlay it leaves
+// are undone by schedule.
 func (e *engine) scheduleRound() error {
 	e.buildView()
 
@@ -784,20 +736,17 @@ func (e *engine) scheduleRound() error {
 		return nil
 	}
 
-	// One setup pass: collect the UP processors (the originals slate; picks
-	// are validated against the availability state directly, so no
-	// stamping). The round queues are already zero — schedule restores them
-	// in O(plans) — and n_active's base is the incrementally maintained
-	// busy count (Section 6.3.1: the processors already engaged in begun
-	// work, plus — via notePick — each processor newly put to work during
-	// this round).
+	// The originals slate is the UP set. The round queues are already zero
+	// — schedule restores them in O(plans) — and n_active's base is the
+	// incrementally maintained busy count (Section 6.3.1: the processors
+	// already engaged in begun work, plus — via notePick — each processor
+	// newly put to work during this round).
 	if e.slowChecks {
 		e.verifyRoundSetup()
 	}
 	rs := &e.rs
 	rs.NActive = e.nBusy
 	rs.Picks = 0
-	e.replicaPick = false
 	// The UP index yields the slate in ascending worker order — identical to
 	// the full scan it replaced — in O(nUp), not O(P).
 	up := e.upSet.appendTo(e.eligible[:0])
@@ -807,9 +756,8 @@ func (e *engine) scheduleRound() error {
 	}
 
 	// Originals: every incomplete task with no live copy — exactly the
-	// pending list, walked in ascending task order. Planned copies are
-	// tracked so same-round replication (below) respects the cap; schedule
-	// zeroes them again after the round.
+	// pending list, walked in ascending task order. The plans record them,
+	// so same-round replication (below) can overlay them on the buckets.
 	if e.slowChecks {
 		e.verifyPending()
 	}
@@ -827,7 +775,6 @@ func (e *engine) scheduleRound() error {
 	// ends there too (the channel-budget stop): freeLeft falling to
 	// stopFree means nFreeUp - freeLeft bindable picks reached the budget.
 	// A ChannelRanker binds without channels and never takes it.
-	plannedCopies := e.plannedCopies
 	freeLeft, visited, stopFree := e.nFreeUp, 0, 0
 	if e.skipper != nil && e.ranker == nil && e.params.Tdata > 0 &&
 		(len(up) <= remaining || e.params.MaxReplicas == 0) {
@@ -837,9 +784,9 @@ func (e *engine) scheduleRound() error {
 		}
 		stopFree = max(0, e.nFreeUp-budget)
 	}
-	for t := e.trk.pendFirst(); t != noTask; t = e.trk.pendAfter(t) {
+	for t := e.trk.pending.min(); t != noTask; t = e.trk.pending.next(t) {
 		if freeLeft <= stopFree && e.skipper != nil {
-			n := e.trk.pendCount() - visited
+			n := e.trk.pending.size() - visited
 			if e.slowChecks {
 				e.verifyRoundStop(up, t, n)
 			}
@@ -852,14 +799,13 @@ func (e *engine) scheduleRound() error {
 		if pick == Decline {
 			continue
 		}
-		if err := e.notePick(rs, pick); err != nil {
+		if err := e.notePick(rs, pick, false); err != nil {
 			return err
 		}
 		if rs.NQ[pick] == 1 && (e.workers[pick].incoming == nil || e.mutateFreeLeft) {
 			freeLeft--
 		}
 		e.plans = append(e.plans, plannedAssignment{task: t, worker: pick, replica: 0})
-		plannedCopies[t]++
 	}
 
 	// Replication (paper rule): replicate only when strictly more UP
@@ -871,12 +817,9 @@ func (e *engine) scheduleRound() error {
 		return nil
 	}
 	idle := e.idle[:0]
-	e.eligEpoch++
-	e.replicaPick = true
 	for _, q := range up {
 		if !e.workers[q].busy() && rs.NQ[q] == 0 {
 			idle = append(idle, q)
-			e.eligStamp[q] = e.eligEpoch
 		}
 	}
 	e.idle = idle
@@ -891,7 +834,6 @@ func (e *engine) scheduleRound() error {
 	// zero live copies, one planned copy) so they are replicable too.
 	// schedule undoes the overlay after the round.
 	copyCap := 1 + e.params.MaxReplicas
-	e.overlaid = true
 	for i := range e.plans {
 		e.trk.bucketAdd(e.plans[i].task, 1)
 	}
@@ -908,14 +850,12 @@ func (e *engine) scheduleRound() error {
 		if pick == Decline {
 			break // a scheduler that declines replicas declines them all
 		}
-		if err := e.notePick(rs, pick); err != nil {
+		if err := e.notePick(rs, pick, true); err != nil {
 			return err
 		}
 		e.plans = append(e.plans, plannedAssignment{task: best, worker: pick, replica: -1})
-		plannedCopies[best]++
 		e.trk.bucketMove(best, bestCopies+1)
 		// The chosen processor is no longer idle.
-		e.eligStamp[pick] = 0
 		for i, q := range idle {
 			if q == pick {
 				idle = append(idle[:i], idle[i+1:]...)
@@ -928,13 +868,13 @@ func (e *engine) scheduleRound() error {
 }
 
 // notePick validates a scheduler pick in O(1) — equivalent to membership in
-// the eligible slice handed to Pick: the originals slate is exactly the UP
-// set (states are fixed within a slot), and the replica slate carries
-// eligibility stamps — and updates the round state.
-func (e *engine) notePick(rs *RoundState, pick int) error {
-	if pick < 0 || pick >= len(e.workers) ||
-		(e.replicaPick && e.eligStamp[pick] != e.eligEpoch) ||
-		(!e.replicaPick && e.states[pick] != avail.Up) {
+// the slate handed to Pick — and updates the round state. The originals
+// slate is exactly the UP set (states are fixed within a slot). The replica
+// slate is exactly the UP workers with no begun work and no plan this round:
+// it starts as those, and a pick both leaves it and moves its NQ off zero.
+func (e *engine) notePick(rs *RoundState, pick int, replica bool) error {
+	if pick < 0 || pick >= len(e.workers) || e.states[pick] != avail.Up ||
+		(replica && (e.workers[pick].busy() || rs.NQ[pick] != 0)) {
 		return fmt.Errorf("sim: scheduler %q picked ineligible processor %d",
 			e.cfg.Scheduler.Name(), pick)
 	}
@@ -1191,10 +1131,8 @@ func (e *engine) finishSlot() {
 		w.computing = nil
 		e.reindexAvail(i, was)
 		e.markDirty(i)
-		ts := &e.tasks[c.task]
-		ts.copies--
-		e.holdersRemove(c.task, i)
-		ts.completed = true
+		e.tasks[c.task].completed = true
+		e.taskLostCopy(c.task, i)
 		e.trk.remaining--
 		e.trk.bucketRemove(c.task)
 		e.stats.TasksCompleted++
@@ -1253,37 +1191,30 @@ func (e *engine) finishSlot() {
 	// Moldable runs decide the next iteration's size here, before the task
 	// table is touched: at this instant every task is completed, so the
 	// slow-check view recount agrees with the zeroed remaining counter. The
-	// resize itself waits until the task table is wiped below; both happen
-	// before the tracker reset, so the event clock's
+	// new iteration starts before this returns, so the event clock's
 	// quiet-span check — which reads the pending set and remaining count
-	// right after this returns — already sees the decided iteration.
+	// next — already sees it.
 	n := len(e.tasks)
 	if e.cfg.Alloc != nil {
+		start := 0
+		if e.iter >= 2 {
+			start = e.ends[e.iter-2]
+		}
 		n = e.decideAlloc(IterationInfo{
 			Iteration: e.iter - 1,
 			Tasks:     len(e.tasks),
-			Slots:     e.slot + 1 - e.iterStart,
+			Slots:     e.ends[e.iter-1] - start,
 		})
 	}
 	// Task data is iteration-specific, programs are kept. Every completion
 	// already cancelled its sibling copies, so by the time the last task
-	// completes no worker holds any copy and the barrier costs O(1), not
-	// O(P): the slow checks assert that nothing is left to drop.
+	// completes no worker holds any copy and the barrier only wipes the task
+	// tables, O(m) rather than O(P): the slow checks assert that nothing is
+	// left to drop.
 	if e.slowChecks {
 		e.verifyBarrierIdle()
 	}
-	for t := range e.tasks {
-		e.tasks[t] = taskState{}
-		e.nextReplica[t] = 0
-	}
-	if n != len(e.tasks) {
-		e.resizeTasks(n)
-	}
-	e.iterStart = e.slot + 1
-	e.trk.reset(n, 1+e.params.MaxReplicas)
-	if e.slowChecks {
-		e.verifyTaskTables()
-	}
+	e.startIteration(n)
 }
 
 // emit forwards an event to the configured sink.

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/avail"
@@ -373,6 +374,68 @@ func TestSchedulerProtocolViolationIsError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("ineligible pick not rejected")
+	}
+}
+
+// slateBreaker picks the first eligible worker for originals and lets
+// replica choose the worker for every replica pick.
+type slateBreaker struct {
+	replica func(v *sim.View, eligible []int) int
+}
+
+func (slateBreaker) Name() string { return "slate-breaker" }
+func (s slateBreaker) Pick(v *sim.View, eligible []int, rs *sim.RoundState, ti sim.TaskInfo) int {
+	if !ti.Replica {
+		return eligible[0]
+	}
+	return s.replica(v, eligible)
+}
+
+// TestReplicaSlateRejectsIneligiblePicks pins the replica slate — the UP
+// workers with no begun work and no plan this round — against picks that
+// are UP but off it: a worker already holding a copy, and the worker the
+// previous replica pick of the same round took. Both are protocol errors.
+func TestReplicaSlateRejectsIneligiblePicks(t *testing.T) {
+	cases := []struct {
+		name    string
+		replica func() func(*sim.View, []int) int
+	}{
+		{"busy worker", func() func(*sim.View, []int) int {
+			return func(v *sim.View, eligible []int) int {
+				if v.Slot == 0 {
+					return sim.Decline // leave slot 1 a replica phase beside the original
+				}
+				for q, pv := range v.Procs {
+					if pv.State == avail.Up && (pv.HasIncoming || pv.HasComputing) {
+						return q
+					}
+				}
+				return eligible[0] // no busy worker: a valid pick, which fails the test
+			}
+		}},
+		{"worker picked this round", func() func(*sim.View, []int) int {
+			last := -1
+			return func(v *sim.View, eligible []int) int {
+				if last < 0 {
+					last = eligible[0]
+				}
+				return last
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// Three always-UP workers and one task: every round after the
+			// original's has UP workers to spare, so replicas are planned.
+			prm := platform.Params{M: 1, Iterations: 1, Ncom: 3, Tprog: 2, Tdata: 1, MaxReplicas: 2}
+			_, err := sim.Run(sim.Config{
+				Platform: platform.Homogeneous(3, 5, steadyModel()), Params: prm,
+				Procs: alwaysUp(3), Scheduler: slateBreaker{replica: c.replica()},
+			})
+			if err == nil || !strings.Contains(err.Error(), "picked ineligible processor") {
+				t.Fatalf("err = %v, want a picked-ineligible-processor error", err)
+			}
+		})
 	}
 }
 

@@ -161,7 +161,7 @@ func (e *engine) nextSlot(maxSlots int) int {
 // itself an O(P) per-slot cost (the verifySkip slow check still recounts
 // the counters against raw state).
 func (e *engine) canMaterialize() bool {
-	if !e.trk.pendEmpty() {
+	if !e.trk.pending.empty() {
 		return e.nFreeUp > 0
 	}
 	if e.params.MaxReplicas == 0 || e.nIdleUp == 0 || e.nUp <= e.trk.remaining {

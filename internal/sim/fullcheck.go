@@ -99,7 +99,7 @@ func (e *engine) verifyView() {
 // incomplete zero-copy tasks, in ascending order — the set and order the
 // pre-incremental originals loop produced by scanning the whole task table.
 func (e *engine) verifyPending() {
-	got := e.trk.pendFirst()
+	got := e.trk.pending.min()
 	for want := range e.tasks {
 		if e.tasks[want].completed || e.tasks[want].copies > 0 {
 			continue
@@ -108,7 +108,7 @@ func (e *engine) verifyPending() {
 			panic(fmt.Sprintf("sim: slot %d: pending index yields task %d, full scan expects %d",
 				e.slot, got, want))
 		}
-		got = e.trk.pendAfter(got)
+		got = e.trk.pending.next(got)
 	}
 	if got != noTask {
 		panic(fmt.Sprintf("sim: slot %d: pending index has extra task %d past the full scan",
@@ -276,7 +276,7 @@ func (e *engine) verifyRoundStop(slate []int, from, skipped int) {
 		}
 	}
 	walked := 0
-	for t := from; t != noTask; t = e.trk.pendAfter(t) {
+	for t := from; t != noTask; t = e.trk.pending.next(t) {
 		walked++
 	}
 	if walked != skipped {
@@ -286,24 +286,23 @@ func (e *engine) verifyRoundStop(slate []int, from, skipped int) {
 }
 
 // verifyTaskTables checks the per-iteration sizing invariant at an
-// iteration start: every per-task table — states, replica counters, round
-// overlay, holder lists — and the tracker's pending/remaining indexes must
-// agree on the iteration's task count, with every entry in its
-// start-of-iteration state. A moldable resize that missed a table would
-// surface here as a length or stale-entry mismatch.
+// iteration start: every per-task table — states, replica counters, holder
+// lists — and the tracker's pending/remaining indexes must agree on the
+// iteration's task count, with every entry in its start-of-iteration state.
+// A moldable resize that missed a table would surface here as a length or
+// stale-entry mismatch.
 func (e *engine) verifyTaskTables() {
 	m := len(e.tasks)
-	if len(e.nextReplica) != m || len(e.plannedCopies) != m || len(e.holders) != m {
-		panic(fmt.Sprintf("sim: slot %d: task tables disagree on iteration size: tasks=%d nextReplica=%d plannedCopies=%d holders=%d",
-			e.slot, m, len(e.nextReplica), len(e.plannedCopies), len(e.holders)))
+	if len(e.nextReplica) != m || len(e.holders) != m {
+		panic(fmt.Sprintf("sim: slot %d: task tables disagree on iteration size: tasks=%d nextReplica=%d holders=%d",
+			e.slot, m, len(e.nextReplica), len(e.holders)))
 	}
 	if e.trk.remaining != m || e.trk.pending.size() != m {
 		panic(fmt.Sprintf("sim: slot %d: tracker sized for %d remaining / %d pending tasks, table holds %d",
 			e.slot, e.trk.remaining, e.trk.pending.size(), m))
 	}
 	for t := 0; t < m; t++ {
-		if e.tasks[t] != (taskState{}) || e.nextReplica[t] != 0 ||
-			e.plannedCopies[t] != 0 || len(e.holders[t]) != 0 {
+		if e.tasks[t] != (taskState{}) || e.nextReplica[t] != 0 || len(e.holders[t]) != 0 {
 			panic(fmt.Sprintf("sim: slot %d: task %d not in start-of-iteration state after resize",
 				e.slot, t))
 		}
@@ -311,14 +310,19 @@ func (e *engine) verifyTaskTables() {
 }
 
 // verifyLeastCovered checks one bucket-queue replication pick against the
-// reference O(m) least-covered scan.
+// reference O(m) least-covered scan, which counts each task's live copies
+// plus the copies this round's plans add.
 func (e *engine) verifyLeastCovered(got, gotCopies, copyCap int) {
+	planned := make(map[int]int, len(e.plans))
+	for _, pl := range e.plans {
+		planned[pl.task]++
+	}
 	best, bestCopies := noTask, copyCap
 	for t := range e.tasks {
 		if e.tasks[t].completed {
 			continue
 		}
-		total := e.tasks[t].copies + e.plannedCopies[t]
+		total := e.tasks[t].copies + planned[t]
 		if total >= 1 && total < bestCopies {
 			best, bestCopies = t, total
 		}

@@ -63,25 +63,6 @@ func (k *taskTracker) reset(m, copyCap int) {
 	}
 }
 
-// pendFirst returns the lowest pending task ID, or noTask.
-func (k *taskTracker) pendFirst() int { return k.pending.min() }
-
-// pendAfter returns the lowest pending task ID greater than t, or noTask.
-func (k *taskTracker) pendAfter(t int) int { return k.pending.next(t) }
-
-// pendCount returns the number of pending originals.
-func (k *taskTracker) pendCount() int { return k.pending.size() }
-
-// pendEmpty reports whether no original is pending.
-func (k *taskTracker) pendEmpty() bool { return k.pending.empty() }
-
-// pendRemove removes t from the pending index.
-func (k *taskTracker) pendRemove(t int) { k.pending.remove(t) }
-
-// pendInsert returns t to the pending index (a task whose last copy crashed
-// or was cancelled becomes an unbegun original again).
-func (k *taskTracker) pendInsert(t int) { k.pending.add(t) }
-
 // bucketAdd inserts t into bucket c.
 func (k *taskTracker) bucketAdd(t, c int) {
 	k.buckets[c].add(t)

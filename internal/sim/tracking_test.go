@@ -50,7 +50,7 @@ func verifyTracker(t *testing.T, trk *taskTracker, md *trackerModel) {
 	t.Helper()
 	want := md.pendingScan()
 	got = got[:0]
-	for x := trk.pendFirst(); x != noTask; x = trk.pendAfter(x) {
+	for x := trk.pending.min(); x != noTask; x = trk.pending.next(x) {
 		got = append(got, x)
 	}
 	if len(got) != len(want) {
@@ -75,7 +75,7 @@ var got []int
 // gain mirrors engine.taskGainedCopy against the model.
 func gain(trk *taskTracker, md *trackerModel, t int) {
 	if md.copies[t] == 0 {
-		trk.pendRemove(t)
+		trk.pending.remove(t)
 	} else {
 		trk.bucketRemove(t)
 	}
@@ -91,7 +91,7 @@ func lose(trk *taskTracker, md *trackerModel, t int) {
 	}
 	trk.bucketRemove(t)
 	if md.copies[t] == 0 {
-		trk.pendInsert(t)
+		trk.pending.add(t)
 	} else {
 		trk.bucketAdd(t, md.copies[t])
 	}
@@ -134,12 +134,12 @@ func runTrackerProperty(t *testing.T, m, copyCap, ops, checkEvery int, seed int6
 	for op := 0; op < ops; op++ {
 		switch r.Intn(10) {
 		case 0, 1, 2, 3: // bind an original
-			if p := trk.pendFirst(); p != noTask {
+			if p := trk.pending.min(); p != noTask {
 				// Binding follows pick order: usually the head, sometimes a
 				// later pending task (schedulers are free to pick any).
 				steps := r.Intn(3)
-				for steps > 0 && trk.pendAfter(p) != noTask {
-					p = trk.pendAfter(p)
+				for steps > 0 && trk.pending.next(p) != noTask {
+					p = trk.pending.next(p)
 					steps--
 				}
 				gain(&trk, md, p)
@@ -157,7 +157,7 @@ func runTrackerProperty(t *testing.T, m, copyCap, ops, checkEvery int, seed int6
 				complete(&trk, md, t)
 			}
 		case 9: // a replication round's overlay: plan, re-key, undo
-			if p := trk.pendFirst(); p != noTask {
+			if p := trk.pending.min(); p != noTask {
 				trk.bucketAdd(p, 1) // planned original: 0 live + 1 planned
 				if t, c := trk.leastCovered(copyCap); t != noTask && c+1 < copyCap+1 {
 					trk.bucketMove(t, c+1) // planned replica
