@@ -3,6 +3,8 @@ package avail
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/minheap"
 )
 
 // Tape records the availability trajectories of a platform once, as one
@@ -37,7 +39,7 @@ type Tape struct {
 	srcs    []tapeSource
 	initial []State
 	pend    []State
-	heap    transitionHeap
+	heap    minheap.Heap
 	// rootLogged reports that the heap's root is already in the log and
 	// its source still owes its next change.
 	rootLogged bool
@@ -76,7 +78,7 @@ func (t *Tape) Reset(srcs []Process, perSlot bool, limit int) {
 	p := len(srcs)
 	t.limit, t.rootLogged, t.err = limit, false, nil
 	t.used, t.last = 0, 0
-	t.heap.reset()
+	t.heap = t.heap[:0]
 	if cap(t.srcs) < p {
 		t.srcs = make([]tapeSource, p)
 		t.initial = make([]State, p)
@@ -107,11 +109,20 @@ func (t *Tape) Reset(srcs []Process, perSlot bool, limit int) {
 		}
 		t.initial[i], t.pend[i] = s, s
 		if at, ok := t.next(i, 0); ok {
-			t.heap.push(transition{at, i})
+			t.heap = append(t.heap, transitionKey(at, i))
 		} else if t.err != nil {
 			return
 		}
 	}
+	t.heap.Init()
+}
+
+// transitionKey is the heap key of worker's change at slot: the heap orders
+// transitions by slot, and same-slot ones by ascending worker, so
+// simultaneous transitions always apply in the same order and crash event
+// streams stay bit-identical across modes on identical trajectories.
+func transitionKey(slot, worker int) minheap.Key {
+	return minheap.Key{Hi: uint64(slot), Lo: uint64(worker)}
 }
 
 // next draws source i's next change after its change at slot prev into
@@ -149,19 +160,19 @@ func (t *Tape) extend() bool {
 	}
 	if t.rootLogged {
 		t.rootLogged = false
-		root := t.heap.q[0]
-		if at, ok := t.next(root.worker, root.slot); ok {
-			t.heap.replaceTop(transition{at, root.worker})
+		worker := int(t.heap[0].Lo)
+		if at, ok := t.next(worker, int(t.heap[0].Hi)); ok {
+			t.heap.ReplaceMin(transitionKey(at, worker))
 		} else if t.err != nil {
 			return false
 		} else {
-			t.heap.pop()
+			t.heap.PopMin()
 		}
 	}
-	root, ok := t.heap.min()
-	if !ok {
+	if len(t.heap) == 0 {
 		return false
 	}
+	slot, worker := int(t.heap[0].Hi), int(t.heap[0].Lo)
 	if t.used == 0 || len(t.chunks[t.used-1])+maxEntry > logChunk {
 		if t.used == len(t.chunks) {
 			t.chunks = append(t.chunks, make([]byte, 0, logChunk))
@@ -170,9 +181,9 @@ func (t *Tape) extend() bool {
 		t.used++
 	}
 	c := &t.chunks[t.used-1]
-	*c = binary.AppendUvarint(*c, uint64(root.slot-t.last))
-	*c = binary.AppendUvarint(*c, uint64(root.worker)<<2|uint64(t.pend[root.worker]))
-	t.last = root.slot
+	*c = binary.AppendUvarint(*c, uint64(slot-t.last))
+	*c = binary.AppendUvarint(*c, uint64(worker)<<2|uint64(t.pend[worker]))
+	t.last = slot
 	t.rootLogged = true
 	return true
 }

@@ -1,7 +1,13 @@
 package core
 
-// This file is the large-slate argmin of the greedy family: an indexed
-// binary min-heap under scoreLess. The linear argmin pass in Pick costs
+import (
+	"math"
+
+	"repro/internal/minheap"
+)
+
+// This file is the large-slate argmin of the greedy family: a binary
+// min-heap in scoreLess order. The linear argmin pass in Pick costs
 // O(|eligible|) per decision, which is fine at paper scale (P = 20) but
 // dominates a volunteer-grid round planning m tasks over thousands of UP
 // workers — O(m·P) per slot. The heap makes the first decision of a round
@@ -19,13 +25,16 @@ package core
 // argmin — pick-for-pick identical, which the equivalence property tests
 // pin by forcing the threshold to 1.
 //
-// Entries hold their score inline ({score, k}), so a comparison reads one
-// array, and sifts move a hole, writing each displaced entry once. A 4-ary
-// fan-out measured within noise of binary at n = 1k and 10k.
+// Between two Picks only the root changes — the originals phase rescores
+// the worker the previous Pick returned, the replica phase drops it — so
+// the heap is internal/minheap's, which offers just heapify, replace-min
+// and pop-min. Its 128-bit keys put orderKey(score) above the slate index,
+// so the integer order is scoreLess's.
+//
 // BenchmarkGreedyArgmin, ns per pick over one full originals-phase round
-// (emct*, ncom = n/4; 2-vCPU 2.1 GHz Xeon, medians of three runs, ±30%
-// host noise), linear / heap: n = 20: ~600 / 292; n = 128: ~3.6k / 346;
-// n = 1k: ~27k / 540; n = 10k: ~220k / 908.
+// (emct*, ncom = n/4), medians of five runs on a 2-vCPU Xeon, linear / heap:
+// n = 20: 359 / 183; n = 128: 2.2k / 238; n = 1k: 16.4k / 295; n = 10k:
+// 148k / 377.
 
 // greedyHeapMinEligible is the slate size at which Pick switches from the
 // linear argmin to the heap: above Table 2's slate of 20, and already a
@@ -33,132 +42,66 @@ package core
 // force the heap path on small slates.
 var greedyHeapMinEligible = 128
 
-// scoreHeap is an indexed binary min-heap over a build-time copy of the
-// eligible slate. Entries carry a slate index k into the copy, which is
-// stable for the heap's lifetime even though the engine compacts its own
-// slate between replica picks; the copy is ascending, so ordering ties by
-// k is ordering them by worker ID. pos tracks each entry's heap position
-// so rescoring or deleting one entry is O(log n).
+// scoreHeap is a min-heap over a build-time copy of the eligible slate.
+// Entries carry a slate index into the copy, which is stable for the heap's
+// lifetime even though the engine compacts its own slate between replica
+// picks; the copy is ascending, so ordering ties by index is ordering them
+// by worker ID.
 //
 // Continuation state: a heap built during one Pick remains valid for the
 // next exactly when nothing outside the recorded deltas changed. The
 // anchors are the view epoch (constant within a scheduling round, bumped
 // by every buildView), the slate identity (backing-array pointer plus
-// length: same length = originals phase, one shorter = the engine's
+// length: the heap's length = originals phase, one shorter = the engine's
 // order-preserving removal of the picked worker in the replica phase), the
 // round's pick count (a missed or foreign pick breaks the chain), and the
 // two hoisted communication factors (a factor move invalidates every
 // engaged candidate at once, so the heap rebuilds).
 type scoreHeap struct {
-	slate []int        // ascending worker IDs, copied at rebuild
-	heap  []scoreEntry // heap entries
-	pos   []int32      // pos[k]: heap position of slate index k, -1 = deleted
+	slate []int // ascending worker IDs, copied at rebuild
+	heap  minheap.Heap
 
 	valid                      bool
 	epoch                      int64
 	slatePtr                   *int
-	slateLen                   int
 	expectPicks                int
-	lastK                      int32 // slate index of the last pick (the root it returned)
 	factorEngaged, factorFresh int
 }
 
-// scoreEntry is one heap entry: slate index k and its score.
-type scoreEntry struct {
-	score float64
-	k     int32
+// scoreKey is the heap key of slate index k scoring score.
+func scoreKey(score float64, k int) minheap.Key {
+	return minheap.Key{Hi: orderKey(score), Lo: uint64(k)}
 }
 
-func (a scoreEntry) less(b scoreEntry) bool {
-	return scoreLess(a.score, int(a.k), b.score, int(b.k))
-}
-
-// place writes entry e at heap position i.
-func (h *scoreHeap) place(i int, e scoreEntry) {
-	h.heap[i] = e
-	h.pos[e.k] = int32(i)
-}
-
-// siftUp moves e up from the hole at position i.
-func (h *scoreHeap) siftUp(i int, e scoreEntry) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(h.heap[parent]) {
-			break
-		}
-		h.place(i, h.heap[parent])
-		i = parent
+// orderKey maps a score to an integer whose unsigned order is scoreLess's
+// score order: −0 folds to +0 (they compare equal), every NaN becomes one
+// value above +Inf's, and the rest follow IEEE 754's total order — a set
+// sign bit flips every bit, a clear one sets the sign bit.
+func orderKey(score float64) uint64 {
+	if score != score {
+		return math.MaxUint64
 	}
-	h.place(i, e)
-}
-
-// siftDown moves e down from the hole at position i.
-func (h *scoreHeap) siftDown(i int, e scoreEntry) {
-	n := len(h.heap)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if right := child + 1; right < n && h.heap[right].less(h.heap[child]) {
-			child = right
-		}
-		if !h.heap[child].less(e) {
-			break
-		}
-		h.place(i, h.heap[child])
-		i = child
+	if score == 0 {
+		score = 0
 	}
-	h.place(i, e)
-}
-
-// replace puts e at position i in place of the entry there and restores
-// the order: at most one direction can move.
-func (h *scoreHeap) replace(i int, e scoreEntry) {
-	if e.less(h.heap[i]) {
-		h.siftUp(i, e)
-	} else {
-		h.siftDown(i, e)
-	}
+	b := math.Float64bits(score)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // rebuild reloads the heap from the current slate, scoring every candidate
 // through score (the cache-validated evaluation, so unchanged workers cost
 // a few integer compares). O(n) — the same as one linear Pick.
 func (h *scoreHeap) rebuild(eligible []int, score func(q int) float64) {
-	n := len(eligible)
 	h.slate = append(h.slate[:0], eligible...)
 	h.heap = h.heap[:0]
-	h.pos = h.pos[:0]
 	for k, q := range eligible {
-		h.heap = append(h.heap, scoreEntry{score(q), int32(k)})
-		h.pos = append(h.pos, int32(k))
+		h.heap = append(h.heap, scoreKey(score(q), k))
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i, h.heap[i])
-	}
+	h.heap.Init()
 	h.slatePtr = &eligible[0]
-	h.slateLen = n
 	h.valid = true
 }
 
-// update rescores slate index k and restores the heap order.
-func (h *scoreHeap) update(k int32, score float64) {
-	h.replace(int(h.pos[k]), scoreEntry{score, k})
-}
-
-// delete removes slate index k from the heap (the engine removed its worker
-// from the slate): the last entry fills its position.
-func (h *scoreHeap) delete(k int32) {
-	i, last := int(h.pos[k]), len(h.heap)-1
-	e := h.heap[last]
-	h.heap = h.heap[:last]
-	h.pos[k] = -1
-	if i < last {
-		h.replace(i, e)
-	}
-}
-
-// minWorker returns the worker holding the heap minimum — the unique
+// minIndex returns the slate index of the heap minimum — the unique
 // scoreLess argmin over the live entries.
-func (h *scoreHeap) minWorker() int { return h.slate[h.heap[0].k] }
+func (h *scoreHeap) minIndex() int { return int(h.heap[0].Lo) }

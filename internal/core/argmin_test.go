@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/avail"
+	"repro/internal/minheap"
 	"repro/internal/sim"
 )
 
@@ -88,15 +89,18 @@ func TestHeapArgminSlowCheckOracle(t *testing.T) {
 	}
 }
 
-// TestScoreHeapOrder drives the bare heap against a reference linear argmin
-// over random score vectors that deliberately include exact ties (shared
-// values drawn from a tiny set), +Inf and NaN — the cases scoreLess orders
-// by ID, sentinel-last. Slates run from a single entry to ~300 (nine
-// levels of the binary heap). After every mutation (rescore or delete) the
-// heap minimum must equal the scan minimum over the live entries, every
-// entry must order after its parent, and pos must locate every entry.
+// TestScoreHeapOrder drives the bare heap through the only operations
+// pickHeap uses — rebuild (heapify), replace-min (the originals phase
+// rescores the root) and pop-min (the replica phase drops it) — against a
+// reference linear argmin, over random score vectors that deliberately
+// include exact ties (shared values drawn from a tiny set), −0 beside +0,
+// +Inf, and NaN with either sign bit — the cases scoreLess orders by ID,
+// sentinel-last. Slates run from a single entry to ~300 (nine levels of
+// the binary heap). After every operation every entry must order no
+// earlier than its parent and the heap minimum must equal the scan minimum
+// over the live entries.
 func TestScoreHeapOrder(t *testing.T) {
-	scorePool := []float64{0, 1, 1, 2.5, 2.5, math.Inf(1), math.NaN()}
+	scorePool := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, 2.5, math.Inf(1), math.NaN(), math.Copysign(math.NaN(), -1)}
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60)
@@ -115,52 +119,78 @@ func TestScoreHeapOrder(t *testing.T) {
 		k := 0
 		h.rebuild(slate, func(int) float64 { sc := scores[k]; k++; return sc })
 
-		live := make(map[int]bool, n)
-		for _, q := range slate {
-			live[q] = true
-		}
-		refMin := func() int {
-			best := -1
-			var bestScore float64
-			for k, q := range slate {
-				if !live[q] {
-					continue
-				}
-				if best < 0 || scoreLess(scores[k], q, bestScore, best) {
-					best, bestScore = q, scores[k]
-				}
-			}
-			return best
+		live := make([]bool, n)
+		for k := range live {
+			live[k] = true
 		}
 		check := func(op int) {
 			t.Helper()
-			if got, want := h.minWorker(), refMin(); got != want {
-				t.Fatalf("seed %d op %d: heap min %d, reference %d", seed, op, got, want)
-			}
-			for i, e := range h.heap {
-				if int(h.pos[e.k]) != i {
-					t.Fatalf("seed %d op %d: pos[%d] = %d, entry sits at %d", seed, op, e.k, h.pos[e.k], i)
+			want := -1
+			for k, q := range slate {
+				if live[k] && (want < 0 || scoreLess(scores[k], q, scores[want], slate[want])) {
+					want = k
 				}
-				if i > 0 && e.less(h.heap[(i-1)/2]) {
+			}
+			if got := h.minIndex(); got != want {
+				t.Fatalf("seed %d op %d: heap min at slate index %d, reference %d", seed, op, got, want)
+			}
+			for i := 1; i < len(h.heap); i++ {
+				if minheap.Less(h.heap[i], h.heap[(i-1)/2]) {
 					t.Fatalf("seed %d op %d: entry %d orders before its parent", seed, op, i)
 				}
 			}
 		}
 		check(-1)
-		for op := 0; len(live) > 1 && op < 4*n; op++ {
-			k := r.Intn(n)
-			if !live[slate[k]] {
-				continue
-			}
+		for op := 0; len(h.heap) > 1 && op < 4*n; op++ {
+			k := h.minIndex()
 			if r.Intn(3) == 0 {
-				h.delete(int32(k))
-				delete(live, slate[k])
+				h.heap.PopMin()
+				live[k] = false
 			} else {
 				scores[k] = scorePool[r.Intn(len(scorePool))]
-				h.update(int32(k), scores[k])
+				h.heap.ReplaceMin(scoreKey(scores[k], k))
 			}
 			check(op)
 		}
+	}
+}
+
+// TestOrderKeyMatchesScoreLess pins the heap's integer order to scoreLess:
+// for every pair of scores, with equal and with different indices, the
+// (orderKey, index) key order must agree with scoreLess both ways round.
+// The scores are every pair of signed zeros, subnormal and normal extremes,
+// infinities and NaNs (either sign bit, two payloads), then 10^5 random
+// bit patterns, each also paired with itself.
+func TestOrderKeyMatchesScoreLess(t *testing.T) {
+	check := func(a, b float64) {
+		t.Helper()
+		for _, ids := range [][2]int{{0, 0}, {3, 3}, {0, 1}, {1, 0}, {2, 7}, {7, 2}} {
+			i, j := ids[0], ids[1]
+			if got, want := minheap.Less(scoreKey(a, i), scoreKey(b, j)), scoreLess(a, i, b, j); got != want {
+				t.Fatalf("key order of (%v [%#x], %d) < (%v [%#x], %d) = %v, scoreLess says %v",
+					a, math.Float64bits(a), i, b, math.Float64bits(b), j, got, want)
+			}
+		}
+	}
+	negNaN := math.Copysign(math.NaN(), -1)
+	special := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		1, -1, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1),
+		math.NaN(), negNaN,
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000abc),
+	}
+	for _, a := range special {
+		for _, b := range special {
+			check(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		a, b := math.Float64frombits(r.Uint64()), math.Float64frombits(r.Uint64())
+		check(a, b)
+		check(a, a)
 	}
 }
 

@@ -224,10 +224,10 @@ func (s *greedySched) pickLinear(c *pickCache, v *sim.View, eligible []int, rs *
 // round's heap when only the recorded deltas happened since the previous
 // Pick — same view epoch, same pick chain, same factor pair, and a slate
 // that is either unchanged (originals phase; the last pick's NQ moved, so
-// it is rescored) or exactly the last pick shorter (replica phase; the
-// entry is deleted) — and rebuilds it otherwise at linear-pass cost. The
-// heap minimum is returned; scoreLess being a strict total order makes it
-// the unique linear argmin.
+// the root is rescored in place) or exactly the last pick shorter (replica
+// phase; the root is popped) — and rebuilds it otherwise at linear-pass
+// cost. The heap minimum is returned; scoreLess being a strict total order
+// makes it the unique linear argmin.
 func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *sim.RoundState, factorEngaged, factorFresh int) int {
 	h := s.argmin
 	if h == nil {
@@ -238,20 +238,19 @@ func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *si
 		h.factorEngaged == factorEngaged && h.factorFresh == factorFresh &&
 		h.slatePtr == &eligible[0]
 	if cont {
-		k, q := h.lastK, h.slate[h.lastK]
+		// The previous Pick returned the root.
+		k := h.minIndex()
+		q := h.slate[k]
 		switch {
-		case h.pos[k] < 0:
-			cont = false
-		case len(eligible) == h.slateLen:
+		case len(eligible) == len(h.heap):
 			// Originals phase: the slate is unchanged and only the picked
 			// worker's NQ (and with it, possibly its factor choice) moved.
 			factor := s.candidateFactor(v, rs, q, factorEngaged, factorFresh)
-			h.update(k, s.cachedScore(c, v, rs, q, factor))
-		case len(eligible) == h.slateLen-1 && !slateContains(eligible, q):
+			h.heap.ReplaceMin(scoreKey(s.cachedScore(c, v, rs, q, factor), k))
+		case len(eligible) == len(h.heap)-1 && !slateContains(eligible, q):
 			// Replica phase: the engine compacted the picked worker out of
 			// the slate (order-preserving, so ascending order holds).
-			h.delete(k)
-			h.slateLen--
+			h.heap.PopMin()
 		default:
 			cont = false
 		}
@@ -263,10 +262,8 @@ func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *si
 		h.epoch = v.Epoch
 		h.factorEngaged, h.factorFresh = factorEngaged, factorFresh
 	}
-	best := h.minWorker()
-	h.lastK = h.heap[0].k
 	h.expectPicks = rs.Picks + 1
-	return best
+	return h.slate[h.minIndex()]
 }
 
 // slateContains reports whether worker q is on the (ascending) slate.

@@ -1,6 +1,8 @@
 package volatile
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -46,10 +48,20 @@ func TestScenarioOptionsValidate(t *testing.T) {
 	}
 }
 
+// largePSweepDigests pins the SHA-256 of TestLargePConfigSweepRuns'
+// formatted result per clock. At P = 500 the greedy slates exceed
+// greedyHeapMinEligible, so these are the only pins in the main module on
+// the heap argmin at a real slate size without a forced threshold.
+var largePSweepDigests = map[Mode]string{
+	ModeSlot:  "682e123badce4c1f3d2e41684b1cab1329d17adf181ed47239380d89104a5770",
+	ModeEvent: "cec72a9cbaa4bdc272b6b0aad2d028591e7c4b4bc1284dc737bb2575e0113924",
+}
+
 // TestLargePConfigSweepRuns exercises the volunteer-grid family end to end
 // at a CI-sized platform: every instance must complete (or be censored)
-// without error in both time bases, and the two runs of the same seed must
-// agree row for row — the large-P path inherits the determinism contract.
+// without error in both time bases, two runs of the same seed must agree
+// row for row — the large-P path inherits the determinism contract — and
+// each clock's result must match its pinned digest.
 func TestLargePConfigSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-P sweep is seconds-long; skipped in -short")
@@ -77,6 +89,10 @@ func TestLargePConfigSweepRuns(t *testing.T) {
 			if a.Overall[i] != b.Overall[i] {
 				t.Fatalf("mode %v row %d: rerun diverged: %+v vs %+v", mode, i, a.Overall[i], b.Overall[i])
 			}
+		}
+		sum := sha256.Sum256([]byte(formatSweep(a)))
+		if got := hex.EncodeToString(sum[:]); got != largePSweepDigests[mode] {
+			t.Errorf("mode %v: digest drifted:\n got  %s\n want %s", mode, got, largePSweepDigests[mode])
 		}
 	}
 }
