@@ -79,7 +79,7 @@ func TestDurabilityRejectedForEveryNonSweepExperiment(t *testing.T) {
 		sweep[e] = true
 	}
 	d := durabilityArgs{checkpoint: "x.ckpt", every: 1}
-	for _, e := range sweepreq.Experiments() {
+	for _, e := range usageExperiments {
 		err := validateDurability(e, d)
 		if sweep[e] != (err == nil) {
 			t.Fatalf("experiment %q: durability flags accepted=%v, want %v (err %v)", e, err == nil, sweep[e], err)

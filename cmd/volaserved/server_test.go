@@ -54,11 +54,18 @@ func submit(t *testing.T, ts *httptest.Server, req sweepreq.Request) (submitResp
 }
 
 // followEvents streams /jobs/{id}/events (NDJSON) until the stream closes,
-// returning every event.
+// returning every event. The stream may take as long as the test binary's
+// -timeout allows, less a margin so that a stream cut short fails here with
+// the read error rather than as a timeout panic; a slow host is not a
+// server fault.
 func followEvents(t *testing.T, ts *httptest.Server, id string) []jobs.Event {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
+	ctx := context.Background()
+	if deadline, ok := t.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline.Add(-10*time.Second))
+		defer cancel()
+	}
 	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/jobs/"+id+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +90,9 @@ func followEvents(t *testing.T, ts *httptest.Server, id string) []jobs.Event {
 			t.Fatalf("bad event line %q: %v", sc.Text(), err)
 		}
 		evs = append(evs, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("events stream of job %s ended after %d events: %v", id, len(evs), err)
 	}
 	return evs
 }

@@ -31,15 +31,6 @@ func TestParseVectorRoundTrip(t *testing.T) {
 	if _, err := ParseVector("uxd"); err == nil {
 		t.Fatal("expected error on invalid letter")
 	}
-	if got := v.CountUp(0, len(v)); got != 3 {
-		t.Fatalf("CountUp = %d, want 3", got)
-	}
-	if got := v.CountUp(-5, 100); got != 3 {
-		t.Fatalf("CountUp with clamped range = %d, want 3", got)
-	}
-	if got := v.CountUp(2, 4); got != 0 {
-		t.Fatalf("CountUp(2,4) = %d, want 0", got)
-	}
 }
 
 func TestVectorProcessReplaysAndClamps(t *testing.T) {
@@ -70,10 +61,36 @@ func TestRecord(t *testing.T) {
 	}
 }
 
+// TestNewMarkov3Validation pins the exact error for each kind of bad
+// matrix: trace fits and callers outside the program hand NewMarkov3
+// unchecked input.
 func TestNewMarkov3Validation(t *testing.T) {
-	bad := [3][3]float64{{0.5, 0.5, 0.5}, {0.3, 0.3, 0.4}, {0.3, 0.3, 0.4}}
-	if _, err := NewMarkov3(bad); err == nil {
-		t.Fatal("expected error for bad row sum")
+	ok := [3]float64{0.3, 0.3, 0.4}
+	cases := []struct {
+		name string
+		p    [3][3]float64
+		want string
+	}{
+		{"row-sum", [3][3]float64{{0.5, 0.5, 0.5}, ok, ok},
+			"avail: markov: row 0 sums to 1.5, want 1"},
+		{"below-zero", [3][3]float64{{-0.1, 1.1, 0}, ok, ok},
+			"avail: markov: P[0][0]=-0.1 out of [0,1]"},
+		{"above-one", [3][3]float64{{0.5, 0.5, 0}, ok, {0.3, 1.2, -0.5}},
+			"avail: markov: P[2][1]=1.2 out of [0,1]"},
+		{"nan", [3][3]float64{{math.NaN(), 0.5, 0.5}, ok, ok},
+			"avail: markov: P[0][0]=NaN out of [0,1]"},
+		{"inf", [3][3]float64{{math.Inf(1), 0, 0}, ok, ok},
+			"avail: markov: P[0][0]=+Inf out of [0,1]"},
+		{"identity", [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}},
+			"avail: markov: stationary: singular system at column 1"},
+		{"two-closed-classes", [3][3]float64{{0.5, 0.5, 0}, {0.5, 0.5, 0}, {0, 0, 1}},
+			"avail: markov: stationary: singular system at column 2"},
+	}
+	for _, c := range cases {
+		m, err := NewMarkov3(c.p)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: NewMarkov3 = (%v, %v), want error %q", c.name, m, err, c.want)
+		}
 	}
 }
 
@@ -267,6 +284,22 @@ func TestQuickRandomModelsAreErgodic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkStationary3 is the setup cost of one model: validation and the
+// stationary solve, paid once per processor of a generated platform.
+func BenchmarkStationary3(b *testing.B) {
+	p := [3][3]float64{
+		{0.95, 0.025, 0.025},
+		{0.03, 0.94, 0.03},
+		{0.05, 0.05, 0.90},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewMarkov3(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -8,7 +8,9 @@
 //
 //   - the State type and availability vectors;
 //   - the paper's 3-state Markov model (Section 5), including the random
-//     instantiation rule of Section 7;
+//     instantiation rule of Section 7, with its own stationary solve and
+//     per-slot step on fixed 3x3 arrays (tests check both bit for bit
+//     against internal/oracle's general n-state chain);
 //   - trace-replay processes, used both for the off-line study (known
 //     availability vectors) and for record/replay experiments;
 //   - a semi-Markov process with general sojourn-time distributions, the
@@ -101,23 +103,6 @@ func (Vector) letter(s State) byte {
 	default:
 		return 'd'
 	}
-}
-
-// CountUp returns the number of Up slots in v[from:to] (clamped to bounds).
-func (v Vector) CountUp(from, to int) int {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(v) {
-		to = len(v)
-	}
-	n := 0
-	for i := from; i < to; i++ {
-		if v[i] == Up {
-			n++
-		}
-	}
-	return n
 }
 
 // Process produces a processor's availability state slot by slot.

@@ -105,19 +105,6 @@ func DelayScaled(pv *sim.ProcView, commFactor int) int {
 	return commFactor * pv.RemProgram
 }
 
-// CorrectedTdata returns the contention-correcting communication cost of
-// Section 6.3.1: ceil(nactive/ncom) · Tdata, where nactive counts the
-// processors put to work in the current scheduling round (including the
-// candidate being scored). nactive is clamped to at least 1 so the first
-// assignment of a round still pays Tdata.
-func CorrectedTdata(params *platform.Params, nactive int) int {
-	if nactive < 1 {
-		nactive = 1
-	}
-	factor := (nactive + params.Ncom - 1) / params.Ncom
-	return factor * params.Tdata
-}
-
 // effectiveNActive is the nactive value used to score candidate q: the
 // round's counter, plus one if choosing q would newly activate it.
 func effectiveNActive(pv *sim.ProcView, rs *sim.RoundState) int {

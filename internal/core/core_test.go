@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/avail"
 	"repro/internal/expect"
+	"repro/internal/oracle"
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -111,8 +112,18 @@ func TestCorrectedTdata(t *testing.T) {
 		{11, 9}, // ceil(11/5)=3
 	}
 	for _, c := range cases {
-		if got := CorrectedTdata(prm, c.nactive); got != c.want {
+		if got := oracle.CorrectedTdata(prm, c.nactive); got != c.want {
 			t.Fatalf("CorrectedTdata(nactive=%d) = %d, want %d", c.nactive, got, c.want)
+		}
+	}
+	// The greedy scorers inline the factor as commFactor; it must agree
+	// with the reference for every round size, including an empty round.
+	for ncom := 1; ncom <= 6; ncom++ {
+		prm := params(ncom, 10, 3)
+		for na := 0; na <= 20; na++ {
+			if got, want := commFactor(na, ncom)*prm.Tdata, oracle.CorrectedTdata(prm, na); got != want {
+				t.Fatalf("ncom=%d nactive=%d: commFactor gives Tdata %d, reference %d", ncom, na, got, want)
+			}
 		}
 	}
 }
@@ -259,8 +270,8 @@ func TestUDPicksArgmaxNoDownSurvival(t *testing.T) {
 	)
 	k0 := expect.ExpectedSlots(v.Procs[0].Model, float64(CT(&v.Procs[0], 1, 1)))
 	k1 := expect.ExpectedSlots(v.Procs[1].Model, float64(CT(&v.Procs[1], 1, 1)))
-	p0 := expect.SurvivalUDApprox(v.Procs[0].Model, k0)
-	p1 := expect.SurvivalUDApprox(v.Procs[1].Model, k1)
+	p0 := oracle.SurvivalUDApprox(v.Procs[0].Model, k0)
+	p1 := oracle.SurvivalUDApprox(v.Procs[1].Model, k1)
 	want := 0
 	if p1 > p0 {
 		want = 1

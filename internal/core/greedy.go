@@ -71,8 +71,8 @@ func (s *greedySched) SkipPicks(*sim.View, []int, *sim.RoundState, int) {}
 
 // commFactor returns the communication slowdown factor ceil(n_active/n_com)
 // used by the corrected modes, clamped so an all-busy round still pays the
-// raw cost once (matching CorrectedTdata's n_active clamp and CTCorrected's
-// factor clamp — for n_active >= 1 all three agree exactly).
+// raw cost once (matching the n_active clamp of oracle.CorrectedTdata, which
+// TestCorrectedTdata checks it against, and CTCorrected's factor clamp).
 func commFactor(na, ncom int) int {
 	f := (na + ncom - 1) / ncom
 	if f < 1 {

@@ -68,21 +68,6 @@ func CompletionCDF(m *avail.Markov3, w int, horizon int) []float64 {
 	return f
 }
 
-// SuccessProbability returns (P+)^(w−1): the probability that a processor
-// starting UP accumulates w UP slots before ever entering DOWN (the
-// normalizing constant of Theorem 2's conditional expectation).
-func SuccessProbability(m *avail.Markov3, w int) float64 {
-	if w <= 1 {
-		return 1
-	}
-	pp := PPlus(m)
-	out := 1.0
-	for i := 1; i < w; i++ {
-		out *= pp
-	}
-	return out
-}
-
 // DeadlineProbability returns the probability that a workload of w UP slots,
 // started in an UP slot, completes within d slots without a crash — the
 // quantity a deadline-aware scheduler compares across processors.

@@ -1,4 +1,4 @@
-package expect
+package expect_test
 
 import (
 	"math"
@@ -6,12 +6,14 @@ import (
 	"testing/quick"
 
 	"repro/internal/avail"
+	"repro/internal/expect"
+	"repro/internal/oracle"
 	"repro/internal/rng"
 )
 
 func TestCompletionCDFTrivialWorkload(t *testing.T) {
 	m := paperModel(1)
-	f := CompletionCDF(m, 1, 5)
+	f := expect.CompletionCDF(m, 1, 5)
 	if f[0] != 0 {
 		t.Fatal("F[0] must be 0")
 	}
@@ -20,7 +22,7 @@ func TestCompletionCDFTrivialWorkload(t *testing.T) {
 			t.Fatalf("w=1: F[%d] = %v, want 1", tt, f[tt])
 		}
 	}
-	if got := CompletionCDF(m, 3, 0); len(got) != 1 || got[0] != 0 {
+	if got := expect.CompletionCDF(m, 3, 0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("horizon 0: %v", got)
 	}
 }
@@ -29,7 +31,7 @@ func TestCompletionCDFMonotone(t *testing.T) {
 	f := func(seed uint64, wRaw uint8) bool {
 		w := int(wRaw%20) + 2
 		m := avail.RandomMarkov3(rng.New(seed))
-		cdf := CompletionCDF(m, w, 300)
+		cdf := expect.CompletionCDF(m, w, 300)
 		for t := 1; t < len(cdf); t++ {
 			if cdf[t] < cdf[t-1]-1e-12 || cdf[t] > 1+1e-12 {
 				return false
@@ -46,9 +48,9 @@ func TestCompletionCDFLimitIsSuccessProbability(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		m := paperModel(seed)
 		for _, w := range []int{2, 5, 10} {
-			cdf := CompletionCDF(m, w, 5000)
+			cdf := expect.CompletionCDF(m, w, 5000)
 			limit := cdf[len(cdf)-1]
-			want := SuccessProbability(m, w)
+			want := oracle.SuccessProbability(m, w)
 			if math.Abs(limit-want) > 1e-6 {
 				t.Fatalf("seed %d w=%d: CDF limit %v vs (P+)^(w-1) = %v",
 					seed, w, limit, want)
@@ -64,14 +66,14 @@ func TestCompletionCDFMeanMatchesTheorem2(t *testing.T) {
 		m := paperModel(seed)
 		for _, w := range []int{2, 7, 15} {
 			const horizon = 8000
-			cdf := CompletionCDF(m, w, horizon)
-			fInf := SuccessProbability(m, w)
+			cdf := expect.CompletionCDF(m, w, horizon)
+			fInf := oracle.SuccessProbability(m, w)
 			var mean float64
 			for t := 1; t <= horizon; t++ {
 				mean += float64(t) * (cdf[t] - cdf[t-1])
 			}
 			mean /= fInf
-			want := ExpectedSlots(m, float64(w))
+			want := expect.ExpectedSlots(m, float64(w))
 			if math.Abs(mean-want)/want > 1e-3 {
 				t.Fatalf("seed %d w=%d: CDF mean %v vs E(W) %v", seed, w, mean, want)
 			}
@@ -82,7 +84,7 @@ func TestCompletionCDFMeanMatchesTheorem2(t *testing.T) {
 func TestCompletionCDFMatchesMonteCarlo(t *testing.T) {
 	m := paperModel(3)
 	const w = 6
-	cdf := CompletionCDF(m, w, 60)
+	cdf := expect.CompletionCDF(m, w, 60)
 	r := rng.New(303)
 	const trials = 150000
 	counts := make([]int, 61)
@@ -118,23 +120,23 @@ func TestCompletionCDFMatchesMonteCarlo(t *testing.T) {
 
 func TestDeadlineProbability(t *testing.T) {
 	m := paperModel(4)
-	if DeadlineProbability(m, 5, 0) != 0 {
+	if expect.DeadlineProbability(m, 5, 0) != 0 {
 		t.Fatal("deadline 0 must be impossible")
 	}
 	// The workload needs at least w slots.
-	if got := DeadlineProbability(m, 5, 4); got != 0 {
+	if got := expect.DeadlineProbability(m, 5, 4); got != 0 {
 		t.Fatalf("deadline below w: %v, want 0", got)
 	}
 	// Monotone in the deadline and bounded by the success probability.
 	prev := 0.0
 	for d := 5; d <= 100; d += 5 {
-		p := DeadlineProbability(m, 5, d)
+		p := expect.DeadlineProbability(m, 5, d)
 		if p < prev {
 			t.Fatalf("deadline prob decreased at %d", d)
 		}
 		prev = p
 	}
-	if prev > SuccessProbability(m, 5)+1e-9 {
+	if prev > oracle.SuccessProbability(m, 5)+1e-9 {
 		t.Fatalf("deadline prob %v exceeds success probability", prev)
 	}
 }
@@ -143,6 +145,6 @@ func BenchmarkCompletionCDF(b *testing.B) {
 	m := paperModel(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = CompletionCDF(m, 20, 1000)
+		_ = expect.CompletionCDF(m, 20, 1000)
 	}
 }

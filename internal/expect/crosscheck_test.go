@@ -1,11 +1,12 @@
-package expect
+package expect_test
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/avail"
-	"repro/internal/markov"
+	"repro/internal/expect"
+	"repro/internal/oracle"
 	"repro/internal/rng"
 )
 
@@ -25,7 +26,7 @@ func TestPPlusViaAbsorption(t *testing.T) {
 		prd := m.P(avail.Reclaimed, avail.Down)
 		// States: 0 = start (just left an UP slot), 1 = RECLAIMED,
 		// 2 = DOWN (absorbing), 3 = UP again (absorbing).
-		aux := markov.MustChain([][]float64{
+		aux := oracle.MustChain([][]float64{
 			{0, pur, pud, puu},
 			{0, prr, prd, pru},
 			{0, 0, 1, 0},
@@ -35,7 +36,7 @@ func TestPPlusViaAbsorption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := PPlus(m)
+		want := expect.PPlus(m)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("seed %d: absorption P+ %v vs Lemma 1 %v", seed, got, want)
 		}
@@ -56,7 +57,7 @@ func TestExpectedUpStepViaFundamentalMatrix(t *testing.T) {
 		prr := m.P(avail.Reclaimed, avail.Reclaimed)
 		// h(start) = P+, h(r) = P(reach U before D | r) = Pru/(1-Prr),
 		// h(U) = 1. Conditioned transitions: p~(s,s') = p(s,s') h(s')/h(s).
-		hStart := PPlus(m)
+		hStart := expect.PPlus(m)
 		hr := 0.0
 		if prr < 1 {
 			hr = pru / (1 - prr)
@@ -65,7 +66,7 @@ func TestExpectedUpStepViaFundamentalMatrix(t *testing.T) {
 			continue // conditioning undefined; paper-rule chains never hit this
 		}
 		// States: 0 = start, 1 = r, 2 = U (absorbing).
-		aux := markov.MustChain([][]float64{
+		aux := oracle.MustChain([][]float64{
 			{0, pur * hr / hStart, puu * 1 / hStart},
 			{0, prr, pru / hr * 1}, // p~(r,r)=prr·hr/hr=prr; p~(r,U)=pru/hr
 			{0, 0, 1},
@@ -78,7 +79,7 @@ func TestExpectedUpStepViaFundamentalMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ExpectedUpStep(m)
+		want := expect.ExpectedUpStep(m)
 		if math.Abs(steps-want) > 1e-9 {
 			t.Fatalf("seed %d: fundamental-matrix E(up) %v vs closed form %v",
 				seed, steps, want)

@@ -7,20 +7,15 @@
 //     needs to accumulate W slots of UP time, conditioned on not going DOWN
 //     before finishing;
 //   - P_UD(k): the probability that a processor currently UP stays out of
-//     DOWN for k slots — both the exact matrix-power form and the paper's
-//     "forget the state after the first transition" approximation
-//     (Section 6.3.3).
+//     DOWN for k slots, in the paper's "forget the state after the first
+//     transition" approximation (Section 6.3.3), as Analytics.UDScore.
 //
 // These quantities are what the informed heuristics (EMCT, EMCT*, LW, LW*,
-// UD, UD*) consume. Monte-Carlo estimators for each quantity live in
-// montecarlo.go and back the correctness tests.
+// UD, UD*) consume. The tests check them against the reference forms and
+// Monte Carlo estimators of internal/oracle.
 package expect
 
-import (
-	"math"
-
-	"repro/internal/avail"
-)
+import "repro/internal/avail"
 
 // PPlus returns P+ for the given availability model (Lemma 1):
 //
@@ -81,77 +76,4 @@ func ExpectedSlots(m *avail.Markov3, w float64) float64 {
 		return w
 	}
 	return 1 + (w-1)*ExpectedUpStep(m)
-}
-
-// SurvivalUD returns the exact probability that a processor UP now avoids
-// DOWN for k consecutive slots (including the current one):
-//
-//	P_UD(k) = [1 1] · M^(k−1) · [1 0]^T,
-//
-// where M is the 2x2 sub-matrix of the transition matrix restricted to
-// {UP, RECLAIMED} (Section 6.3.3). k ≤ 1 returns 1 (it is already UP).
-func SurvivalUD(m *avail.Markov3, k int) float64 {
-	if k <= 1 {
-		return 1
-	}
-	// M restricted to {u, r}, row-stochastic orientation M[i][j] = P(i->j).
-	// Survival from UP over k-1 transitions is e_u^T · M^(k-1) · 1: iterate
-	// the all-ones column vector y <- M·y (k-1 times) and read the UP entry.
-	// (The paper writes [1 1]·M^(k-1)·[1 0]^T with M column-stochastic;
-	// both expressions denote the same number.)
-	a := m.P(avail.Up, avail.Up)
-	b := m.P(avail.Up, avail.Reclaimed)
-	c := m.P(avail.Reclaimed, avail.Up)
-	d := m.P(avail.Reclaimed, avail.Reclaimed)
-	yu, yr := 1.0, 1.0
-	for j := 0; j < k-1; j++ {
-		yu, yr = a*yu+b*yr, c*yu+d*yr
-	}
-	return yu
-}
-
-// SurvivalUDFrac evaluates SurvivalUD at a fractional horizon by geometric
-// interpolation between the neighbouring integers: heuristics feed expected
-// (real-valued) workloads into the survival probability.
-func SurvivalUDFrac(m *avail.Markov3, k float64) float64 {
-	if k <= 1 {
-		return 1
-	}
-	lo := int(math.Floor(k))
-	hi := lo + 1
-	pLo := SurvivalUD(m, lo)
-	if float64(lo) == k {
-		return pLo
-	}
-	pHi := SurvivalUD(m, hi)
-	if pLo <= 0 {
-		return 0
-	}
-	frac := k - float64(lo)
-	// Geometric interpolation preserves the exponential decay shape.
-	return pLo * math.Pow(pHi/pLo, frac)
-}
-
-// SurvivalUDApprox is the paper's closed-form approximation of P_UD(k),
-// obtained by forgetting the exact state after the first transition and
-// using stationary weights for the per-slot death probability:
-//
-//	P_UD(k) ≈ (1 − P(u,d)) · (1 − (P(u,d)·πu + P(r,d)·πr)/(πu + πr))^(k−2).
-//
-// Accepts fractional k (the heuristics plug in E(W)); k ≤ 1 returns 1.
-func SurvivalUDApprox(m *avail.Markov3, k float64) float64 {
-	if k <= 1 {
-		return 1
-	}
-	pud := m.P(avail.Up, avail.Down)
-	prd := m.P(avail.Reclaimed, avail.Down)
-	piU, piR, _ := m.Stationary()
-	if piU+piR == 0 {
-		return 0
-	}
-	perSlot := 1 - (pud*piU+prd*piR)/(piU+piR)
-	if perSlot < 0 {
-		perSlot = 0
-	}
-	return (1 - pud) * math.Pow(perSlot, k-2)
 }

@@ -1,4 +1,4 @@
-package markov
+package oracle
 
 import (
 	"fmt"
@@ -12,8 +12,8 @@ import (
 // This provides an independent linear-algebra derivation of the paper's
 // Section 5 quantities: P+ is the probability, starting from the UP state's
 // successor distribution, of reaching UP before DOWN; E(W)'s per-step
-// expectation follows from N's row sums. The expect package's closed forms
-// are cross-validated against these in tests.
+// expectation follows from N's row sums. The expect package's tests check
+// its closed forms against these.
 
 // Absorption holds the result of an absorption analysis.
 type Absorption struct {
@@ -38,7 +38,7 @@ type Absorption struct {
 func (c *Chain) Absorb(absorbing map[int]bool) (*Absorption, error) {
 	n := c.N()
 	if len(absorbing) == 0 {
-		return nil, fmt.Errorf("markov: empty absorbing set")
+		return nil, fmt.Errorf("oracle: empty absorbing set")
 	}
 	out := &Absorption{}
 	pos := make(map[int]int)
@@ -75,7 +75,7 @@ func (c *Chain) Absorb(absorbing map[int]bool) (*Absorption, error) {
 		b[col] = 1
 		x, err := solveLinear(buildIminusQ(), b)
 		if err != nil {
-			return nil, fmt.Errorf("markov: absorption: %w", err)
+			return nil, fmt.Errorf("oracle: absorption: %w", err)
 		}
 		for r := 0; r < t; r++ {
 			out.N[r][col] = x[r]
@@ -101,7 +101,7 @@ func (c *Chain) Absorb(absorbing map[int]bool) (*Absorption, error) {
 			sum += v
 		}
 		if diff := sum - 1; diff > 1e-6 || diff < -1e-6 {
-			return nil, fmt.Errorf("markov: transient state %d reaches absorption with probability %v",
+			return nil, fmt.Errorf("oracle: transient state %d reaches absorption with probability %v",
 				out.Transient[r], sum)
 		}
 	}
@@ -113,10 +113,10 @@ func (c *Chain) Absorb(absorbing map[int]bool) (*Absorption, error) {
 // `from` must not itself be in `targets`.
 func (c *Chain) AbsorptionProbability(from, target int, targets map[int]bool) (float64, error) {
 	if targets[from] {
-		return 0, fmt.Errorf("markov: start state %d is absorbing", from)
+		return 0, fmt.Errorf("oracle: start state %d is absorbing", from)
 	}
 	if !targets[target] {
-		return 0, fmt.Errorf("markov: target %d not in absorbing set", target)
+		return 0, fmt.Errorf("oracle: target %d not in absorbing set", target)
 	}
 	abs, err := c.Absorb(targets)
 	if err != nil {
@@ -134,7 +134,7 @@ func (c *Chain) AbsorptionProbability(from, target int, targets map[int]bool) (f
 		}
 	}
 	if ri < 0 || ci < 0 {
-		return 0, fmt.Errorf("markov: state lookup failed")
+		return 0, fmt.Errorf("oracle: state lookup failed")
 	}
 	return abs.B[ri][ci], nil
 }
@@ -151,5 +151,5 @@ func (a *Absorption) ExpectedStepsToAbsorption(from int) (float64, error) {
 			return sum, nil
 		}
 	}
-	return 0, fmt.Errorf("markov: state %d is not transient", from)
+	return 0, fmt.Errorf("oracle: state %d is not transient", from)
 }

@@ -1,14 +1,15 @@
-// Package markov implements finite discrete-time Markov chains: transition
-// matrices with validation, stationary distributions, sampling, and
-// hitting-time utilities.
+// Package oracle holds reference implementations that tests compare the
+// program against: general finite Markov chains (validation, stationary
+// distributions by elimination and by power iteration, sampling, absorption
+// and hitting times), Monte Carlo estimators of the Section 5 quantities,
+// the exact survival form P_UD(k), and the corrected Tdata of Section 6.3.1
+// that the greedy scorers inline.
 //
-// The paper models each processor's availability as a 3-state recurrent
-// aperiodic chain over {UP, RECLAIMED, DOWN}. This package is written for
-// arbitrary finite state spaces so that the analytical machinery (stationary
-// distributions, absorption probabilities, expected hitting times) can be
-// validated against the paper's closed forms on the 3-state special case and
-// reused for extensions.
-package markov
+// Only _test.go files may import this package, and TestOracleIsTestOnly
+// enforces that: none of this code is linked into a sweep. The paper's
+// 3-state chain that sweeps run is internal/avail's Markov3, which must
+// agree with Chain bit for bit.
+package oracle
 
 import (
 	"errors"
@@ -33,31 +34,30 @@ type Chain struct {
 func NewChain(p [][]float64) (*Chain, error) {
 	n := len(p)
 	if n == 0 {
-		return nil, errors.New("markov: empty transition matrix")
+		return nil, errors.New("oracle: empty transition matrix")
 	}
 	cp := make([][]float64, n)
 	for i, row := range p {
 		if len(row) != n {
-			return nil, fmt.Errorf("markov: row %d has %d entries, want %d", i, len(row), n)
+			return nil, fmt.Errorf("oracle: row %d has %d entries, want %d", i, len(row), n)
 		}
 		var sum float64
 		cp[i] = make([]float64, n)
 		for j, v := range row {
 			if v < -probTolerance || v > 1+probTolerance || math.IsNaN(v) {
-				return nil, fmt.Errorf("markov: P[%d][%d]=%v out of [0,1]", i, j, v)
+				return nil, fmt.Errorf("oracle: P[%d][%d]=%v out of [0,1]", i, j, v)
 			}
 			cp[i][j] = math.Min(1, math.Max(0, v))
 			sum += v
 		}
 		if math.Abs(sum-1) > 1e-6 {
-			return nil, fmt.Errorf("markov: row %d sums to %v, want 1", i, sum)
+			return nil, fmt.Errorf("oracle: row %d sums to %v, want 1", i, sum)
 		}
 	}
 	return &Chain{p: cp}, nil
 }
 
-// MustChain is NewChain that panics on error; for literals in tests and
-// examples.
+// MustChain is NewChain that panics on error; for literals in tests.
 func MustChain(p [][]float64) *Chain {
 	c, err := NewChain(p)
 	if err != nil {
@@ -71,22 +71,6 @@ func (c *Chain) N() int { return len(c.p) }
 
 // P returns the one-step transition probability from state i to state j.
 func (c *Chain) P(i, j int) float64 { return c.p[i][j] }
-
-// Row returns a copy of the outgoing distribution of state i.
-func (c *Chain) Row(i int) []float64 {
-	out := make([]float64, len(c.p[i]))
-	copy(out, c.p[i])
-	return out
-}
-
-// Matrix returns a deep copy of the transition matrix.
-func (c *Chain) Matrix() [][]float64 {
-	out := make([][]float64, len(c.p))
-	for i := range c.p {
-		out[i] = append([]float64(nil), c.p[i]...)
-	}
-	return out
-}
 
 // Stationary computes the stationary distribution pi with pi P = pi and
 // sum(pi)=1 by solving the linear system (P^T - I) pi = 0 augmented with the
@@ -113,21 +97,21 @@ func (c *Chain) Stationary() ([]float64, error) {
 
 	pi, err := solveLinear(a, b)
 	if err != nil {
-		return nil, fmt.Errorf("markov: stationary: %w", err)
+		return nil, fmt.Errorf("oracle: stationary: %w", err)
 	}
 	// Clamp tiny negatives from roundoff and renormalize.
 	var sum float64
 	for i, v := range pi {
 		if v < 0 {
 			if v < -1e-8 {
-				return nil, fmt.Errorf("markov: stationary solution has negative mass %v at state %d", v, i)
+				return nil, fmt.Errorf("oracle: stationary solution has negative mass %v at state %d", v, i)
 			}
 			pi[i] = 0
 		}
 		sum += pi[i]
 	}
 	if sum <= 0 {
-		return nil, errors.New("markov: stationary solution has no mass")
+		return nil, errors.New("oracle: stationary solution has no mass")
 	}
 	for i := range pi {
 		pi[i] /= sum
@@ -166,7 +150,7 @@ func (c *Chain) StationaryPower(maxIter int, tol float64) ([]float64, error) {
 			return append([]float64(nil), cur...), nil
 		}
 	}
-	return nil, fmt.Errorf("markov: power iteration did not converge in %d iterations", maxIter)
+	return nil, fmt.Errorf("oracle: power iteration did not converge in %d iterations", maxIter)
 }
 
 // Step samples the successor of state i using u, a uniform draw in [0,1).
@@ -187,21 +171,6 @@ func (c *Chain) Step(i int, u float64) int {
 		}
 	}
 	return len(row) - 1
-}
-
-// MatrixPower returns P^k (k >= 0) by repeated squaring.
-func (c *Chain) MatrixPower(k int) [][]float64 {
-	n := c.N()
-	result := identity(n)
-	base := c.Matrix()
-	for k > 0 {
-		if k&1 == 1 {
-			result = matMul(result, base)
-		}
-		base = matMul(base, base)
-		k >>= 1
-	}
-	return result
 }
 
 // ExpectedHittingTime returns, for each start state, the expected number of
@@ -238,12 +207,12 @@ func (c *Chain) ExpectedHittingTime(targets map[int]bool) ([]float64, error) {
 	}
 	h, err := solveLinear(a, b)
 	if err != nil {
-		return nil, fmt.Errorf("markov: hitting time: %w", err)
+		return nil, fmt.Errorf("oracle: hitting time: %w", err)
 	}
 	out := make([]float64, n)
 	for r, i := range idx {
 		if h[r] < 0 || math.IsInf(h[r], 0) || math.IsNaN(h[r]) {
-			return nil, fmt.Errorf("markov: hitting time from state %d is not finite/positive (%v)", i, h[r])
+			return nil, fmt.Errorf("oracle: hitting time from state %d is not finite/positive (%v)", i, h[r])
 		}
 		out[i] = h[r]
 	}
@@ -291,31 +260,4 @@ func solveLinear(a [][]float64, b []float64) ([]float64, error) {
 		x[r] = v / a[r][r]
 	}
 	return x, nil
-}
-
-func identity(n int) [][]float64 {
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		m[i][i] = 1
-	}
-	return m
-}
-
-func matMul(a, b [][]float64) [][]float64 {
-	n := len(a)
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = make([]float64, n)
-		for k := 0; k < n; k++ {
-			if a[i][k] == 0 {
-				continue
-			}
-			aik := a[i][k]
-			for j := 0; j < n; j++ {
-				out[i][j] += aik * b[k][j]
-			}
-		}
-	}
-	return out
 }

@@ -1,4 +1,4 @@
-package markov
+package oracle
 
 import (
 	"math"
@@ -38,11 +38,6 @@ func TestChainIsDeepCopied(t *testing.T) {
 	p[0][0] = 0
 	if c.P(0, 0) != 0.9 {
 		t.Fatal("chain aliased the caller's matrix")
-	}
-	m := c.Matrix()
-	m[0][0] = 0
-	if c.P(0, 0) != 0.9 {
-		t.Fatal("Matrix() aliased internal state")
 	}
 }
 
@@ -147,55 +142,6 @@ func TestStepEdgeUniforms(t *testing.T) {
 	}
 }
 
-func TestMatrixPower(t *testing.T) {
-	c := MustChain([][]float64{{0.9, 0.1}, {0.4, 0.6}})
-	p0 := c.MatrixPower(0)
-	if p0[0][0] != 1 || p0[0][1] != 0 || p0[1][0] != 0 || p0[1][1] != 1 {
-		t.Fatalf("P^0 = %v, want identity", p0)
-	}
-	p1 := c.MatrixPower(1)
-	if !almostEqual(p1[0][0], 0.9, 1e-15) {
-		t.Fatalf("P^1 = %v", p1)
-	}
-	// P^2 by hand: [0.85 0.15; 0.6 0.4]
-	p2 := c.MatrixPower(2)
-	if !almostEqual(p2[0][0], 0.85, 1e-12) || !almostEqual(p2[1][0], 0.60, 1e-12) {
-		t.Fatalf("P^2 = %v", p2)
-	}
-	// Large powers converge to the stationary distribution on every row.
-	pi, _ := c.Stationary()
-	pk := c.MatrixPower(200)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if !almostEqual(pk[i][j], pi[j], 1e-9) {
-				t.Fatalf("P^200 row %d = %v, want %v", i, pk[i], pi)
-			}
-		}
-	}
-}
-
-func TestMatrixPowerRowsRemainStochastic(t *testing.T) {
-	r := rng.New(24)
-	for trial := 0; trial < 50; trial++ {
-		c := randomChain(r, 2+r.Intn(4))
-		for _, k := range []int{1, 3, 7, 30} {
-			pk := c.MatrixPower(k)
-			for i, row := range pk {
-				var sum float64
-				for _, v := range row {
-					if v < -1e-12 {
-						t.Fatalf("negative entry in P^%d row %d: %v", k, i, row)
-					}
-					sum += v
-				}
-				if !almostEqual(sum, 1, 1e-9) {
-					t.Fatalf("P^%d row %d sums to %v", k, i, sum)
-				}
-			}
-		}
-	}
-}
-
 func TestExpectedHittingTimeTwoState(t *testing.T) {
 	// From state 0, P(hit 1 each step) = a. Expected time = 1/a.
 	a := 0.25
@@ -260,18 +206,4 @@ func randomChain(r *rng.PCG, n int) *Chain {
 		}
 	}
 	return MustChain(p)
-}
-
-func BenchmarkStationary3(b *testing.B) {
-	c := MustChain([][]float64{
-		{0.95, 0.025, 0.025},
-		{0.03, 0.94, 0.03},
-		{0.05, 0.05, 0.90},
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Stationary(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,15 +1,14 @@
-package expect
+package oracle
 
 import (
 	"repro/internal/avail"
 	"repro/internal/rng"
 )
 
-// This file provides Monte-Carlo estimators for every closed form in
-// formulas.go. They exist to validate the analytics (the paper's Lemma 1 and
-// Theorem 2 carry proofs, but our transcription of them must be checked) and
-// to extend the same quantities to availability models with no closed form
-// (semi-Markov, traces).
+// This file provides Monte-Carlo estimators for the closed forms of
+// internal/expect and for SurvivalUD. They validate the analytics: the
+// paper's Lemma 1 and Theorem 2 carry proofs, but their transcription must
+// be checked.
 
 // maxWalk bounds a single conditioned walk; trajectories longer than this
 // are abandoned as failures. With the paper's parameter ranges the

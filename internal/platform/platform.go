@@ -64,18 +64,6 @@ func (pl *Platform) Validate() error {
 // P reports the number of processors.
 func (pl *Platform) P() int { return len(pl.Processors) }
 
-// MinW returns the smallest task cost across processors (the fastest
-// processor's w).
-func (pl *Platform) MinW() int {
-	min := pl.Processors[0].W
-	for _, p := range pl.Processors[1:] {
-		if p.W < min {
-			min = p.W
-		}
-	}
-	return min
-}
-
 // Params carries the application and communication parameters of one run.
 type Params struct {
 	// M is the number of tasks per iteration.

@@ -95,9 +95,6 @@ func TestRandomPlatformRespectsRanges(t *testing.T) {
 				t.Fatalf("w=%d outside [%d, %d]", proc.W, wmin, 10*wmin)
 			}
 		}
-		if pl.MinW() < wmin {
-			t.Fatalf("MinW = %d < wmin = %d", pl.MinW(), wmin)
-		}
 	}
 }
 
@@ -111,16 +108,5 @@ func TestRandomPlatformDeterministic(t *testing.T) {
 		if a.Processors[i].Avail.Matrix() != b.Processors[i].Avail.Matrix() {
 			t.Fatal("same seed produced different models")
 		}
-	}
-}
-
-func TestMinW(t *testing.T) {
-	pl := &Platform{Processors: []*Processor{
-		{ID: 0, W: 7, Avail: testModel()},
-		{ID: 1, W: 3, Avail: testModel()},
-		{ID: 2, W: 9, Avail: testModel()},
-	}}
-	if got := pl.MinW(); got != 3 {
-		t.Fatalf("MinW = %d, want 3", got)
 	}
 }

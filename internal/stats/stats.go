@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -196,20 +195,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
 // StdDev returns the sample standard deviation (0 for fewer than 2 samples).
 func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {
@@ -231,9 +216,4 @@ func CI95(xs []float64) float64 {
 		return 0
 	}
 	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// Summary formats mean ± CI95 for display.
-func Summary(xs []float64) string {
-	return fmt.Sprintf("%.2f ± %.2f", Mean(xs), CI95(xs))
 }

@@ -34,9 +34,6 @@ var experiments = []string{
 // job slot for longer than any real reproduction needs.
 const maxInstances = 1 << 24
 
-// Experiments returns every valid experiment name, in usage order.
-func Experiments() []string { return append([]string(nil), experiments...) }
-
 // SweepExperiments returns the experiments that run through the sharded
 // sweep pipeline (checkpointable, streamable, servable), in usage order.
 func SweepExperiments() []string {

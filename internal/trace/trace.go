@@ -54,15 +54,6 @@ func (s *Set) Len() int {
 	return len(s.Vectors[0])
 }
 
-// Processes returns replay processes for every vector.
-func (s *Set) Processes() []avail.Process {
-	out := make([]avail.Process, len(s.Vectors))
-	for i, v := range s.Vectors {
-		out[i] = avail.NewVectorProcess(v)
-	}
-	return out
-}
-
 // Record samples n slots from each given process into a Set.
 func Record(procs []avail.Process, n int) *Set {
 	out := &Set{Vectors: make([]avail.Vector, len(procs))}

@@ -77,7 +77,11 @@ func TestRecordAndReplay(t *testing.T) {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	// Replay must reproduce the recording exactly.
-	replayed := Record(s.Processes(), 100)
+	replays := make([]avail.Process, len(s.Vectors))
+	for q, v := range s.Vectors {
+		replays[q] = avail.NewVectorProcess(v)
+	}
+	replayed := Record(replays, 100)
 	for q := range s.Vectors {
 		if s.Vectors[q].String() != replayed.Vectors[q].String() {
 			t.Fatalf("replay diverged on vector %d", q)

@@ -46,18 +46,6 @@ func PaperGrid() []Cell {
 	return out
 }
 
-// WminSlice returns the cells of the grid with the given wmin (the x-axis
-// grouping of Figure 2).
-func WminSlice(wmin int) []Cell {
-	var out []Cell
-	for _, c := range PaperGrid() {
-		if c.Wmin == wmin {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Scenario is one concrete experimental setting: a platform plus run
 // parameters. Trials of a scenario share the platform and differ only in the
 // availability trajectories (the paper varies the transition seed).

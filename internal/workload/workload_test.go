@@ -34,18 +34,6 @@ func TestPaperGridShape(t *testing.T) {
 	}
 }
 
-func TestWminSlice(t *testing.T) {
-	s := WminSlice(7)
-	if len(s) != 12 {
-		t.Fatalf("wmin slice has %d cells, want 12 (4x3)", len(s))
-	}
-	for _, c := range s {
-		if c.Wmin != 7 {
-			t.Fatalf("cell %v leaked into slice", c)
-		}
-	}
-}
-
 func TestGenerateFollowsPaperRules(t *testing.T) {
 	r := rng.New(81)
 	cell := Cell{N: 20, Ncom: 10, Wmin: 3}
