@@ -41,6 +41,11 @@ type CheckpointConfig struct {
 	// does not match the sweep is rejected; a missing file starts the sweep
 	// from scratch (so a resume command is safe to run unconditionally).
 	Resume bool
+	// OnSave, when set, is called after each successful checkpoint write
+	// with exactly what ReadCheckpoint would read back from Path. It runs
+	// on the committer goroutine, so a slow callback holds up the sweep. A
+	// failed write calls nothing; it only adds a warning to the result.
+	OnSave func(st *CheckpointStatus)
 }
 
 // InterruptedError reports a sweep stopped gracefully through its Stop

@@ -1,7 +1,8 @@
 // Command volaserved serves the sweep experiments over HTTP: submit any
 // sweep-family experiment as JSON, follow its progress and partial
-// aggregates as an event stream, and fetch the finished table with its
-// digest. Results are content-addressed by config digest, so identical
+// aggregates as an event stream (a partial at each checkpoint write that
+// commits a strict prefix, so -checkpoint-every sets their cadence), and
+// fetch the finished table with its digest. Results are content-addressed by config digest, so identical
 // submissions are served from cache, and running jobs checkpoint to disk —
 // a restarted server resumes a resubmitted sweep from where it left off and
 // still lands on a bit-identical result digest.
@@ -53,7 +54,6 @@ func main() {
 	dataDir := flag.String("data", "volaserved-data", "directory for checkpoints and cached results")
 	maxJobs := flag.Int("max-jobs", 1, "sweeps running concurrently (each sweep is itself parallel)")
 	every := flag.Int("checkpoint-every", 0, "checkpoint cadence in chunks (0 = library default)")
-	partial := flag.Duration("partial-interval", 2*time.Second, "how often running jobs re-read their checkpoint to stream partial aggregates")
 	resultsTTL := flag.Duration("results-ttl", 0, "evict cached results older than this (0 = keep forever; eviction never touches a job with an attached stream)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", time.Minute, "grace period for in-flight requests on SIGINT/SIGTERM")
 	flag.Parse()
@@ -70,7 +70,6 @@ func main() {
 		DataDir:         *dataDir,
 		MaxConcurrent:   *maxJobs,
 		CheckpointEvery: *every,
-		PartialInterval: *partial,
 		ResultsTTL:      *resultsTTL,
 	})
 	if err != nil {

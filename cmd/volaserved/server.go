@@ -97,15 +97,9 @@ func newServer(sched *jobs.Scheduler) http.Handler {
 			writeError(w, http.StatusConflict, fmt.Errorf("job %s is %s, not done", job.Digest, st))
 			return
 		}
-		if res, ok := job.Result(); ok {
-			writeJSON(w, http.StatusOK, res)
-			return
-		}
-		res, err := sched.Result(job.Digest)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+		// A done job always holds its result: it is installed before the
+		// done event, or together with it for a cache hit.
+		res, _ := job.Result()
 		writeJSON(w, http.StatusOK, res)
 	})
 

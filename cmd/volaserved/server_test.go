@@ -19,11 +19,7 @@ import (
 
 func newTestServer(t *testing.T, dir string) (*httptest.Server, *jobs.Scheduler) {
 	t.Helper()
-	sched, err := jobs.New(jobs.Options{
-		DataDir:         dir,
-		CheckpointEvery: 1,
-		PartialInterval: 20 * time.Millisecond,
-	})
+	sched, err := jobs.New(jobs.Options{DataDir: dir, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +49,23 @@ func submit(t *testing.T, ts *httptest.Server, req sweepreq.Request) (submitResp
 	return sr, resp.StatusCode
 }
 
+// streamContext bounds an event stream by the test binary's -timeout, less
+// a margin so that a stream cut short fails with the read error rather than
+// as a timeout panic; a slow host is not a server fault.
+func streamContext(t *testing.T) (context.Context, context.CancelFunc) {
+	if deadline, ok := t.Deadline(); ok {
+		return context.WithDeadline(context.Background(), deadline.Add(-10*time.Second))
+	}
+	return context.WithCancel(context.Background())
+}
+
 // followEvents streams /jobs/{id}/events (NDJSON) until the stream closes,
-// returning every event. The stream may take as long as the test binary's
-// -timeout allows, less a margin so that a stream cut short fails here with
-// the read error rather than as a timeout panic; a slow host is not a
-// server fault.
+// returning every event. The stream may last until streamContext's
+// deadline.
 func followEvents(t *testing.T, ts *httptest.Server, id string) []jobs.Event {
 	t.Helper()
-	ctx := context.Background()
-	if deadline, ok := t.Deadline(); ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline.Add(-10*time.Second))
-		defer cancel()
-	}
+	ctx, cancel := streamContext(t)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/jobs/"+id+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestStopRestartResume(t *testing.T) {
 	want := direct.Digest()
 
 	dir := t.TempDir()
-	sched1, err := jobs.New(jobs.Options{DataDir: dir, CheckpointEvery: 1, PartialInterval: -1})
+	sched1, err := jobs.New(jobs.Options{DataDir: dir, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStopRestartResume(t *testing.T) {
 		t.Fatalf("submit status %d", code)
 	}
 	// Follow the stream until first progress, then stop via the API.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := streamContext(t)
 	defer cancel()
 	evReq, err := http.NewRequestWithContext(ctx, "GET", ts1.URL+"/jobs/"+sr.ID+"/events", nil)
 	if err != nil {
@@ -311,6 +311,9 @@ func TestStopRestartResume(t *testing.T) {
 			t.Fatal("job completed before the stop landed; raise the job size")
 		}
 	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("events stream of job %s cut: %v", sr.ID, err)
+	}
 	resp.Body.Close()
 	if !stopSent || !sawStopped {
 		t.Fatalf("stop path not exercised (stopSent=%v sawStopped=%v)", stopSent, sawStopped)
@@ -322,7 +325,7 @@ func TestStopRestartResume(t *testing.T) {
 	ts1.Close()
 	sched1.Stop() // server restart
 
-	sched2, err := jobs.New(jobs.Options{DataDir: dir, CheckpointEvery: 1, PartialInterval: -1})
+	sched2, err := jobs.New(jobs.Options{DataDir: dir, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

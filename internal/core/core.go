@@ -34,25 +34,7 @@ import (
 // then remaining data of the incoming task), the computation still owed for
 // the incoming task, and the remaining computation of the task currently
 // computed, with communication/computation overlap.
-func Delay(pv *sim.ProcView) int {
-	if pv.HasIncoming {
-		// The incoming task's data lands after the program remainder plus
-		// the data remainder; its computation starts when both the data and
-		// the current computation are finished.
-		dataAt := pv.RemProgram + pv.IncomingRem
-		start := dataAt
-		if pv.ComputingRem > start {
-			start = pv.ComputingRem
-		}
-		return start + pv.W
-	}
-	if pv.HasComputing {
-		return pv.ComputingRem
-	}
-	// Idle processor: only the (possibly partial, possibly whole) program
-	// transfer stands between it and new work.
-	return pv.RemProgram
-}
+func Delay(pv *sim.ProcView) int { return DelayScaled(pv, 1) }
 
 // CT returns CT(P_q, nq) — the estimated completion time of Equation 1 —
 // with tdata as the per-task communication cost. Passing the raw Tdata gives
@@ -92,6 +74,9 @@ func ctWithDelay(delay int, pv *sim.ProcView, nq int, tdata int) int {
 // unaffected.
 func DelayScaled(pv *sim.ProcView, commFactor int) int {
 	if pv.HasIncoming {
+		// The incoming task's data lands after the program remainder plus
+		// the data remainder; its computation starts when both the data and
+		// the current computation are finished.
 		dataAt := commFactor * (pv.RemProgram + pv.IncomingRem)
 		start := dataAt
 		if pv.ComputingRem > start {
@@ -102,6 +87,8 @@ func DelayScaled(pv *sim.ProcView, commFactor int) int {
 	if pv.HasComputing {
 		return pv.ComputingRem
 	}
+	// Idle processor: only the (possibly partial, possibly whole) program
+	// transfer stands between it and new work.
 	return commFactor * pv.RemProgram
 }
 

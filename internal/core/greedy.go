@@ -384,8 +384,8 @@ func modeOf(corrected bool) correctionMode {
 // NewRiskAverse returns an extension heuristic (not in the paper): it
 // minimizes E(CT) + λ·σ(CT), penalizing processors whose conditioned
 // completion times are *volatile*, not just long. σ comes from the
-// closed-form variance of Theorem 2's walk (expect.StdDevSlots). λ = 0
-// degenerates to EMCT.
+// closed-form variance of Theorem 2's walk (expect.Analytics.StdDevSlots).
+// λ = 0 degenerates to EMCT.
 func NewRiskAverse(lambda float64) sim.Scheduler {
 	if lambda < 0 {
 		lambda = 0

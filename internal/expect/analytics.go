@@ -84,8 +84,8 @@ func (a *Analytics) ExpectedSlots(w float64) float64 {
 	return 1 + (w-1)*a.UpStep
 }
 
-// StdDevSlots is the conditioned completion-time standard deviation on the
-// cached up-step variance (see the free function StdDevSlots).
+// StdDevSlots is the conditioned completion-time standard deviation,
+// sqrt((W−1)·Var(step)), on the cached up-step variance.
 func (a *Analytics) StdDevSlots(w float64) float64 {
 	if w <= 1 {
 		return 0

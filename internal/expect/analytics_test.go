@@ -9,8 +9,9 @@ import (
 )
 
 // TestAnalyticsMatchesFormulas checks the cached quantities the heuristics
-// score with against the free functions and the paper's UD approximation:
-// E(W) and the standard deviation bit for bit, −ln P_UD(k) to rounding.
+// score with against the free functions, the oracle's standard deviation
+// and the paper's UD approximation: E(W) and the standard deviation bit for
+// bit, −ln P_UD(k) to rounding.
 func TestAnalyticsMatchesFormulas(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		m := paperModel(seed)
@@ -22,7 +23,7 @@ func TestAnalyticsMatchesFormulas(t *testing.T) {
 			if got, want := a.ExpectedSlots(w), expect.ExpectedSlots(m, w); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d W=%v: ExpectedSlots %v, formula %v", seed, w, got, want)
 			}
-			if got, want := a.StdDevSlots(w), expect.StdDevSlots(m, w); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := a.StdDevSlots(w), oracle.StdDevSlots(m, w); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d W=%v: StdDevSlots %v, formula %v", seed, w, got, want)
 			}
 		}

@@ -1,10 +1,6 @@
 package expect
 
-import (
-	"math"
-
-	"repro/internal/avail"
-)
+import "repro/internal/avail"
 
 // This file extends Section 5's analysis with second moments. The paper
 // derives only the expectation E(W); the variance is obtained the same way,
@@ -16,7 +12,8 @@ import (
 //	P(step = k), k≥2 = P(u,r)·P(r,r)^(k−2)·P(r,u) / P+
 //
 // E(W) sums W−1 independent such steps, so Var(W) = (W−1)·Var(step).
-// The risk-averse heuristic extension (core.NewRiskAverse) consumes these.
+// The risk-averse heuristic extension (core.NewRiskAverse) consumes this
+// through Analytics.StdDevSlots.
 
 // VarianceUpStep returns Var(step) for the conditioned up-step distribution.
 func VarianceUpStep(m *avail.Markov3) float64 {
@@ -40,19 +37,4 @@ func VarianceUpStep(m *avail.Markov3) float64 {
 		return 0 // numerical guard
 	}
 	return v
-}
-
-// VarianceSlots returns Var of the total slots needed to accumulate a
-// workload of W UP slots, conditioned on never entering DOWN:
-// (W−1)·Var(step). W ≤ 1 has zero variance.
-func VarianceSlots(m *avail.Markov3, w float64) float64 {
-	if w <= 1 {
-		return 0
-	}
-	return (w - 1) * VarianceUpStep(m)
-}
-
-// StdDevSlots is the square root of VarianceSlots.
-func StdDevSlots(m *avail.Markov3, w float64) float64 {
-	return math.Sqrt(VarianceSlots(m, w))
 }

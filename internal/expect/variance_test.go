@@ -1,4 +1,4 @@
-package expect
+package expect_test
 
 import (
 	"math"
@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/avail"
+	"repro/internal/expect"
+	"repro/internal/oracle"
 	"repro/internal/rng"
 )
 
@@ -16,10 +18,10 @@ func TestVarianceUpStepNoReclaimPath(t *testing.T) {
 		{0.1, 0.8, 0.1},
 		{0.3, 0.3, 0.4},
 	})
-	if v := VarianceUpStep(m); v != 0 {
+	if v := expect.VarianceUpStep(m); v != 0 {
 		t.Fatalf("variance = %v, want 0", v)
 	}
-	if v := VarianceSlots(m, 50); v != 0 {
+	if v := oracle.VarianceSlots(m, 50); v != 0 {
 		t.Fatalf("VarianceSlots = %v, want 0", v)
 	}
 }
@@ -28,8 +30,8 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 	f := func(seed uint64, wRaw uint16) bool {
 		m := avail.RandomMarkov3(rng.New(seed))
 		w := float64(wRaw%200) + 1
-		return VarianceUpStep(m) >= 0 && VarianceSlots(m, w) >= 0 &&
-			StdDevSlots(m, w) >= 0
+		return expect.VarianceUpStep(m) >= 0 && oracle.VarianceSlots(m, w) >= 0 &&
+			oracle.StdDevSlots(m, w) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -38,12 +40,12 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 
 func TestVarianceSlotsBaseCases(t *testing.T) {
 	m := avail.RandomMarkov3(rng.New(7))
-	if VarianceSlots(m, 1) != 0 || VarianceSlots(m, 0.5) != 0 {
+	if oracle.VarianceSlots(m, 1) != 0 || oracle.VarianceSlots(m, 0.5) != 0 {
 		t.Fatal("W <= 1 must have zero variance")
 	}
 	// Linearity in W-1.
-	v2 := VarianceSlots(m, 2)
-	v11 := VarianceSlots(m, 11)
+	v2 := oracle.VarianceSlots(m, 2)
+	v11 := oracle.VarianceSlots(m, 11)
 	if math.Abs(v11-10*v2) > 1e-9 {
 		t.Fatalf("variance not linear: Var(2)=%v Var(11)=%v", v2, v11)
 	}
@@ -55,7 +57,7 @@ func TestVarianceMatchesMonteCarlo(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		m := avail.RandomMarkov3(rng.New(seed))
 		const w = 15
-		analyticVar := VarianceSlots(m, w)
+		analyticVar := oracle.VarianceSlots(m, w)
 		r := rng.New(seed + 500)
 		var sum, sq float64
 		successes := 0
@@ -96,8 +98,8 @@ func TestVarianceMatchesMonteCarlo(t *testing.T) {
 
 func TestStdDevSlotsIsSqrt(t *testing.T) {
 	m := avail.RandomMarkov3(rng.New(11))
-	v := VarianceSlots(m, 30)
-	if math.Abs(StdDevSlots(m, 30)-math.Sqrt(v)) > 1e-12 {
-		t.Fatal("StdDevSlots != sqrt(VarianceSlots)")
+	v := oracle.VarianceSlots(m, 30)
+	if math.Abs(expect.NewAnalytics(m).StdDevSlots(30)-math.Sqrt(v)) > 1e-12 {
+		t.Fatal("Analytics.StdDevSlots != sqrt(VarianceSlots)")
 	}
 }

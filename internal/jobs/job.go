@@ -18,18 +18,15 @@ type Job struct {
 
 	built *sweepreq.Built
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	state        State
-	events       []Event
-	stop         chan struct{}
-	stopped      bool // requestStop is idempotent
-	subs         int  // live Subscribe pumps; results-TTL eviction skips jobs with any
-	done, total  int
-	result       *CachedResult
-	errText      string
-	resultDigest string
-	submittedAt  time.Time
+	mu          sync.Mutex
+	cond        *sync.Cond
+	state       State
+	events      []Event
+	stop        chan struct{}
+	subs        int // live Subscribe pumps; results-TTL eviction skips jobs with any
+	done, total int
+	result      *CachedResult
+	submittedAt time.Time
 }
 
 func newJob(exp string, built *sweepreq.Built) *Job {
@@ -57,16 +54,22 @@ func (j *Job) State() State {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Status{
-		ID:           j.Digest,
-		Exp:          j.Exp,
-		State:        j.state,
-		Done:         j.done,
-		Total:        j.total,
-		ResultDigest: j.resultDigest,
-		Error:        j.errText,
-		SubmittedAt:  j.submittedAt,
+	st := Status{
+		ID:          j.Digest,
+		Exp:         j.Exp,
+		State:       j.state,
+		Done:        j.done,
+		Total:       j.total,
+		SubmittedAt: j.submittedAt,
 	}
+	if j.result != nil {
+		st.ResultDigest = j.result.ResultDigest
+	}
+	if j.state == StateFailed {
+		// A terminal event is always the last in the log.
+		st.Error = j.events[len(j.events)-1].Error
+	}
+	return st
 }
 
 // Result returns the in-memory cached result, if the job is done.
@@ -88,8 +91,7 @@ func (j *Job) stopChan() <-chan struct{} {
 func (j *Job) requestStop() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.stopped && !j.state.terminal() {
-		j.stopped = true
+	if !isClosed(j.stop) && !j.state.terminal() {
 		close(j.stop)
 	}
 }
@@ -107,7 +109,8 @@ func (j *Job) appendEventLocked(ev Event) {
 	j.cond.Broadcast()
 }
 
-// setState transitions the state and logs the transition event.
+// setState transitions the state and logs the transition event; a
+// terminal state's event closes subscriber streams.
 func (j *Job) setState(st State, ev Event) {
 	j.mu.Lock()
 	j.setStateLocked(st, ev)
@@ -116,11 +119,6 @@ func (j *Job) setState(st State, ev Event) {
 
 func (j *Job) setStateLocked(st State, ev Event) {
 	j.state = st
-	if st == StateQueued {
-		// restart: the previous terminal outcome no longer applies
-		j.stopped = false
-		j.errText = ""
-	}
 	j.appendEventLocked(ev)
 }
 
@@ -132,24 +130,10 @@ func (j *Job) progress(done, total int) {
 	j.mu.Unlock()
 }
 
-// finish records a terminal state; the event closes subscriber streams.
-func (j *Job) finish(st State, ev Event) {
-	j.mu.Lock()
-	if ev.Error != "" {
-		j.errText = ev.Error
-	}
-	if ev.ResultDigest != "" {
-		j.resultDigest = ev.ResultDigest
-	}
-	j.setStateLocked(st, ev)
-	j.mu.Unlock()
-}
-
 // setResult installs the completed result before the done event fires.
 func (j *Job) setResult(c *CachedResult) {
 	j.mu.Lock()
 	j.result = c
-	j.resultDigest = c.ResultDigest
 	j.mu.Unlock()
 }
 
@@ -158,7 +142,6 @@ func (j *Job) setResult(c *CachedResult) {
 func (j *Job) completeFromCache(c *CachedResult) {
 	j.mu.Lock()
 	j.result = c
-	j.resultDigest = c.ResultDigest
 	j.done, j.total = c.Instances, c.Instances
 	j.appendEventLocked(Event{Type: "queued"})
 	j.state = StateDone

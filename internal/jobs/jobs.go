@@ -57,8 +57,8 @@ type Event struct {
 	// Done/Total count sweep instances (progress events and later).
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
-	// CommittedChunks/Chunks and Top come from the persisted checkpoint
-	// (partial events): the aggregates committed so far, bit-exactly.
+	// CommittedChunks/Chunks and Top come from a checkpoint write (partial
+	// events): the aggregates committed so far, bit-exactly.
 	CommittedChunks int                 `json:"committed_chunks,omitempty"`
 	Chunks          int                 `json:"chunks,omitempty"`
 	Instances       int                 `json:"instances,omitempty"`
@@ -108,9 +108,6 @@ type Options struct {
 	// CheckpointEvery is the chunk cadence passed to the sweep (0 = library
 	// default).
 	CheckpointEvery int
-	// PartialInterval is how often a running job's checkpoint is re-read to
-	// emit partial-aggregate events (default 2s; <0 disables).
-	PartialInterval time.Duration
 	// ResultsTTL evicts cached results (and their terminal job-table
 	// entries) older than this, measured from CachedResult.CompletedAt.
 	// 0 keeps results forever. Eviction runs at construction and on a
@@ -150,9 +147,6 @@ func New(opts Options) (*Scheduler, error) {
 	}
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 1
-	}
-	if opts.PartialInterval == 0 {
-		opts.PartialInterval = 2 * time.Second
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -379,11 +373,6 @@ func (s *Scheduler) List() []Status {
 	return out
 }
 
-// Result loads the cached result of a done job.
-func (s *Scheduler) Result(id string) (*CachedResult, error) {
-	return s.loadResult(id)
-}
-
 // StopJob requests a graceful stop of a queued or running job.
 func (s *Scheduler) StopJob(id string) bool {
 	j, ok := s.Get(id)
@@ -421,7 +410,7 @@ func (s *Scheduler) launch(j *Job) {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		case <-j.stopChan():
-			j.finish(StateStopped, Event{Type: "stopped"})
+			j.setState(StateStopped, Event{Type: "stopped"})
 			return
 		}
 		s.run(j)
@@ -434,15 +423,8 @@ func (s *Scheduler) run(j *Job) {
 	j.setState(StateRunning, Event{Type: "running", Total: j.built.Instances})
 
 	ckPath := s.checkpointPath(j.Digest)
-	stopPartial := make(chan struct{})
-	var partialWG sync.WaitGroup
-	if s.opts.PartialInterval > 0 {
-		partialWG.Add(1)
-		go func() {
-			defer partialWG.Done()
-			s.pumpPartials(j, ckPath, stopPartial)
-		}()
-	}
+	// Partial watermark, owned by the sweep's committer goroutine.
+	last := -1
 
 	// Progress throttle: at most ~200 events per sweep plus the final one.
 	step := j.built.Instances / 200
@@ -459,18 +441,35 @@ func (s *Scheduler) run(j *Job) {
 			Path:   ckPath,
 			Every:  s.opts.CheckpointEvery,
 			Resume: true, // resubmit-after-restart IS the resume path
+			// Each write that advances the watermark through a strict prefix
+			// streams the committed aggregates; done carries the full result.
+			OnSave: func(st *volatile.CheckpointStatus) {
+				if st.CommittedChunks <= last || st.CommittedChunks >= st.Chunks {
+					return
+				}
+				last = st.CommittedChunks
+				top := st.Partial.Overall
+				if len(top) > 5 {
+					top = top[:5]
+				}
+				j.appendEvent(Event{
+					Type:            "partial",
+					CommittedChunks: st.CommittedChunks,
+					Chunks:          st.Chunks,
+					Instances:       st.Partial.Instances,
+					Top:             top,
+				})
+			},
 		},
 		Stop: j.stopChan(),
 	})
-	close(stopPartial)
-	partialWG.Wait()
 
 	var ie *volatile.InterruptedError
 	switch {
 	case errors.As(err, &ie):
-		j.finish(StateStopped, Event{Type: "stopped", CommittedChunks: ie.Committed, Chunks: ie.Chunks})
+		j.setState(StateStopped, Event{Type: "stopped", CommittedChunks: ie.Committed, Chunks: ie.Chunks})
 	case err != nil:
-		j.finish(StateFailed, Event{Type: "failed", Error: err.Error()})
+		j.setState(StateFailed, Event{Type: "failed", Error: err.Error()})
 	default:
 		cached := &CachedResult{
 			ConfigDigest:    j.Digest,
@@ -485,7 +484,7 @@ func (s *Scheduler) run(j *Job) {
 			CompletedAt:     time.Now().UTC(),
 		}
 		if werr := s.storeResult(cached); werr != nil {
-			j.finish(StateFailed, Event{Type: "failed", Error: werr.Error()})
+			j.setState(StateFailed, Event{Type: "failed", Error: werr.Error()})
 			return
 		}
 		// The checkpoint and request stub are subsumed by the cached
@@ -494,40 +493,9 @@ func (s *Scheduler) run(j *Job) {
 		os.Remove(ckPath)
 		os.Remove(s.requestPath(j.Digest))
 		j.setResult(cached)
-		j.finish(StateDone, Event{
+		j.setState(StateDone, Event{
 			Type: "done", Done: res.Instances, Total: j.built.Instances,
 			Instances: res.Instances, ResultDigest: cached.ResultDigest,
-		})
-	}
-}
-
-// pumpPartials re-reads the job's checkpoint while it runs and emits a
-// partial event whenever the committed watermark advances.
-func (s *Scheduler) pumpPartials(j *Job, ckPath string, stop <-chan struct{}) {
-	t := time.NewTicker(s.opts.PartialInterval)
-	defer t.Stop()
-	last := -1
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		st, err := volatile.ReadCheckpoint(ckPath)
-		if err != nil || st.CommittedChunks <= last {
-			continue // no checkpoint yet, or no progress since the last tick
-		}
-		last = st.CommittedChunks
-		top := st.Partial.Overall
-		if len(top) > 5 {
-			top = top[:5]
-		}
-		j.appendEvent(Event{
-			Type:            "partial",
-			CommittedChunks: st.CommittedChunks,
-			Chunks:          st.Chunks,
-			Instances:       st.Partial.Instances,
-			Top:             top,
 		})
 	}
 }

@@ -21,9 +21,9 @@ func slowReq() sweepreq.Request {
 	return sweepreq.Request{Exp: "table3x5", Scenarios: 10, Trials: 4, Seed: 11}
 }
 
-func newTestScheduler(t *testing.T, dir string, partial time.Duration) *Scheduler {
+func newTestScheduler(t *testing.T, dir string) *Scheduler {
 	t.Helper()
-	s, err := New(Options{DataDir: dir, CheckpointEvery: 1, PartialInterval: partial})
+	s, err := New(Options{DataDir: dir, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func lastType(evs []Event) string {
 // the checkpoint cleaned up after success.
 func TestSubmitRunsToDoneAndCaches(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestScheduler(t, dir, -1)
+	s := newTestScheduler(t, dir)
 	defer s.Stop()
 
 	j, started, err := s.Submit(fastReq())
@@ -89,7 +89,7 @@ func TestSubmitRunsToDoneAndCaches(t *testing.T) {
 		}
 	}
 
-	res, err := s.Result(j.Digest)
+	res, err := s.loadResult(j.Digest)
 	if err != nil {
 		t.Fatalf("no cached result after done: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestSubmitRunsToDoneAndCaches(t *testing.T) {
 // a restart.
 func TestCacheHitDoesNoSweepWork(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestScheduler(t, dir, -1)
+	s := newTestScheduler(t, dir)
 	j1, _, err := s.Submit(fastReq())
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestCacheHitDoesNoSweepWork(t *testing.T) {
 	s.Stop()
 
 	// A fresh scheduler over the same data dir serves it from disk.
-	s2 := newTestScheduler(t, dir, -1)
+	s2 := newTestScheduler(t, dir)
 	defer s2.Stop()
 	j3, started, err := s2.Submit(fastReq())
 	if err != nil {
@@ -165,7 +165,7 @@ func TestStopResumeBitIdentical(t *testing.T) {
 	want := ref.Digest()
 
 	dir := t.TempDir()
-	s := newTestScheduler(t, dir, -1)
+	s := newTestScheduler(t, dir)
 	j, _, err := s.Submit(slowReq())
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestStopResumeBitIdentical(t *testing.T) {
 	}
 	s.Stop()
 
-	s2 := newTestScheduler(t, dir, -1)
+	s2 := newTestScheduler(t, dir)
 	defer s2.Stop()
 	j2, started, err := s2.Submit(slowReq())
 	if err != nil {
@@ -202,7 +202,7 @@ func TestStopResumeBitIdentical(t *testing.T) {
 	if lastType(drain(t, j2)) != "done" {
 		t.Fatalf("resumed job ended %q, want done", j2.State())
 	}
-	res, err := s2.Result(j2.Digest)
+	res, err := s2.loadResult(j2.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestBootResumeInterruptedBitIdentical(t *testing.T) {
 	want := ref.Digest()
 
 	dir := t.TempDir()
-	s := newTestScheduler(t, dir, -1)
+	s := newTestScheduler(t, dir)
 	j, _, err := s.Submit(slowReq())
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestBootResumeInterruptedBitIdentical(t *testing.T) {
 	}
 
 	// Reboot: the boot scan alone must resubmit and finish the job.
-	s2 := newTestScheduler(t, dir, -1)
+	s2 := newTestScheduler(t, dir)
 	defer s2.Stop()
 	n, err := s2.ResumeInterrupted()
 	if err != nil {
@@ -266,7 +266,7 @@ func TestBootResumeInterruptedBitIdentical(t *testing.T) {
 	if lastType(drain(t, j2)) != "done" {
 		t.Fatalf("boot-resumed job ended %q, want done", j2.State())
 	}
-	res, err := s2.Result(j.Digest)
+	res, err := s2.loadResult(j.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestBootResumeInterruptedBitIdentical(t *testing.T) {
 		t.Fatalf("request stub survived a completed job (err=%v)", err)
 	}
 	s2.Stop()
-	s3 := newTestScheduler(t, dir, -1)
+	s3 := newTestScheduler(t, dir)
 	defer s3.Stop()
 	if n, err := s3.ResumeInterrupted(); err != nil || n != 0 {
 		t.Fatalf("clean boot resumed %d jobs (err=%v), want 0", n, err)
@@ -299,7 +299,7 @@ func TestResultsTTLEviction(t *testing.T) {
 		return now
 	}
 	s, err := New(Options{
-		DataDir: dir, CheckpointEvery: 1, PartialInterval: -1,
+		DataDir: dir, CheckpointEvery: 1,
 		ResultsTTL: time.Hour, Now: clock,
 	})
 	if err != nil {
@@ -360,7 +360,7 @@ func TestResultsTTLEviction(t *testing.T) {
 // past its retention.
 func TestResultsTTLEvictsAtBoot(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestScheduler(t, dir, -1)
+	s := newTestScheduler(t, dir)
 	j, _, err := s.Submit(fastReq())
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestResultsTTLEvictsAtBoot(t *testing.T) {
 	s.Stop()
 
 	s2, err := New(Options{
-		DataDir: dir, CheckpointEvery: 1, PartialInterval: -1,
+		DataDir: dir, CheckpointEvery: 1,
 		ResultsTTL: time.Hour,
 		Now:        func() time.Time { return time.Now().Add(48 * time.Hour) },
 	})
@@ -386,12 +386,14 @@ func TestResultsTTLEvictsAtBoot(t *testing.T) {
 }
 
 // TestPartialEventsStreamCommittedAggregates pins the partial stream: with
-// a fast re-read interval, a running job emits partial events whose chunk
-// watermark advances and whose Top rows carry real aggregates.
+// a checkpoint after every chunk, a job of N chunks emits exactly one
+// partial event per strict prefix, watermarks 1..N−1 in order, each with
+// the committed instance count and the top rows; done carries the rest.
 func TestPartialEventsStreamCommittedAggregates(t *testing.T) {
-	s := newTestScheduler(t, t.TempDir(), 20*time.Millisecond)
+	s := newTestScheduler(t, t.TempDir())
 	defer s.Stop()
-	j, _, err := s.Submit(slowReq())
+	req := slowReq()
+	j, _, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,31 +401,30 @@ func TestPartialEventsStreamCommittedAggregates(t *testing.T) {
 	if lastType(evs) != "done" {
 		t.Fatalf("terminal event %q, want done", lastType(evs))
 	}
-	var partials []Event
+	chunks := j.built.Instances / req.Trials // one chunk per (cell, scenario)
+	var got []int
 	for _, ev := range evs {
-		if ev.Type == "partial" {
-			partials = append(partials, ev)
+		if ev.Type != "partial" {
+			continue
 		}
+		if ev.Chunks != chunks || ev.Instances != ev.CommittedChunks*req.Trials || len(ev.Top) == 0 || len(ev.Top) > 5 {
+			t.Fatalf("malformed partial event: %+v", ev)
+		}
+		got = append(got, ev.CommittedChunks)
 	}
-	if len(partials) == 0 {
-		t.Fatalf("no partial events at a 20ms interval (events: %+v)", evs)
+	want := make([]int, chunks-1)
+	for i := range want {
+		want[i] = i + 1
 	}
-	last := 0
-	for _, p := range partials {
-		if p.CommittedChunks <= last-1 || p.Chunks == 0 || p.Instances == 0 || len(p.Top) == 0 {
-			t.Fatalf("malformed partial event: %+v", p)
-		}
-		if p.CommittedChunks < last {
-			t.Fatalf("partial watermark went backwards: %+v", partials)
-		}
-		last = p.CommittedChunks
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("partial watermarks %v, want %v", got, want)
 	}
 }
 
 // TestSubmitRejectsInvalidAndNonSweep pins that validation errors surface
 // at submission, not as failed jobs.
 func TestSubmitRejectsInvalidAndNonSweep(t *testing.T) {
-	s := newTestScheduler(t, t.TempDir(), -1)
+	s := newTestScheduler(t, t.TempDir())
 	defer s.Stop()
 	if _, _, err := s.Submit(sweepreq.Request{Exp: "ablation"}); err == nil {
 		t.Fatal("non-sweep experiment was admitted")
@@ -439,7 +440,7 @@ func TestSubmitRejectsInvalidAndNonSweep(t *testing.T) {
 // TestSchedulerStopInterruptsQueuedAndRunning pins shutdown: Stop drains
 // every job into a terminal state and later submissions are refused.
 func TestSchedulerStopInterruptsQueuedAndRunning(t *testing.T) {
-	s := newTestScheduler(t, t.TempDir(), -1)
+	s := newTestScheduler(t, t.TempDir())
 	// MaxConcurrent is 1, so the second job is queued behind the first.
 	j1, _, err := s.Submit(slowReq())
 	if err != nil {
@@ -473,7 +474,7 @@ func TestSchedulerStopInterruptsQueuedAndRunning(t *testing.T) {
 // TestListOrder pins List's order: newest submission first, and jobs
 // submitted at the same instant in ascending digest order.
 func TestListOrder(t *testing.T) {
-	s := newTestScheduler(t, t.TempDir(), -1)
+	s := newTestScheduler(t, t.TempDir())
 	defer s.Stop()
 	t0 := time.Unix(1_000_000, 0).UTC()
 	jobs := []struct {

@@ -23,19 +23,28 @@ func ExactSearch(in *Instance) (int, error) {
 // ExactSearchLimit is ExactSearch with an explicit bound on the number of
 // distinct states explored per slot.
 func ExactSearchLimit(in *Instance, maxStates int) (int, error) {
+	full, _, err := search(in, maxStates, "ExactSearch")
+	return full, err
+}
+
+// search runs the breadth-first search over execution states behind
+// ExactSearch and MaxTasksWithin, naming the caller in its errors. It
+// returns the number of slots after which some schedule first completes all
+// m tasks (-1 if none does within the horizon) and the most tasks any
+// schedule completes; the search stops at the first full completion.
+func search(in *Instance, maxStates int, caller string) (full, best int, err error) {
 	if err := in.Validate(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if in.P() > 16 {
-		return 0, fmt.Errorf("offline: ExactSearch supports at most 16 processors, got %d", in.P())
+		return 0, 0, fmt.Errorf("offline: %s supports at most 16 processors, got %d", caller, in.P())
 	}
 
-	type key = string
 	start := newMachine(in)
-	frontier := map[key]*machine{stateKey(start): start}
+	frontier := map[string]*machine{stateKey(start): start}
 
 	for t := 0; t < in.N(); t++ {
-		next := make(map[key]*machine)
+		next := make(map[string]*machine)
 		for _, mc := range frontier {
 			// Processors that could use a channel this slot.
 			var needy []int
@@ -70,25 +79,28 @@ func ExactSearchLimit(in *Instance, maxStates int) (int, error) {
 					if err := child.step(t, comm, starts); err != nil {
 						continue // invalid combo (over-eager superset)
 					}
-					if child.tasksDone >= in.M {
-						return t + 1, nil
+					if child.tasksDone > best {
+						best = child.tasksDone
+						if best >= in.M {
+							return t + 1, best, nil
+						}
 					}
 					k := stateKey(child)
 					if _, ok := next[k]; !ok {
 						next[k] = child
 						if len(next) > maxStates {
-							return 0, fmt.Errorf("offline: ExactSearch exceeded %d states at slot %d", maxStates, t)
+							return 0, 0, fmt.Errorf("offline: %s exceeded %d states at slot %d", caller, maxStates, t)
 						}
 					}
 				}
 			}
 		}
 		if len(next) == 0 {
-			return -1, nil
+			break
 		}
 		frontier = next
 	}
-	return -1, nil
+	return -1, best, nil
 }
 
 // stateKey canonically encodes a machine state.

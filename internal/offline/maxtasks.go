@@ -1,10 +1,6 @@
 package offline
 
-import (
-	"fmt"
-
-	"repro/internal/avail"
-)
+import "fmt"
 
 // MaxTasksWithin computes, by exhaustive search, the maximum number of tasks
 // completable within the instance's horizon (the optimization version that
@@ -14,66 +10,8 @@ import (
 //
 // Like ExactSearch it is exponential and guarded by a state limit.
 func MaxTasksWithin(in *Instance, maxStates int) (int, error) {
-	if err := in.Validate(); err != nil {
-		return 0, err
-	}
-	if in.P() > 16 {
-		return 0, fmt.Errorf("offline: MaxTasksWithin supports at most 16 processors, got %d", in.P())
-	}
-	start := newMachine(in)
-	frontier := map[string]*machine{stateKey(start): start}
-	best := 0
-
-	for t := 0; t < in.N(); t++ {
-		next := make(map[string]*machine)
-		for _, mc := range frontier {
-			var needy, startable []int
-			for q := 0; q < in.P(); q++ {
-				if in.Vectors[q][t] != avail.Up {
-					continue
-				}
-				p := &mc.procs[q]
-				switch {
-				case p.progRecv < in.Tprog:
-					needy = append(needy, q)
-				case p.dataRecv > 0:
-					needy = append(needy, q)
-				case in.Tdata > 0 && !p.hasData && mc.tasksStarted < in.M:
-					needy = append(needy, q)
-				}
-				if in.Tdata == 0 && !p.hasData && mc.tasksStarted < in.M &&
-					p.progRecv >= in.Tprog-1 && p.computeRem <= 1 {
-					startable = append(startable, q)
-				}
-			}
-			for _, comm := range subsetsUpTo(needy, in.Ncom) {
-				for _, starts := range subsetsUpTo(startable, len(startable)) {
-					child := mc.clone()
-					if err := child.step(t, comm, starts); err != nil {
-						continue
-					}
-					if child.tasksDone > best {
-						best = child.tasksDone
-						if best >= in.M {
-							return best, nil
-						}
-					}
-					k := stateKey(child)
-					if _, ok := next[k]; !ok {
-						next[k] = child
-						if len(next) > maxStates {
-							return 0, fmt.Errorf("offline: MaxTasksWithin exceeded %d states at slot %d", maxStates, t)
-						}
-					}
-				}
-			}
-		}
-		if len(next) == 0 {
-			break
-		}
-		frontier = next
-	}
-	return best, nil
+	_, best, err := search(in, maxStates, "MaxTasksWithin")
+	return best, err
 }
 
 // MaxSatisfiableClauses brute-forces MAXIMUM SATISFIABILITY for small

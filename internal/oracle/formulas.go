@@ -110,3 +110,18 @@ func CorrectedTdata(params *platform.Params, nactive int) int {
 	factor := (nactive + params.Ncom - 1) / params.Ncom
 	return factor * params.Tdata
 }
+
+// VarianceSlots returns Var of the total slots needed to accumulate a
+// workload of W UP slots, conditioned on never entering DOWN:
+// (W−1)·expect.VarianceUpStep. W ≤ 1 has zero variance.
+func VarianceSlots(m *avail.Markov3, w float64) float64 {
+	if w <= 1 {
+		return 0
+	}
+	return (w - 1) * expect.VarianceUpStep(m)
+}
+
+// StdDevSlots is the square root of VarianceSlots.
+func StdDevSlots(m *avail.Markov3, w float64) float64 {
+	return math.Sqrt(VarianceSlots(m, w))
+}

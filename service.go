@@ -1,10 +1,11 @@
 package volatile
 
 // Service surface for long-running frontends (cmd/volaserved): exported
-// content addresses for sweep configs and read access to checkpoint files,
-// so a server can key a result cache on exactly the digest the checkpoint
-// layer binds resumes to, and can report partial aggregates from the
-// committer's persisted state while a job is still running.
+// content addresses for sweep configs and the committed view of a
+// checkpoint, so a server can key a result cache on exactly the digest the
+// checkpoint layer binds resumes to, and can report partial aggregates
+// while a job is still running (CheckpointConfig.OnSave hands them over at
+// each write; ReadCheckpoint reads them back from a file).
 
 import (
 	"fmt"
@@ -46,9 +47,9 @@ type CheckpointStatus struct {
 	Partial *SweepResult
 }
 
-// ReadCheckpoint loads a sweep checkpoint file without resuming it: the
-// inspection path behind progress endpoints and partial-aggregate streams.
-// The file is validated (version, checksum) exactly as a resume would.
+// ReadCheckpoint loads a sweep checkpoint file without resuming it, for
+// inspecting a sweep from outside the process that wrote it. The file is
+// validated (version, checksum) exactly as a resume would.
 func ReadCheckpoint(path string) (*CheckpointStatus, error) {
 	snap, err := checkpoint.Load(path)
 	if err != nil {

@@ -1,9 +1,13 @@
 package volatile
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // TestNegativeCheckpointEveryRejected pins the PR 9 bugfix: a negative
@@ -175,5 +179,60 @@ func TestReadCheckpointMidSweep(t *testing.T) {
 	}
 	if len(st.Partial.Overall) == 0 {
 		t.Fatal("mid-sweep partial has no Overall rows")
+	}
+}
+
+// TestOnSaveMatchesReadCheckpoint pins the checkpoint hook against the file
+// reader on both clocks: at every successful write OnSave reports exactly
+// what ReadCheckpoint reads back from the file just written, bit for bit,
+// and an injected write failure yields a warning and no call.
+func TestOnSaveMatchesReadCheckpoint(t *testing.T) {
+	for _, mode := range []Mode{ModeSlot, ModeEvent} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := resumeTestConfig()
+			cfg.Mode = mode
+			chunks := len(cfg.Cells) * cfg.Scenarios
+			path := filepath.Join(t.TempDir(), "hook.ckpt")
+			// Writes 0..chunks-1 follow each chunk; write chunks is the
+			// final one at the same watermark. Write 2 (watermark 3) fails.
+			cfg.Faults = &faultinject.Plan{Checkpoint: faultinject.CheckpointFailures(2)}
+			var got []int
+			var last *CheckpointStatus
+			cfg.Checkpoint = &CheckpointConfig{Path: path, Every: 1, OnSave: func(st *CheckpointStatus) {
+				disk, err := ReadCheckpoint(path)
+				if err != nil {
+					t.Fatalf("OnSave at %d: %v", st.CommittedChunks, err)
+				}
+				if st.ConfigDigest != disk.ConfigDigest || st.CommittedChunks != disk.CommittedChunks || st.Chunks != disk.Chunks {
+					t.Fatalf("OnSave reports %s %d/%d, file holds %s %d/%d", st.ConfigDigest, st.CommittedChunks, st.Chunks,
+						disk.ConfigDigest, disk.CommittedChunks, disk.Chunks)
+				}
+				if st.Partial.Digest() != disk.Partial.Digest() || st.Partial.FailedInstances != disk.Partial.FailedInstances {
+					t.Fatalf("OnSave partial at %d differs from the file's", st.CommittedChunks)
+				}
+				got = append(got, st.CommittedChunks)
+				last = st
+			}}
+			res, err := RunSweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int
+			for k := 1; k <= chunks; k++ {
+				if k != 3 {
+					want = append(want, k)
+				}
+			}
+			want = append(want, chunks)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("OnSave watermarks %v, want %v", got, want)
+			}
+			if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], fmt.Sprintf("checkpoint write %s failed", path)) {
+				t.Fatalf("warnings %q, want the one failed write", res.Warnings)
+			}
+			if last.Partial.Digest() != res.Digest() {
+				t.Fatal("final OnSave partial differs from the returned result")
+			}
+		})
 	}
 }

@@ -459,6 +459,10 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 			// A failed checkpoint degrades durability, not correctness: the
 			// sweep carries on and the caller learns via Warnings.
 			warnings = append(warnings, fmt.Sprintf("checkpoint write %s failed: %v", ck.Path, err))
+			return
+		}
+		if ck.OnSave != nil {
+			ck.OnSave(&CheckpointStatus{ConfigDigest: plan.digest, CommittedChunks: next, Chunks: chunks, Partial: agg.result()})
 		}
 	}
 	var abortErr, crashErr error
