@@ -71,9 +71,10 @@ func (e *InterruptedError) Error() string {
 
 // sweepConfigDigest canonicalizes everything that determines a sweep's
 // numeric output into a SHA-256 hex digest. Execution knobs that cannot
-// change the result — Workers, Progress, checkpoint placement, retry
-// policy, fault plans — are deliberately excluded, so a sweep may be
-// resumed under different parallelism or with fault injection removed.
+// change the result — Workers, Progress, checkpoint placement, the
+// ContinueOnError failure policy, fault plans — are deliberately excluded,
+// so a sweep may be resumed under different parallelism or with fault
+// injection removed.
 func sweepConfigDigest(flavour string, cells []Cell, heuristics []string,
 	scenarios, trials int, opt ScenarioOptions, mode Mode, seed uint64, extra ...string) string {
 	h := sha256.New()
@@ -229,8 +230,7 @@ func (a *sweepAggregates) result() *SweepResult {
 // Format output iff their results are bit-identical, which makes it the
 // anchor for golden digests and crash/resume equivalence checks. Robustness
 // bookkeeping (FailedInstances, InstanceErrors, Warnings) is deliberately
-// excluded: a retried-and-recovered sweep formats identically to an
-// undisturbed one.
+// excluded: they describe how the sweep ran, not what it computed.
 func (res *SweepResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "instances=%d censored=%d\n", res.Instances, res.Censored)

@@ -1,10 +1,10 @@
 package main
 
 // Durability plumbing for the sweep experiments: the -checkpoint/-resume/
-// -retries flag bundle, its validation, and the graceful-interrupt outcome
-// (exit code + resume command). Everything here is a pure function of its
-// inputs so the table tests in interrupt_test.go can pin the CLI contract
-// without running sweeps or delivering signals.
+// -continue-on-error flag bundle, its validation, and the graceful-interrupt
+// outcome (exit code + resume command). Everything here is a pure function
+// of its inputs so the table tests in interrupt_test.go can pin the CLI
+// contract without running sweeps or delivering signals.
 
 import (
 	"fmt"
@@ -22,7 +22,6 @@ type durabilityArgs struct {
 	resume          bool
 	crashAfter      int
 	digest          bool
-	retries         int
 	continueOnError bool
 	stop            chan struct{}
 }
@@ -32,8 +31,7 @@ type durabilityArgs struct {
 // -checkpoint and must not be ignored silently.
 func (d durabilityArgs) set() bool {
 	return d.checkpoint != "" || d.resume || d.crashAfter != 0 || d.digest ||
-		d.retries != 0 || d.continueOnError ||
-		(d.every != 0 && d.every != volatile.DefaultCheckpointEvery)
+		d.continueOnError || (d.every != 0 && d.every != volatile.DefaultCheckpointEvery)
 }
 
 // validateDurability rejects inconsistent durability flags before any sweep
@@ -52,7 +50,7 @@ func validateDurability(exp string, d durabilityArgs) error {
 		return nil
 	}
 	if !sweepreq.IsSweep(exp) {
-		return fmt.Errorf("-checkpoint/-resume/-crash-after/-digest/-retries/-continue-on-error apply only to sweep experiments (%s), not %q",
+		return fmt.Errorf("-checkpoint/-resume/-crash-after/-digest/-continue-on-error apply only to sweep experiments (%s), not %q",
 			strings.Join(sweepreq.SweepExperiments(), ", "), exp)
 	}
 	if d.every <= 0 {

@@ -30,7 +30,7 @@ func TestValidateDurabilityTable(t *testing.T) {
 		{"checkpoint-resume", "tracesweep", ck(durabilityArgs{checkpoint: "x.ckpt", resume: true}), ""},
 		{"crash-after", "table3x5", ck(durabilityArgs{checkpoint: "x.ckpt", crashAfter: 3}), ""},
 		{"digest-only", "largep", ck(durabilityArgs{digest: true}), ""},
-		{"retries", "dfrs", ck(durabilityArgs{retries: 2, continueOnError: true}), ""},
+		{"continue-on-error", "dfrs", ck(durabilityArgs{continueOnError: true}), ""},
 		{"every-sweep-exp", "figure2", ck(durabilityArgs{checkpoint: "x.ckpt"}), ""},
 
 		{"resume-without-checkpoint", "table2", ck(durabilityArgs{resume: true}), "-resume needs -checkpoint"},
@@ -39,7 +39,7 @@ func TestValidateDurabilityTable(t *testing.T) {
 		{"zero-every", "table2", durabilityArgs{checkpoint: "x.ckpt"}, "-checkpoint-every must be positive"},
 		{"checkpoint-ablation", "ablation", ck(durabilityArgs{checkpoint: "x.ckpt"}), "apply only to sweep experiments"},
 		{"digest-emctgain", "emctgain", ck(durabilityArgs{digest: true}), "apply only to sweep experiments"},
-		{"retries-emctgain-norepl", "emctgain-norepl", ck(durabilityArgs{retries: 1}), "apply only to sweep experiments"},
+		{"continue-on-error-emctgain-norepl", "emctgain-norepl", ck(durabilityArgs{continueOnError: true}), "apply only to sweep experiments"},
 
 		// A negative -checkpoint-every is rejected even when it is the only
 		// durability flag: before PR 9 it silently fell through to the

@@ -78,8 +78,7 @@ func main() {
 		resume     = flag.Bool("resume", false, "resume the sweep from -checkpoint (missing file starts from scratch)")
 		crashAfter = flag.Int("crash-after", 0, "fault injection: kill the sweep committer after this many committed chunks (0 = off; requires -checkpoint)")
 		digest     = flag.Bool("digest", false, "print the result digest (sha256 of the full-precision output) after the sweep")
-		retries    = flag.Int("retries", 0, "per-instance retry budget for failed runs")
-		contOnErr  = flag.Bool("continue-on-error", false, "drop instances that exhaust their retries instead of aborting the sweep")
+		contOnErr  = flag.Bool("continue-on-error", false, "drop instances whose run fails instead of aborting the sweep")
 	)
 	var traceFiles multiFlag
 	flag.Var(&traceFiles, "trace-file", "tracesweep: replay this recorded trace file (repeatable; format of trace.Set.Write / cmd/volatrace)")
@@ -98,7 +97,7 @@ func main() {
 		Exp: *exp, Mode: *mode, Scenarios: *scenarios, Trials: *trials,
 		Procs: *procs, Seed: *seed, Workers: *workers,
 		TraceStyle: *traceStyle, TraceLen: *traceLen, TraceFiles: traceFiles,
-		Alloc: *alloc, Retries: *retries, ContinueOnError: *contOnErr,
+		Alloc: *alloc, ContinueOnError: *contOnErr,
 	}
 	if err := req.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "volabench:", err)
@@ -106,8 +105,7 @@ func main() {
 	}
 	dur := durabilityArgs{
 		checkpoint: *ckPath, every: *ckEvery, resume: *resume,
-		crashAfter: *crashAfter, digest: *digest,
-		retries: *retries, continueOnError: *contOnErr,
+		crashAfter: *crashAfter, digest: *digest, continueOnError: *contOnErr,
 	}
 	if err := validateDurability(*exp, dur); err != nil {
 		fmt.Fprintln(os.Stderr, "volabench:", err)
@@ -209,20 +207,12 @@ func main() {
 			fmt.Println()
 			printCompareCells(res)
 		case "largep":
-			p := *procs
-			if p == 0 {
-				p = 1000
-			}
 			fmt.Printf("Volunteer grid — P = %d processors, n = P tasks (%d instances, %d censored runs, %v)\n\n",
-				p, res.Instances, res.Censored, elapsed)
+				req.WithDefaults().Procs, res.Instances, res.Censored, elapsed)
 			printRows(res.Overall, *csvPath)
 		case "moldable":
-			spec := *alloc
-			if spec == "" {
-				spec = "maximum-iters"
-			}
 			fmt.Printf("Moldable iterations — allocation policy %s sizes each iteration at the barrier (%d instances, %d censored runs, %v)\n\n",
-				spec, res.Instances, res.Censored, elapsed)
+				req.WithDefaults().Alloc, res.Instances, res.Censored, elapsed)
 			printRows(res.Overall, *csvPath)
 		}
 		reportSweepHealth(res, dur)
@@ -283,7 +273,7 @@ func handleSweepError(err error) {
 // instances, failed checkpoint writes — and the result digest when asked.
 func reportSweepHealth(res *volatile.SweepResult, dur durabilityArgs) {
 	if res.FailedInstances > 0 {
-		fmt.Fprintf(os.Stderr, "volabench: %d instance(s) dropped after retry exhaustion:\n", res.FailedInstances)
+		fmt.Fprintf(os.Stderr, "volabench: %d instance(s) dropped after a failed run:\n", res.FailedInstances)
 		for _, e := range res.InstanceErrors {
 			fmt.Fprintf(os.Stderr, "  %s\n", e)
 		}

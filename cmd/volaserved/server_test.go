@@ -358,6 +358,8 @@ func TestBadRequestsAndNotFound(t *testing.T) {
 	}{
 		{"invalid-json", "{", "bad request body"},
 		{"unknown-field", `{"exp":"table2","nope":1}`, "unknown field"},
+		// A run is deterministic in its seed, so there is no retry budget.
+		{"retries", `{"exp":"table2","retries":2}`, `unknown field "retries"`},
 		{"unknown-exp", `{"exp":"table9"}`, "unknown experiment"},
 		{"non-sweep-exp", `{"exp":"ablation"}`, "does not run through the sweep pipeline"},
 		{"bad-scenarios", `{"exp":"table2","scenarios":-1}`, "-scenarios must be positive"},

@@ -50,8 +50,8 @@ type Snapshot struct {
 	NextChunk int
 	// Censored is the committed censored-run count.
 	Censored int
-	// Failed is the committed count of instances dropped after their retry
-	// budget was exhausted (record-and-continue failure policy).
+	// Failed is the committed count of instances dropped after a failed
+	// run (the ContinueOnError record-and-continue failure policy).
 	Failed int
 	// Overall is the running state of the sweep-wide aggregator.
 	Overall stats.AggregatorState

@@ -132,7 +132,7 @@ func TestCorrectedTdata(t *testing.T) {
 func mkView(prm *platform.Params, a, b sim.ProcView) *sim.View {
 	a.ID, b.ID = 0, 1
 	a.State, b.State = avail.Up, avail.Up
-	v := &sim.View{Params: prm, Procs: []sim.ProcView{a, b}, TasksRemaining: prm.M}
+	v := &sim.View{Params: prm, Procs: []sim.ProcView{a, b}}
 	v.FillAnalytics()
 	return v
 }

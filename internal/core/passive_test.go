@@ -112,7 +112,7 @@ func TestPassiveDelegatesReplicas(t *testing.T) {
 	inner := &scriptedInner{picks: []int{0}}
 	s := NewPassive(inner)
 	v := passiveView(avail.Up, avail.Up)
-	ti := sim.TaskInfo{Task: 3, Replica: true, Copies: 1}
+	ti := sim.TaskInfo{Task: 3, Replica: true}
 	if got := s.Pick(v, []int{0, 1}, freshRound(2), ti); got != 0 {
 		t.Fatal("replica pick not delegated")
 	}

@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic fault injection for sweep
 // crash-safety tests. Every injected fault is a pure function of where the
-// work sits in the sweep (chunk, trial, attempt) — never of wall time, RNG
+// work sits in the sweep (chunk, trial) — never of wall time, RNG
 // state shared with the simulation, or worker identity — so a fault plan
 // produces the same failures for any worker count and on every rerun. That
 // determinism is what lets the resume property tests assert bit-identical
@@ -11,8 +11,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/rng"
 )
 
 // ErrCommitterCrash marks a sweep abort injected at a chunk-commit boundary
@@ -31,11 +29,10 @@ type Plan struct {
 	// returns an error wrapping ErrCommitterCrash.
 	CrashAfterChunks int
 
-	// Instance, when non-nil, is consulted before every instance-run
-	// attempt. Returning a non-nil error makes that attempt fail with it
-	// instead of running the simulation. attempt counts from 0 and
-	// increments across retries of the same (chunk, trial).
-	Instance func(chunk, trial, attempt int) error
+	// Instance, when non-nil, is consulted before every instance run.
+	// Returning a non-nil error makes that instance fail with it instead
+	// of running the simulation.
+	Instance func(chunk, trial int) error
 
 	// Checkpoint, when non-nil, is consulted before each checkpoint write.
 	// seq counts the sweep's checkpoint attempts from 0. Returning a
@@ -44,13 +41,13 @@ type Plan struct {
 	Checkpoint func(seq int) error
 }
 
-// InstanceFault returns the injected error for one attempt, tolerating a
+// InstanceFault returns the injected error for one instance, tolerating a
 // nil plan or nil hook.
-func (p *Plan) InstanceFault(chunk, trial, attempt int) error {
+func (p *Plan) InstanceFault(chunk, trial int) error {
 	if p == nil || p.Instance == nil {
 		return nil
 	}
-	return p.Instance(chunk, trial, attempt)
+	return p.Instance(chunk, trial)
 }
 
 // CheckpointFault returns the injected error for one checkpoint write,
@@ -62,35 +59,10 @@ func (p *Plan) CheckpointFault(seq int) error {
 	return p.Checkpoint(seq)
 }
 
-// hash maps (seed, chunk, trial) to a uniform uint64 via splitmix64 seed
-// expansion — stateless, so the verdict for a given instance is independent
-// of evaluation order.
-func hash(seed uint64, chunk, trial int) uint64 {
-	s := rng.SplitMix64(seed ^ uint64(chunk)*0x9E3779B97F4A7C15 ^ uint64(trial)*0xBF58476D1CE4E5B9)
-	return s.Next()
-}
-
-// TransientInstanceFaults returns an Instance hook that fails the first
-// `failures` attempts of a deterministic `rate` fraction of instances, then
-// lets retries succeed. With MaxRetries >= failures the sweep output is
-// bit-identical to a fault-free run.
-func TransientInstanceFaults(seed uint64, rate float64, failures int) func(chunk, trial, attempt int) error {
-	return func(chunk, trial, attempt int) error {
-		if attempt >= failures {
-			return nil
-		}
-		if float64(hash(seed, chunk, trial))/float64(1<<63)/2 >= rate {
-			return nil
-		}
-		return fmt.Errorf("faultinject: transient fault (chunk %d, trial %d, attempt %d)", chunk, trial, attempt)
-	}
-}
-
-// PersistentInstanceFault returns an Instance hook that fails every attempt
-// of exactly one (chunk, trial) instance, for exercising the
-// retry-exhausted record-and-continue path.
-func PersistentInstanceFault(chunk, trial int) func(chunk, trial, attempt int) error {
-	return func(c, t, _ int) error {
+// PersistentInstanceFault returns an Instance hook that fails exactly one
+// (chunk, trial) instance, for exercising the record-and-continue path.
+func PersistentInstanceFault(chunk, trial int) func(chunk, trial int) error {
+	return func(c, t int) error {
 		if c == chunk && t == trial {
 			return fmt.Errorf("faultinject: persistent fault (chunk %d, trial %d)", c, t)
 		}

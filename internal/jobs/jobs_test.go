@@ -285,6 +285,43 @@ func TestBootResumeInterruptedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBootResumesStubWithRetries pins that a request stub carrying the
+// "retries" field, which requests no longer have, still resumes at boot:
+// the boot scan decodes stubs leniently, so the job resumes under the
+// config digest the stub is named after (recorded while requests had the
+// field) and completes to the same result.
+func TestBootResumesStubWithRetries(t *testing.T) {
+	const (
+		configDigest = "6f33489beddd5803f1a1f7e805df5282f7ace9773f96f1f8fe56d4d653ad0297"
+		resultDigest = "b69d6723cc56a3ce8223e7e5866b51255363c03ca40aa1945a131bf74fd95dfd"
+		stub         = `{"exp":"table3x5","scenarios":1,"trials":1,"seed":11,"retries":2,"continue_on_error":true}`
+	)
+	dir := t.TempDir()
+	s := newTestScheduler(t, dir)
+	defer s.Stop()
+	if err := os.WriteFile(filepath.Join(dir, "requests", configDigest+".json"), []byte(stub), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.ResumeInterrupted()
+	if err != nil || n != 1 {
+		t.Fatalf("ResumeInterrupted resubmitted %d jobs (err=%v), want 1", n, err)
+	}
+	j, ok := s.Get(configDigest)
+	if !ok {
+		t.Fatalf("stub did not resume under its digest %s", configDigest)
+	}
+	if lastType(drain(t, j)) != "done" {
+		t.Fatalf("boot-resumed job ended %q, want done", j.State())
+	}
+	res, err := s.loadResult(configDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ResultDigest != resultDigest {
+		t.Fatalf("boot-resumed result digest %s, want %s", res.ResultDigest, resultDigest)
+	}
+}
+
 // TestResultsTTLEviction drives the eviction policy with a fake clock:
 // fresh results stay, a live subscriber pins an expired one, and once the
 // last stream detaches both the cache file and the terminal job-table

@@ -106,16 +106,16 @@ type spyAlloc struct {
 }
 
 type spyCall struct {
-	iteration, up, free, idle, iterTasks, chose int
-	prev                                        sim.IterationInfo
+	iteration, up, iterTasks, chose int
+	prev                            sim.IterationInfo
 }
 
 func (s *spyAlloc) Name() string { return s.inner.Name() }
 func (s *spyAlloc) TasksFor(v *sim.View, prev sim.IterationInfo) int {
 	n := s.inner.TasksFor(v, prev)
 	s.calls = append(s.calls, spyCall{
-		iteration: v.Iteration, up: v.UpWorkers, free: v.FreeWorkers,
-		idle: v.IdleWorkers, iterTasks: v.IterTasks, chose: n, prev: prev,
+		iteration: v.Iteration, up: v.UpWorkers, iterTasks: v.IterTasks,
+		chose: n, prev: prev,
 	})
 	return n
 }

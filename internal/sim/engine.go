@@ -731,7 +731,7 @@ func (e *engine) scheduleRound() error {
 		}
 	}
 
-	remaining := e.view.TasksRemaining
+	remaining := e.trk.remaining
 	if remaining == 0 {
 		return nil
 	}
@@ -794,7 +794,7 @@ func (e *engine) scheduleRound() error {
 			return nil
 		}
 		visited++
-		ti := TaskInfo{Task: t, Replica: false, Copies: 0}
+		ti := TaskInfo{Task: t, Replica: false}
 		pick := e.cfg.Scheduler.Pick(&e.view, up, rs, ti)
 		if pick == Decline {
 			continue
@@ -845,7 +845,7 @@ func (e *engine) scheduleRound() error {
 		if best == noTask {
 			break
 		}
-		ti := TaskInfo{Task: best, Replica: true, Copies: bestCopies}
+		ti := TaskInfo{Task: best, Replica: true}
 		pick := e.cfg.Scheduler.Pick(&e.view, idle, rs, ti)
 		if pick == Decline {
 			break // a scheduler that declines replicas declines them all
@@ -896,11 +896,8 @@ func (e *engine) notePick(rs *RoundState, pick int, replica bool) error {
 func (e *engine) buildView() {
 	e.view.Slot = e.slot
 	e.view.Iteration = e.iter
-	e.view.TasksRemaining = e.trk.remaining
 	e.view.IterTasks = len(e.tasks)
 	e.view.UpWorkers = e.nUp
-	e.view.FreeWorkers = e.nFreeUp
-	e.view.IdleWorkers = e.nIdleUp
 	e.view.Epoch = e.nextEpoch()
 	e.view.SlowChecks = e.slowChecks
 	for _, i := range e.dirtyProcs {
@@ -989,14 +986,13 @@ func (e *engine) allocateChannels() int {
 	}
 
 	// New materializations, in plan order (originals were planned first). A
-	// ChannelRanker's plans are bound already, so this skips them all.
+	// ChannelRanker's plans are bound already, so this skips them all. Every
+	// plan is on an UP worker (the slates are UP and states are fixed within
+	// a slot), and an original's task is pending, so no worker computes it.
 	for _, pl := range e.plans {
 		w := &e.workers[pl.worker]
-		if e.states[pl.worker] != avail.Up || w.incoming != nil {
+		if w.incoming != nil {
 			continue // pipeline occupied (an earlier plan took the slot)
-		}
-		if w.computing != nil && pl.replica == 0 && w.computing.task == pl.task {
-			continue // already running here (defensive; cannot happen for unbegun tasks)
 		}
 		if w.hasProgram(tprog) && tdata == 0 {
 			// Zero-cost image: bind and complete instantly, no channel, no
@@ -1031,13 +1027,13 @@ func (e *engine) serveChain(i int) {
 	e.stats.ChannelSlots++
 }
 
-// rankedChains binds every plan of a ChannelRanker's round that lands on an
-// UP worker with a free incoming slot, channel or not (a zero-cost image
-// with its transfer already done), then appends the bound chains on UP
-// workers to conts in ascending rank.
+// rankedChains binds every plan of a ChannelRanker's round that lands on a
+// free incoming slot (every plan is on an UP worker), channel or not (a
+// zero-cost image with its transfer already done), then appends the bound
+// chains on UP workers to conts in ascending rank.
 func (e *engine) rankedChains(conts []contRec) []contRec {
 	for _, pl := range e.plans {
-		if e.states[pl.worker] == avail.Up && e.workers[pl.worker].incoming == nil {
+		if e.workers[pl.worker].incoming == nil {
 			e.bindCopy(pl)
 			e.syncChain(pl.worker)
 		}

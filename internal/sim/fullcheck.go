@@ -15,8 +15,8 @@ import (
 // and the two values, which the property tests surface as failures.
 
 // buildViewFull is the retained full-rebuild reference for buildView: it
-// recomputes every processor snapshot and recounts the remaining tasks from
-// the raw engine state, exactly as the pre-incremental engine did per slot.
+// recomputes every processor snapshot and recounts the UP workers from the
+// raw engine state, exactly as the pre-incremental engine did per slot.
 func (e *engine) buildViewFull(dst *View) {
 	dst.Slot = e.slot
 	dst.Iteration = e.iter
@@ -25,50 +25,40 @@ func (e *engine) buildViewFull(dst *View) {
 		dst.Procs = make([]ProcView, len(e.workers))
 	}
 	dst.Procs = dst.Procs[:len(e.workers)]
+	dst.IterTasks = len(e.tasks)
+	dst.UpWorkers = 0
+	for i := range e.workers {
+		e.fillProcView(i, &dst.Procs[i])
+		if e.states[i] == avail.Up {
+			dst.UpWorkers++
+		}
+	}
+}
+
+// verifyView checks the incrementally maintained view against buildViewFull,
+// the remaining-task count against a recount of the task table, and the
+// change-tracking contract against the previous revision: a processor
+// snapshot may only differ from its previous value if its ProcEpochs stamp
+// moved (schedulers cache scores on exactly this promise).
+func (e *engine) verifyView() {
 	remaining := 0
 	for t := range e.tasks {
 		if !e.tasks[t].completed {
 			remaining++
 		}
 	}
-	dst.TasksRemaining = remaining
-	dst.IterTasks = len(e.tasks)
-	dst.UpWorkers, dst.FreeWorkers, dst.IdleWorkers = 0, 0, 0
-	for i := range e.workers {
-		e.fillProcView(i, &dst.Procs[i])
-		if e.states[i] == avail.Up {
-			dst.UpWorkers++
-			w := &e.workers[i]
-			if w.incoming == nil {
-				dst.FreeWorkers++
-				if w.computing == nil {
-					dst.IdleWorkers++
-				}
-			}
-		}
+	if e.trk.remaining != remaining {
+		panic(fmt.Sprintf("sim: slot %d: incremental remaining-task count %d, full recount %d",
+			e.slot, e.trk.remaining, remaining))
 	}
-}
-
-// verifyView checks the incrementally maintained view against buildViewFull,
-// and the change-tracking contract against the previous revision: a
-// processor snapshot may only differ from its previous value if its
-// ProcEpochs stamp moved (schedulers cache scores on exactly this promise).
-func (e *engine) verifyView() {
 	e.buildViewFull(&e.checkView)
-	if e.view.TasksRemaining != e.checkView.TasksRemaining {
-		panic(fmt.Sprintf("sim: slot %d: incremental TasksRemaining %d, full rebuild %d",
-			e.slot, e.view.TasksRemaining, e.checkView.TasksRemaining))
-	}
 	if e.view.IterTasks != e.checkView.IterTasks {
 		panic(fmt.Sprintf("sim: slot %d: view IterTasks %d, task table holds %d",
 			e.slot, e.view.IterTasks, e.checkView.IterTasks))
 	}
-	if e.view.UpWorkers != e.checkView.UpWorkers ||
-		e.view.FreeWorkers != e.checkView.FreeWorkers ||
-		e.view.IdleWorkers != e.checkView.IdleWorkers {
-		panic(fmt.Sprintf("sim: slot %d: view counts up=%d free=%d idle=%d, full recount up=%d free=%d idle=%d",
-			e.slot, e.view.UpWorkers, e.view.FreeWorkers, e.view.IdleWorkers,
-			e.checkView.UpWorkers, e.checkView.FreeWorkers, e.checkView.IdleWorkers))
+	if e.view.UpWorkers != e.checkView.UpWorkers {
+		panic(fmt.Sprintf("sim: slot %d: view counts %d UP workers, full recount %d",
+			e.slot, e.view.UpWorkers, e.checkView.UpWorkers))
 	}
 	for i := range e.view.Procs {
 		if e.view.Procs[i] != e.checkView.Procs[i] {

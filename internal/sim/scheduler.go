@@ -83,21 +83,16 @@ type View struct {
 	Params *platform.Params
 	// Procs has one entry per processor, indexed by processor ID.
 	Procs []ProcView
-	// TasksRemaining is the number of tasks of the current iteration not yet
-	// completed.
-	TasksRemaining int
 	// IterTasks is the total number of tasks of the current iteration. It
 	// equals Params.M under the fixed model; a configured AllocationPolicy
 	// varies it per iteration (and reads it as "the size I last chose" when
 	// consulted at a boundary, where it still reflects the iteration that
 	// just completed).
 	IterTasks int
-	// UpWorkers, FreeWorkers and IdleWorkers are the engine's incrementally
-	// maintained availability counts: workers currently UP, UP with a free
-	// incoming slot (able to accept a new copy), and UP with no begun work
-	// at all. Allocation policies size iterations from them; hand-built
-	// views may leave them zero.
-	UpWorkers, FreeWorkers, IdleWorkers int
+	// UpWorkers is the engine's incrementally maintained count of workers
+	// currently UP. Allocation policies size iterations from it; hand-built
+	// views may leave it zero.
+	UpWorkers int
 
 	// Run identifies the simulation run this view belongs to. Engine-built
 	// views carry a process-wide unique, strictly increasing run ID, so a
@@ -168,8 +163,6 @@ type TaskInfo struct {
 	// Replica is true when the pick is for an extra copy of an
 	// already-running task rather than for the original.
 	Replica bool
-	// Copies is the number of live copies the task already has.
-	Copies int
 }
 
 // Decline is the Pick return value meaning "leave this task unassigned for

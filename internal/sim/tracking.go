@@ -12,9 +12,9 @@ const noTask = -1
 
 // taskTracker indexes the task table for the scheduler round:
 //
-//   - remaining is the number of incomplete tasks (View.TasksRemaining),
-//     decremented at completion instead of recounted per slot. It also makes
-//     the iteration-barrier check O(1).
+//   - remaining is the number of incomplete tasks, decremented at
+//     completion instead of recounted per slot. It bounds the scheduler
+//     round and makes the iteration-barrier check O(1).
 //   - pending holds the unbegun originals — incomplete tasks with no live
 //     copy — which is exactly the set the originals loop plans for, iterated
 //     in ascending task order.

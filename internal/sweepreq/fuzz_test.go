@@ -61,7 +61,7 @@ func FuzzRequestJSON(f *testing.F) {
 	for _, r := range []Request{
 		{Exp: "table2"},
 		{Exp: "moldable", Alloc: "reshape:2", Scenarios: 2, Trials: 1, Seed: 7, Mode: "event"},
-		{Exp: "tracesweep", TraceStyle: "pareto", TraceLen: 500, Retries: 1, ContinueOnError: true},
+		{Exp: "tracesweep", TraceStyle: "pareto", TraceLen: 500, ContinueOnError: true},
 	} {
 		b, err := json.Marshal(r)
 		if err != nil {

@@ -86,9 +86,9 @@ type Request struct {
 	// Rejected outside moldable because silently ignoring a requested
 	// policy would be a trap; defaults to "maximum-iters" for moldable.
 	Alloc string `json:"alloc,omitempty"`
-	// Retries and ContinueOnError set the failure policy (excluded from
-	// the digest: a recovered sweep is bit-identical to an undisturbed one).
-	Retries         int  `json:"retries,omitempty"`
+	// ContinueOnError sets the failure policy: drop a failed instance
+	// instead of aborting the sweep (excluded from the digest, like the
+	// other execution knobs).
 	ContinueOnError bool `json:"continue_on_error,omitempty"`
 }
 
@@ -110,6 +110,9 @@ func (r Request) WithDefaults() Request {
 	}
 	if r.TraceLen == 0 {
 		r.TraceLen = 1000
+	}
+	if r.Exp == "largep" && r.Procs == 0 {
+		r.Procs = 1000
 	}
 	if r.Exp == "moldable" && r.Alloc == "" {
 		r.Alloc = "maximum-iters"
@@ -133,9 +136,6 @@ func (r Request) Validate() error {
 	}
 	if r.Procs < 0 {
 		return fmt.Errorf("-p must be >= 0, where 0 means the experiment default (got %d)", r.Procs)
-	}
-	if r.Retries < 0 {
-		return fmt.Errorf("-retries must be >= 0 (got %d)", r.Retries)
 	}
 	if _, err := volatile.ParseMode(r.Mode); err != nil {
 		return fmt.Errorf("unknown mode %q (valid: %s)", r.Mode, strings.Join(volatile.ModeNames(), ", "))
@@ -231,11 +231,7 @@ var presets = map[string]func(r Request) volatile.SweepConfig{
 		return volatile.Table3Config(10, r.Scenarios, r.Trials, r.Seed)
 	},
 	"largep": func(r Request) volatile.SweepConfig {
-		p := r.Procs
-		if p == 0 {
-			p = 1000
-		}
-		return volatile.LargePConfig(p, r.Scenarios, r.Trials, r.Seed)
+		return volatile.LargePConfig(r.Procs, r.Scenarios, r.Trials, r.Seed)
 	},
 	"tracesweep": func(r Request) volatile.SweepConfig {
 		cfg := volatile.Table2Config(r.Scenarios, r.Trials, r.Seed)
@@ -282,7 +278,7 @@ func Build(r Request) (*Built, error) {
 		cfg.Options.Processors = r.Procs
 	}
 	cfg.Mode, cfg.Workers = mode, r.Workers
-	cfg.MaxRetries, cfg.ContinueOnError = r.Retries, r.ContinueOnError
+	cfg.ContinueOnError = r.ContinueOnError
 	digest, err := cfg.ConfigDigest()
 	if err != nil {
 		return nil, err

@@ -40,7 +40,6 @@ func TestValidateTable(t *testing.T) {
 		{"negative-trials", func(r Request) Request { r.Trials = -1; return r }, "-trials must be positive"},
 		{"negative-workers", func(r Request) Request { r.Workers = -2; return r }, "-workers must be >= 0"},
 		{"negative-procs", func(r Request) Request { r.Procs = -1; return r }, "-p must be >= 0"},
-		{"negative-retries", func(r Request) Request { r.Retries = -1; return r }, "-retries must be >= 0"},
 		{"bad-mode", func(r Request) Request { r.Mode = "warp"; return r }, `unknown mode "warp"`},
 		{"bad-exp", func(r Request) Request { r.Exp = "table9"; return r }, `unknown experiment "table9"`},
 		{"trace-files-elsewhere", func(r Request) Request {
@@ -165,8 +164,8 @@ func TestBuildDigestSeparatesConfigs(t *testing.T) {
 		}
 	}
 	same := map[string]Request{
-		"workers": {Exp: "table3x5", Scenarios: 2, Trials: 1, Seed: 7, Workers: 3},
-		"retries": {Exp: "table3x5", Scenarios: 2, Trials: 1, Seed: 7, Retries: 2, ContinueOnError: true},
+		"workers":           {Exp: "table3x5", Scenarios: 2, Trials: 1, Seed: 7, Workers: 3},
+		"continue-on-error": {Exp: "table3x5", Scenarios: 2, Trials: 1, Seed: 7, ContinueOnError: true},
 	}
 	for name, r := range same {
 		b, err := Build(r)
@@ -265,6 +264,10 @@ func TestPinnedRequestDigests(t *testing.T) {
 			key := exp + "/" + mode
 			if want := pinnedRequestDigests[key]; b.Digest != want {
 				t.Errorf("%s digest moved: got %s, want %s", key, b.Digest, want)
+			}
+			// The defaults WithDefaults spells out are the ones Build applies.
+			if d, err := Build(Request{Exp: exp, Mode: mode}.WithDefaults()); err != nil || d.Digest != b.Digest {
+				t.Errorf("%s: defaulted request built %v (err %v), want digest %s", key, d, err, b.Digest)
 			}
 			n++
 		}

@@ -18,11 +18,12 @@ import (
 // resolved contenders, scenario/trial counts, options, mode, seed, and the
 // trace source or allocation policy).
 // Execution knobs that cannot change the result — Workers, Progress,
-// checkpoint placement, retry policy, fault plans — are excluded, so equal
-// digests mean equal results regardless of how the sweep is executed. It is
-// the same digest checkpoints are bound to: a content-addressed result
-// cache keyed on it is automatically coherent with crash/resume. It rejects
-// exactly the configs RunSweep rejects, with the same error.
+// checkpoint placement, the ContinueOnError failure policy, fault plans —
+// are excluded, so equal digests mean equal results regardless of how the
+// sweep is executed. It is the same digest checkpoints are bound to: a
+// content-addressed result cache keyed on it is automatically coherent with
+// crash/resume. It rejects exactly the configs RunSweep rejects, with the
+// same error.
 func (cfg SweepConfig) ConfigDigest() (string, error) {
 	plan, err := cfg.plan()
 	if err != nil {

@@ -75,16 +75,11 @@ type SweepConfig struct {
 	// chunks are fed, in-flight chunks commit, a final checkpoint is written
 	// (when configured), and the sweep returns *InterruptedError.
 	Stop <-chan struct{}
-	// MaxRetries bounds per-instance rerun attempts after a failed run
-	// (default 0: fail fast). Retries re-derive the identical trial seed, so
-	// a transient failure recovered within the budget leaves the sweep
-	// output bit-identical to an undisturbed run. A retry runs at once:
-	// the simulation is deterministic, so waiting would change nothing.
-	MaxRetries int
-	// ContinueOnError switches retry-exhausted instances from aborting the
-	// sweep to record-and-continue: the instance is dropped from the
-	// aggregates and surfaced via SweepResult.FailedInstances /
-	// InstanceErrors.
+	// ContinueOnError switches a failed instance from aborting the sweep
+	// to record-and-continue: the instance is dropped from the aggregates
+	// and surfaced via SweepResult.FailedInstances / InstanceErrors. A run
+	// is deterministic in its trial seed, so rerunning a failed instance
+	// would fail the same way.
 	ContinueOnError bool
 	// Faults injects deterministic failures (worker errors, committer
 	// crashes, checkpoint-I/O faults) for crash-safety tests; nil in
@@ -104,9 +99,9 @@ type SweepResult struct {
 	ByCell map[Cell][]TableRow
 	// Censored counts runs that hit the slot cap.
 	Censored int
-	// FailedInstances counts instances dropped after exhausting their retry
-	// budget under ContinueOnError. They contribute to no aggregate; a
-	// nonzero count means the rows above summarize a censored population.
+	// FailedInstances counts instances dropped after a failed run under
+	// ContinueOnError. They contribute to no aggregate; a nonzero count
+	// means the rows above summarize a censored population.
 	FailedInstances int
 	// InstanceErrors samples the errors behind FailedInstances (bounded; a
 	// long degraded sweep keeps the first few, not megabytes of repeats).
@@ -236,11 +231,9 @@ func (p *sweepPlan) newChunkRunner(cfg *SweepConfig, done *atomic.Int64, total i
 
 // run executes chunk ci's trials in order. A chunk's scenario is
 // deterministic in (seed, cell, scenario index), so it is built once and
-// shared across the chunk's trials. Every retry re-derives the identical
-// trial seed, so a recovered transient failure contributes exactly the
-// instance an undisturbed sweep would have. Under ContinueOnError a
-// retry-exhausted instance is dropped; that verdict depends only on
-// (chunk, trial), so it is the same for every worker count.
+// shared across the chunk's trials. Under ContinueOnError a failed
+// instance is dropped; a run is deterministic in (chunk, trial), so that
+// verdict is the same for every worker count.
 func (w *chunkRunner) run(ci int) *chunkResult {
 	cfg := w.cfg
 	cellIdx, scenIdx := ci/cfg.Scenarios, ci%cfg.Scenarios
@@ -250,14 +243,9 @@ func (w *chunkRunner) run(ci int) *chunkResult {
 	for tr := 0; tr < cfg.Trials; tr++ {
 		var ir *stats.InstanceResult
 		var nCens int
-		var err error
-		for attempt := 0; ; attempt++ {
-			if err = cfg.Faults.InstanceFault(ci, tr, attempt); err == nil {
-				ir, nCens, err = w.instance(scn, cellIdx, scenIdx, tr)
-			}
-			if err == nil || attempt >= cfg.MaxRetries {
-				break
-			}
+		err := cfg.Faults.InstanceFault(ci, tr)
+		if err == nil {
+			ir, nCens, err = w.instance(scn, cellIdx, scenIdx, tr)
 		}
 		switch {
 		case err == nil:

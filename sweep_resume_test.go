@@ -194,32 +194,10 @@ func TestUnwritableCheckpointPathWarns(t *testing.T) {
 	}
 }
 
-// TestTransientFaultsRetriedBitIdentical pins the retry contract: transient
-// instance failures recovered within the retry budget leave the sweep
-// output bit-identical to an undisturbed run, with nothing censored out.
-func TestTransientFaultsRetriedBitIdentical(t *testing.T) {
-	base := resumeTestConfig()
-	want := mustDigest(t, base)
-
-	cfg := base
-	cfg.MaxRetries = 2
-	cfg.Faults = &faultinject.Plan{Instance: faultinject.TransientInstanceFaults(99, 0.5, 2)}
-	res, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatalf("transient faults were not absorbed by retries: %v", err)
-	}
-	if res.FailedInstances != 0 {
-		t.Fatalf("recovered sweep reports %d failed instances", res.FailedInstances)
-	}
-	if got := res.Digest(); got != want {
-		t.Fatalf("retried sweep drifted: %s != %s", got, want)
-	}
-}
-
 // TestPersistentFaultRecordAndContinue pins the censor path: an instance
-// that exhausts its retries under ContinueOnError is dropped from the
-// aggregates, counted in FailedInstances, sampled in InstanceErrors — and
-// the degraded result is identical for every worker count.
+// that fails under ContinueOnError is dropped from the aggregates, counted
+// in FailedInstances, sampled in InstanceErrors — and the degraded result
+// is identical for every worker count.
 func TestPersistentFaultRecordAndContinue(t *testing.T) {
 	base := resumeTestConfig()
 	total := len(base.Cells) * base.Scenarios * base.Trials
@@ -227,7 +205,6 @@ func TestPersistentFaultRecordAndContinue(t *testing.T) {
 	mk := func(workers int) *SweepResult {
 		cfg := base
 		cfg.Workers = workers
-		cfg.MaxRetries = 1
 		cfg.ContinueOnError = true
 		cfg.Faults = &faultinject.Plan{Instance: faultinject.PersistentInstanceFault(3, 1)}
 		res, err := RunSweep(cfg)
@@ -255,11 +232,10 @@ func TestPersistentFaultRecordAndContinue(t *testing.T) {
 }
 
 // TestPersistentFaultAbortsWithoutContinueOnError pins the default policy:
-// retry exhaustion without ContinueOnError fails the sweep with the
+// a failed instance without ContinueOnError fails the sweep with the
 // instance's error.
 func TestPersistentFaultAbortsWithoutContinueOnError(t *testing.T) {
 	cfg := resumeTestConfig()
-	cfg.MaxRetries = 1
 	cfg.Faults = &faultinject.Plan{Instance: faultinject.PersistentInstanceFault(3, 1)}
 	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "persistent fault") {
 		t.Fatalf("RunSweep = %v, want the persistent-fault error", err)
@@ -514,7 +490,7 @@ func TestCommitQueueBoundsStartedChunks(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	whileStalled := int64(-1)
-	cfg.Faults = &faultinject.Plan{Instance: func(chunk, trial, attempt int) error {
+	cfg.Faults = &faultinject.Plan{Instance: func(chunk, trial int) error {
 		if chunk == 0 {
 			select {
 			case <-release:
@@ -547,7 +523,7 @@ func TestAbortReturnsLowestFailingChunk(t *testing.T) {
 	cfg.Checkpoint = &CheckpointConfig{Path: path, Every: 1}
 	fired := make(chan struct{})
 	var once sync.Once
-	cfg.Faults = &faultinject.Plan{Instance: func(chunk, trial, attempt int) error {
+	cfg.Faults = &faultinject.Plan{Instance: func(chunk, trial int) error {
 		switch chunk {
 		case 1:
 			select {
