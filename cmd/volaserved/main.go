@@ -80,10 +80,10 @@ func main() {
 	// Boot auto-resume: jobs a previous process left unfinished (persisted
 	// request, no cached result) restart from their checkpoints without
 	// waiting for any client to resubmit them.
-	if n, err := sched.ResumeInterrupted(); err != nil {
+	if n, rejected, err := sched.ResumeInterrupted(); err != nil {
 		fmt.Fprintln(os.Stderr, "volaserved: resume scan:", err)
-	} else if n > 0 {
-		fmt.Printf("volaserved: resumed %d interrupted job(s) from checkpoints\n", n)
+	} else if n > 0 || rejected > 0 {
+		fmt.Printf("volaserved: resumed %d interrupted job(s) from checkpoints, rejected %d request stub(s)\n", n, rejected)
 	}
 
 	srv := newHTTPServer(*addr, newServer(sched), readHeaderTimeout)

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/minheap"
+	"repro/internal/losertree"
 )
 
 // Tape records the availability trajectories of a platform once, as one
@@ -15,11 +15,13 @@ import (
 // the per-processor streams once — and replaying the log to each contender
 // changes no result, only the cost.
 //
-// The tape keeps the slot-0 states apart (Initial) and a (slot, worker)
-// min-heap over each source's next change. The log is extended lazily, one
+// The tape keeps the slot-0 states apart (Initial) and a loser tree whose
+// leaf i holds the slot of source i's next change, so its (slot, worker)
+// minimum is the next transition; a source whose state holds to the
+// horizon gets the sentinel key. The log is extended lazily, one
 // transition at a time, when a Reader reads past what is recorded: the
-// heap's root is appended, and its source is asked for its next change only
-// when the log is extended again. Same-slot transitions are logged in
+// tree's minimum is appended, and its source is asked for its next change
+// only when the log is extended again. Same-slot transitions are logged in
 // ascending worker order. Nothing at or beyond the horizon given to Reset
 // is recorded, so consumers that stop at the horizon (the engine stops at
 // Params.EffectiveMaxSlots) see exactly the source trajectories.
@@ -35,14 +37,16 @@ import (
 type Tape struct {
 	limit int
 	// srcs are the recorded sources; initial[i] is source i's slot-0 state
-	// and pend[i] the state it enters at its heap entry.
+	// and pend[i] the state it enters at its next change; keys is the
+	// build buffer of next, the tree over those changes.
 	srcs    []tapeSource
 	initial []State
 	pend    []State
-	heap    minheap.Heap
-	// rootLogged reports that the heap's root is already in the log and
-	// its source still owes its next change.
-	rootLogged bool
+	keys    []uint64
+	next    losertree.Tree
+	// minLogged reports that next's minimum is already in the log and its
+	// source still owes its next change.
+	minLogged bool
 	// The log holds one entry per transition — uvarint(slot - previous
 	// entry's slot) then uvarint(worker<<2 | state) — in chunks of
 	// logChunk bytes that no entry straddles, so it grows without copying
@@ -76,15 +80,15 @@ type tapeSource struct {
 // makes every Reader of the tape return an error.
 func (t *Tape) Reset(srcs []Process, perSlot bool, limit int) {
 	p := len(srcs)
-	t.limit, t.rootLogged, t.err = limit, false, nil
+	t.limit, t.minLogged, t.err = limit, false, nil
 	t.used, t.last = 0, 0
-	t.heap = t.heap[:0]
 	if cap(t.srcs) < p {
 		t.srcs = make([]tapeSource, p)
 		t.initial = make([]State, p)
 		t.pend = make([]State, p)
+		t.keys = make([]uint64, p)
 	}
-	t.srcs, t.initial, t.pend = t.srcs[:p], t.initial[:p], t.pend[:p]
+	t.srcs, t.initial, t.pend, t.keys = t.srcs[:p], t.initial[:p], t.pend[:p], t.keys[:p]
 	for i, src := range srcs {
 		ts := tapeSource{p: src}
 		if perSlot {
@@ -108,48 +112,43 @@ func (t *Tape) Reset(srcs []Process, perSlot bool, limit int) {
 			s = src.Next()
 		}
 		t.initial[i], t.pend[i] = s, s
-		if at, ok := t.next(i, 0); ok {
-			t.heap = append(t.heap, transitionKey(at, i))
-		} else if t.err != nil {
+		t.keys[i] = t.draw(i, 0)
+		if t.err != nil {
 			return
 		}
 	}
-	t.heap.Init()
+	t.next.Init(t.keys)
 }
 
-// transitionKey is the heap key of worker's change at slot: the heap orders
+// draw draws source i's next change after its change at slot prev into
+// pend[i] and returns its slot as a key of next: the tree orders
 // transitions by slot, and same-slot ones by ascending worker, so
 // simultaneous transitions always apply in the same order and crash event
-// streams stay bit-identical across modes on identical trajectories.
-func transitionKey(slot, worker int) minheap.Key {
-	return minheap.Key{Hi: uint64(slot), Lo: uint64(worker)}
-}
-
-// next draws source i's next change after its change at slot prev into
-// pend[i] and returns its slot, or false when the source's state holds to
-// the horizon or it broke the Trajectory contract (t.err).
-func (t *Tape) next(i, prev int) (int, bool) {
+// streams stay bit-identical across modes on identical trajectories. It
+// returns the sentinel when the source's state holds to the horizon or it
+// broke the Trajectory contract (t.err).
+func (t *Tape) draw(i, prev int) uint64 {
 	src := &t.srcs[i]
 	if src.tr != nil {
 		s, at := src.tr.NextTransition()
 		if at >= t.limit {
-			return 0, false
+			return losertree.Sentinel
 		}
 		if at <= prev {
 			t.err = fmt.Errorf("availability trajectory %d: transition slot %d not after %d", i, at, prev)
-			return 0, false
+			return losertree.Sentinel
 		}
 		t.pend[i] = s
-		return at, true
+		return uint64(at)
 	}
 	cur := t.pend[i]
 	for slot := prev + 1; slot < t.limit; slot++ {
 		if s := src.p.Next(); s != cur {
 			t.pend[i] = s
-			return slot, true
+			return uint64(slot)
 		}
 	}
-	return 0, false
+	return losertree.Sentinel
 }
 
 // extend appends the next merged transition to the log. It returns false
@@ -158,21 +157,19 @@ func (t *Tape) extend() bool {
 	if t.err != nil {
 		return false
 	}
-	if t.rootLogged {
-		t.rootLogged = false
-		worker := int(t.heap[0].Lo)
-		if at, ok := t.next(worker, int(t.heap[0].Hi)); ok {
-			t.heap.ReplaceMin(transitionKey(at, worker))
-		} else if t.err != nil {
+	if t.minLogged {
+		t.minLogged = false
+		worker, slot := t.next.Min()
+		t.next.ReplaceMin(t.draw(worker, int(slot)))
+		if t.err != nil {
 			return false
-		} else {
-			t.heap.PopMin()
 		}
 	}
-	if len(t.heap) == 0 {
+	worker, key := t.next.Min()
+	if key == losertree.Sentinel {
 		return false
 	}
-	slot, worker := int(t.heap[0].Hi), int(t.heap[0].Lo)
+	slot := int(key)
 	if t.used == 0 || len(t.chunks[t.used-1])+maxEntry > logChunk {
 		if t.used == len(t.chunks) {
 			t.chunks = append(t.chunks, make([]byte, 0, logChunk))
@@ -184,7 +181,7 @@ func (t *Tape) extend() bool {
 	*c = binary.AppendUvarint(*c, uint64(slot-t.last))
 	*c = binary.AppendUvarint(*c, uint64(worker)<<2|uint64(t.pend[worker]))
 	t.last = slot
-	t.rootLogged = true
+	t.minLogged = true
 	return true
 }
 

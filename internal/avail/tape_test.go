@@ -403,3 +403,48 @@ func TestTapeContractErrors(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTapeExtend times the transition tape layer alone: Reset over P
+// Markov3 sources (each one's slot-0 state and first change), then one
+// Reader reading the log back to a fixed horizon, which extends it one
+// transition at a time — the loser tree's replace-min, the source's
+// sojourn draw and the log encoding. P = 20 is Table 2's platform, P = 10k
+// largep's. ns/transition divides the time by the transitions read.
+func BenchmarkTapeExtend(b *testing.B) {
+	const horizon = 1000
+	for _, p := range []int{20, 10000} {
+		b.Run(map[int]string{20: "p=20", 10000: "p=10k"}[p], func(b *testing.B) {
+			r := rng.New(7)
+			models := make([]*avail.Markov3, p)
+			for i := range models {
+				models[i] = avail.RandomMarkov3(r)
+			}
+			procs := make([]avail.Markov3Process, p)
+			gens := make([]rng.PCG, p)
+			srcs := make([]avail.Process, p)
+			for i := range srcs {
+				srcs[i] = &procs[i]
+			}
+			var tape avail.Tape
+			var rd avail.Reader
+			transitions := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := range procs {
+					gens[i].Reseed(uint64(i) + 1)
+					procs[i].Reset(models[i], &gens[i], avail.Up)
+				}
+				tape.Reset(srcs, false, horizon)
+				err := rd.Rewind(&tape)
+				for ; err == nil && rd.Slot() != avail.Forever; err = rd.Advance() {
+					transitions++
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(transitions), "ns/transition")
+		})
+	}
+}

@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/avail"
-	"repro/internal/minheap"
+	"repro/internal/losertree"
 	"repro/internal/sim"
 )
 
@@ -89,16 +89,16 @@ func TestHeapArgminSlowCheckOracle(t *testing.T) {
 	}
 }
 
-// TestScoreHeapOrder drives the bare heap through the only operations
-// pickHeap uses — rebuild (heapify), replace-min (the originals phase
-// rescores the root) and pop-min (the replica phase drops it) — against a
-// reference linear argmin, over random score vectors that deliberately
-// include exact ties (shared values drawn from a tiny set), −0 beside +0,
-// +Inf, and NaN with either sign bit — the cases scoreLess orders by ID,
-// sentinel-last. Slates run from a single entry to ~300 (nine levels of
-// the binary heap). After every operation every entry must order no
-// earlier than its parent and the heap minimum must equal the scan minimum
-// over the live entries.
+// TestScoreHeapOrder drives the bare tree through the only operations
+// pickHeap uses — rebuild, rescoring the minimum (originals phase) and
+// dropping it (replica phase) — against a reference linear argmin, over
+// random score vectors that deliberately include exact ties (shared values
+// drawn from a tiny set), −0 beside +0, +Inf, and NaN with either sign bit
+// — the cases scoreLess orders by ID, sentinel-last. Slates run from a
+// single entry to ~300, on to the last live entry, so NaN-scored live
+// leaves meet dropped ones. After every operation the tree minimum must
+// equal the scan minimum over the live entries and the live count must
+// match.
 func TestScoreHeapOrder(t *testing.T) {
 	scorePool := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, 2.5, math.Inf(1), math.NaN(), math.Copysign(math.NaN(), -1)}
 	for seed := int64(0); seed < 60; seed++ {
@@ -132,41 +132,54 @@ func TestScoreHeapOrder(t *testing.T) {
 				}
 			}
 			if got := h.minIndex(); got != want {
-				t.Fatalf("seed %d op %d: heap min at slate index %d, reference %d", seed, op, got, want)
+				t.Fatalf("seed %d op %d: tree min at slate index %d, reference %d", seed, op, got, want)
 			}
-			for i := 1; i < len(h.heap); i++ {
-				if minheap.Less(h.heap[i], h.heap[(i-1)/2]) {
-					t.Fatalf("seed %d op %d: entry %d orders before its parent", seed, op, i)
+			nLive := 0
+			for _, l := range live {
+				if l {
+					nLive++
 				}
+			}
+			if h.live != nLive {
+				t.Fatalf("seed %d op %d: live count %d, reference %d", seed, op, h.live, nLive)
 			}
 		}
 		check(-1)
-		for op := 0; len(h.heap) > 1 && op < 4*n; op++ {
+		for op := 0; h.live > 1 && op < 4*n; op++ {
 			k := h.minIndex()
 			if r.Intn(3) == 0 {
-				h.heap.PopMin()
+				h.dropMin()
 				live[k] = false
 			} else {
 				scores[k] = scorePool[r.Intn(len(scorePool))]
-				h.heap.ReplaceMin(scoreKey(scores[k], k))
+				h.rescoreMin(scores[k])
 			}
 			check(op)
 		}
 	}
 }
 
-// TestOrderKeyMatchesScoreLess pins the heap's integer order to scoreLess:
-// for every pair of scores, with equal and with different indices, the
-// (orderKey, index) key order must agree with scoreLess both ways round.
-// The scores are every pair of signed zeros, subnormal and normal extremes,
-// infinities and NaNs (either sign bit, two payloads), then 10^5 random
-// bit patterns, each also paired with itself.
+// TestOrderKeyMatchesScoreLess pins the tree's order to scoreLess: for
+// every pair of scores, with equal and with different indices, the
+// one-word orderKey with the tree's lower-leaf tie-break must agree with
+// scoreLess both ways round. The scores are every pair of signed zeros,
+// subnormal and normal extremes, infinities and NaNs (either sign bit, two
+// payloads), then 10^5 random bit patterns, each also paired with itself.
+// Every score's key, the NaNs' included, must also order below the
+// sentinel a dropped leaf holds.
 func TestOrderKeyMatchesScoreLess(t *testing.T) {
+	keyLess := func(a float64, i int, b float64, j int) bool {
+		ka, kb := orderKey(a), orderKey(b)
+		return ka < kb || (ka == kb && i < j)
+	}
 	check := func(a, b float64) {
 		t.Helper()
+		if orderKey(a) >= losertree.Sentinel {
+			t.Fatalf("orderKey(%v [%#x]) = %#x, not below the sentinel", a, math.Float64bits(a), orderKey(a))
+		}
 		for _, ids := range [][2]int{{0, 0}, {3, 3}, {0, 1}, {1, 0}, {2, 7}, {7, 2}} {
 			i, j := ids[0], ids[1]
-			if got, want := minheap.Less(scoreKey(a, i), scoreKey(b, j)), scoreLess(a, i, b, j); got != want {
+			if got, want := keyLess(a, i, b, j), scoreLess(a, i, b, j); got != want {
 				t.Fatalf("key order of (%v [%#x], %d) < (%v [%#x], %d) = %v, scoreLess says %v",
 					a, math.Float64bits(a), i, b, math.Float64bits(b), j, got, want)
 			}

@@ -45,7 +45,7 @@ type greedySched struct {
 	score func(pv *sim.ProcView, ct float64) float64
 	// cache is the incremental scoring state, created on first tracked
 	// Pick; noCache forces the reference path (the equivalence tests'
-	// "plain" scheduler). argmin is the large-slate heap (argmin.go),
+	// "plain" scheduler). argmin is the large-slate tree (argmin.go),
 	// created the first time a slate reaches greedyHeapMinEligible.
 	cache   *pickCache
 	argmin  *scoreHeap
@@ -65,7 +65,7 @@ func (s *greedySched) Name() string { return s.name }
 func (s *greedySched) PoolSafe() bool { return true }
 
 // SkipPicks implements sim.PickSkipper as a no-op: the score cache and the
-// argmin heap only memoize pure functions of their recorded inputs, so
+// argmin tree only memoize pure functions of their recorded inputs, so
 // skipped picks leave nothing a later pick could observe.
 func (s *greedySched) SkipPicks(*sim.View, []int, *sim.RoundState, int) {}
 
@@ -221,13 +221,13 @@ func (s *greedySched) pickLinear(c *pickCache, v *sim.View, eligible []int, rs *
 }
 
 // pickHeap is the large-slate argmin (see argmin.go): it continues the
-// round's heap when only the recorded deltas happened since the previous
+// round's tree when only the recorded deltas happened since the previous
 // Pick — same view epoch, same pick chain, same factor pair, and a slate
 // that is either unchanged (originals phase; the last pick's NQ moved, so
-// the root is rescored in place) or exactly the last pick shorter (replica
-// phase; the root is popped) — and rebuilds it otherwise at linear-pass
-// cost. The heap minimum is returned; scoreLess being a strict total order
-// makes it the unique linear argmin.
+// the minimum is rescored in place) or exactly the last pick shorter
+// (replica phase; the minimum is dropped) — and rebuilds it otherwise at
+// linear-pass cost. The tree minimum is returned; scoreLess being a strict
+// total order makes it the unique linear argmin.
 func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *sim.RoundState, factorEngaged, factorFresh int) int {
 	h := s.argmin
 	if h == nil {
@@ -238,19 +238,19 @@ func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *si
 		h.factorEngaged == factorEngaged && h.factorFresh == factorFresh &&
 		h.slatePtr == &eligible[0]
 	if cont {
-		// The previous Pick returned the root.
+		// The previous Pick returned the minimum.
 		k := h.minIndex()
 		q := h.slate[k]
 		switch {
-		case len(eligible) == len(h.heap):
+		case len(eligible) == h.live:
 			// Originals phase: the slate is unchanged and only the picked
 			// worker's NQ (and with it, possibly its factor choice) moved.
 			factor := s.candidateFactor(v, rs, q, factorEngaged, factorFresh)
-			h.heap.ReplaceMin(scoreKey(s.cachedScore(c, v, rs, q, factor), k))
-		case len(eligible) == len(h.heap)-1 && !slateContains(eligible, q):
+			h.rescoreMin(s.cachedScore(c, v, rs, q, factor))
+		case len(eligible) == h.live-1 && !slateContains(eligible, q):
 			// Replica phase: the engine compacted the picked worker out of
 			// the slate (order-preserving, so ascending order holds).
-			h.heap.PopMin()
+			h.dropMin()
 		default:
 			cont = false
 		}

@@ -22,7 +22,7 @@ package core
 // decision from a fresh scan and panics on any divergence.
 //
 // The argmin over the eligible slate is a linear pass under scoreLess on
-// paper-scale platforms, and a root-only min-heap (argmin.go) once the slate
+// paper-scale platforms, and a loser tree (argmin.go) once the slate
 // crosses greedyHeapMinEligible — pick-for-pick identical because scoreLess
 // is a strict total order.
 

@@ -263,42 +263,50 @@ func (s *Scheduler) persistRequest(digest string, req sweepreq.Request) {
 // each one. Checkpoints make the resubmission a resume, so a server killed
 // mid-sweep picks its jobs back up at boot with no client involvement and
 // still lands on bit-identical result digests. Requests whose results are
-// already cached are stale stubs and are swept away. It returns the number
-// of jobs resubmitted.
-func (s *Scheduler) ResumeInterrupted() (int, error) {
+// already cached are stale stubs and are swept away. A stub that does not
+// decode or no longer builds (e.g. one from an older request schema) is
+// renamed to <digest>.rejected beside the others, so it never blocks boot
+// and no later boot reads it again. It returns the number of jobs
+// resubmitted and the number of stubs rejected.
+func (s *Scheduler) ResumeInterrupted() (resumed, rejected int, err error) {
 	entries, err := os.ReadDir(filepath.Join(s.opts.DataDir, "requests"))
 	if err != nil {
-		return 0, fmt.Errorf("jobs: %w", err)
+		return 0, 0, fmt.Errorf("jobs: %w", err)
 	}
-	resumed := 0
 	for _, e := range entries {
 		digest, ok := strings.CutSuffix(e.Name(), ".json")
 		if !ok {
 			continue
 		}
+		path := s.requestPath(digest)
 		if _, err := s.loadResult(digest); err == nil {
 			// Completed between the result write and the stub cleanup (a
 			// crash in that window): the cache already serves it.
-			os.Remove(s.requestPath(digest))
+			os.Remove(path)
 			continue
 		}
-		data, err := os.ReadFile(s.requestPath(digest))
+		data, err := os.ReadFile(path)
 		if err != nil {
 			continue
 		}
 		var req sweepreq.Request
-		if err := json.Unmarshal(data, &req); err != nil {
-			continue // a corrupt stub must never block boot
+		err = json.Unmarshal(data, &req)
+		started := false
+		if err == nil {
+			_, started, err = s.Submit(req)
 		}
-		_, started, err := s.Submit(req)
-		if err != nil {
-			continue // e.g. a stub from an older request schema
-		}
-		if started {
+		switch {
+		case errors.Is(err, ErrShuttingDown):
+			// Not the stub's fault: the next boot resumes it.
+		case err != nil:
+			if os.Rename(path, strings.TrimSuffix(path, ".json")+".rejected") == nil {
+				rejected++
+			}
+		case started:
 			resumed++
 		}
 	}
-	return resumed, nil
+	return resumed, rejected, nil
 }
 
 // Submit admits a request. The returned bool reports whether a sweep

@@ -252,12 +252,12 @@ func TestBootResumeInterruptedBitIdentical(t *testing.T) {
 	// Reboot: the boot scan alone must resubmit and finish the job.
 	s2 := newTestScheduler(t, dir)
 	defer s2.Stop()
-	n, err := s2.ResumeInterrupted()
+	n, rejected, err := s2.ResumeInterrupted()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("ResumeInterrupted resubmitted %d jobs, want 1", n)
+	if n != 1 || rejected != 0 {
+		t.Fatalf("ResumeInterrupted resubmitted %d jobs and rejected %d stubs, want 1 and 0", n, rejected)
 	}
 	j2, ok := s2.Get(j.Digest)
 	if !ok {
@@ -280,7 +280,7 @@ func TestBootResumeInterruptedBitIdentical(t *testing.T) {
 	s2.Stop()
 	s3 := newTestScheduler(t, dir)
 	defer s3.Stop()
-	if n, err := s3.ResumeInterrupted(); err != nil || n != 0 {
+	if n, _, err := s3.ResumeInterrupted(); err != nil || n != 0 {
 		t.Fatalf("clean boot resumed %d jobs (err=%v), want 0", n, err)
 	}
 }
@@ -302,7 +302,7 @@ func TestBootResumesStubWithRetries(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "requests", configDigest+".json"), []byte(stub), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.ResumeInterrupted()
+	n, _, err := s.ResumeInterrupted()
 	if err != nil || n != 1 {
 		t.Fatalf("ResumeInterrupted resubmitted %d jobs (err=%v), want 1", n, err)
 	}
@@ -319,6 +319,59 @@ func TestBootResumesStubWithRetries(t *testing.T) {
 	}
 	if res.ResultDigest != resultDigest {
 		t.Fatalf("boot-resumed result digest %s, want %s", res.ResultDigest, resultDigest)
+	}
+}
+
+// TestBootRejectsBadStubOnce boots twice over a data dir holding a good
+// request stub beside one that no longer builds. The first boot resumes the
+// good stub and moves the bad one aside as <digest>.rejected; the second
+// finds nothing to read: the good job's stub went with its cached result,
+// and the rejected one is no longer a .json stub.
+func TestBootRejectsBadStubOnce(t *testing.T) {
+	dir := t.TempDir()
+	reqs := filepath.Join(dir, "requests")
+	good, err := sweepreq.Build(fastReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestScheduler(t, dir)
+	defer s.Stop()
+	for name, body := range map[string]string{
+		good.Digest: `{"exp":"table3x5","scenarios":1,"trials":1,"seed":11}`,
+		"bad":       `{"exp":"table9"}`,
+	} {
+		if err := os.WriteFile(filepath.Join(reqs, name+".json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, rejected, err := s.ResumeInterrupted()
+	if err != nil || n != 1 || rejected != 1 {
+		t.Fatalf("first boot: resumed %d, rejected %d (err=%v), want 1 and 1", n, rejected, err)
+	}
+	j, ok := s.Get(good.Digest)
+	if !ok {
+		t.Fatal("good stub did not resume under its digest")
+	}
+	if lastType(drain(t, j)) != "done" {
+		t.Fatalf("boot-resumed job ended %q, want done", j.State())
+	}
+	s.Stop()
+
+	s2 := newTestScheduler(t, dir)
+	defer s2.Stop()
+	if n, rejected, err := s2.ResumeInterrupted(); err != nil || n != 0 || rejected != 0 {
+		t.Fatalf("second boot: resumed %d, rejected %d (err=%v), want 0 and 0", n, rejected, err)
+	}
+	entries, err := os.ReadDir(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"bad.rejected"}) {
+		t.Fatalf("requests dir after two boots: %v, want [bad.rejected]", names)
 	}
 }
 

@@ -360,10 +360,9 @@ func (e *engine) reset(cfg Config) {
 		e.view.Procs = make([]ProcView, p)
 		e.view.ProcEpochs = make([]int64, p)
 	}
+	// NQ needs no wipe: schedule leaves it all-zero after every round,
+	// failed ones included, and a regrown slice starts zeroed.
 	e.rs.NQ = e.rs.NQ[:p]
-	for i := range e.rs.NQ {
-		e.rs.NQ[i] = 0 // rounds keep NQ all-zero between them (see schedule)
-	}
 	e.view = View{Params: e.params, Procs: e.view.Procs[:p],
 		ProcEpochs: e.view.ProcEpochs[:p], Run: runCounter.Add(1)}
 	e.prevValid = false

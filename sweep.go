@@ -563,7 +563,7 @@ func Table3Config(commScale, scenarios, trials int, seed uint64) SweepConfig {
 // P = 1k-100k): one cell whose task count tracks the platform size (n = P,
 // so the originals phase exercises full-width rounds) with a quarter-width
 // communication budget, restricted to the informed greedy pairs whose
-// incremental scoring and heap argmin carry that scale. Combine with
+// incremental scoring and tree argmin carry that scale. Combine with
 // ModeEvent for sojourn-granularity stepping; see EXPERIMENTS.md ("Large
 // platforms") for expected runtimes per P.
 func LargePConfig(processors, scenarios, trials int, seed uint64) SweepConfig {
