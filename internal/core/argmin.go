@@ -6,43 +6,30 @@ import (
 	"repro/internal/losertree"
 )
 
-// This file is the large-slate argmin of the greedy family, kept in a
-// tournament (loser) tree in scoreLess order; the path is called "heap"
-// beside the linear one. The linear argmin pass in Pick costs
-// O(|eligible|) per decision, which is fine at paper scale (P = 20) but
-// dominates a volunteer-grid round planning m tasks over thousands of UP
-// workers — O(m·P) per slot. The tree makes the first decision of a round
-// O(P) (one rebuild, same cost as a single linear pass) and each subsequent
-// decision O(log P): between two Picks of the same round, the only score
-// that can change is the last-picked worker's (its NQ moved, and in the
-// corrected modes possibly the shared communication factors, which force a
-// rebuild when they move).
-//
-// An earlier profile of this structure on Table 2's own P = 20 rounds
-// found the bookkeeping cost ~10x the score evaluations it avoided (a full
-// round, as benchmarked below, favours the tree even at n = 20), so it
-// engages only when the slate reaches greedyHeapMinEligible.
-// scoreLess is a strict total order, so the tree minimum IS the linear
+// This file is the greedy family's argmin, kept in a tournament (loser)
+// tree in scoreLess order. A linear argmin pass costs O(|eligible|) per
+// decision, which on a volunteer-grid round planning m tasks over
+// thousands of UP workers is O(m·P) per slot. The tree makes the first
+// decision of a round O(P) (one rebuild, the cost of a single validated
+// pass) and each subsequent decision O(log P): between two Picks of the
+// same round, the only score that can change is the last-picked worker's
+// (its NQ moved, and in the corrected modes possibly the shared
+// communication factors, which force a rebuild when they move). scoreLess
+// is a strict total order, so the tree minimum IS the reference scan's
 // argmin — pick-for-pick identical, which the equivalence property tests
-// pin by forcing the threshold to 1.
+// and the slow-check oracle pin.
 //
 // Between two Picks only the minimum changes — the originals phase
 // rescores the worker the previous Pick returned, the replica phase drops
 // it — so the structure is internal/losertree's loser tree, which offers
 // just a linear build, the minimum and replace-min. Its leaves are the
 // slate indices and its keys orderKey(score), so its (key, leaf) order is
-// scoreLess's; a dropped worker's leaf gets the sentinel key.
+// scoreLess's; a dropped worker's leaf gets the sentinel key. It is named
+// a heap for its role, a priority queue over the slate.
 //
 // BenchmarkGreedyArgmin, ns per pick over one full originals-phase round
-// (emct*, ncom = n/4), medians of five runs on a 2-vCPU Xeon, linear / heap
-// (the tree): n = 20: 347 / 179; n = 128: 2.1k / 225; n = 1k: 15.3k / 223;
-// n = 10k: 157k / 244.
-
-// greedyHeapMinEligible is the slate size at which Pick switches from the
-// linear argmin to the tree: above Table 2's slate of 20, and already a
-// large per-pick win on a full round. A package variable so tests can
-// force the heap path on small slates.
-var greedyHeapMinEligible = 128
+// (emct*, ncom = n/4), medians of three runs on a 2-vCPU Xeon: n = 20:
+// 159; n = 128: 183; n = 1k: 233; n = 10k: 233.
 
 // scoreHeap is a loser tree over a build-time copy of the eligible slate.
 // Its leaves are slate indices into the copy, which is stable for the
@@ -66,7 +53,7 @@ type scoreHeap struct {
 	// live counts the leaves not yet dropped by the replica phase.
 	live int
 
-	valid                      bool
+	// epoch is 0 until the first rebuild, and no tracked view's is.
 	epoch                      int64
 	slatePtr                   *int
 	expectPicks                int
@@ -105,7 +92,6 @@ func (h *scoreHeap) rebuild(eligible []int, score func(q int) float64) {
 	h.tree.Init(h.keys)
 	h.live = len(eligible)
 	h.slatePtr = &eligible[0]
-	h.valid = true
 }
 
 // minIndex returns the slate index of the tree minimum — the unique

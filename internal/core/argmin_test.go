@@ -4,93 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/avail"
 	"repro/internal/losertree"
 	"repro/internal/sim"
 )
 
-// forceHeapArgmin lowers the heap threshold so every cached Pick routes
-// through the heap path, restoring it when the test ends.
-func forceHeapArgmin(t testing.TB, n int) {
-	t.Helper()
-	old := greedyHeapMinEligible
-	greedyHeapMinEligible = n
-	t.Cleanup(func() { greedyHeapMinEligible = old })
-}
-
-// TestHeapArgminPickStreamMatchesFlat is the heap path's equivalence
-// property test: with the threshold forced to 1, every single decision of
-// every greedy variant must match the plain full-scan scheduler pick for
-// pick, event for event, and on the final result — the same contract the
-// linear cached path is held to, now exercising rebuilds, same-slate
-// rescoring (originals) and slate-compaction deletes (replicas).
-func TestHeapArgminPickStreamMatchesFlat(t *testing.T) {
-	forceHeapArgmin(t, 1)
-	variants := greedyVariants()
-	names := make([]string, 0, len(variants))
-	for name := range variants {
-		names = append(names, name)
-	}
-
-	runOnce := func(seed uint64, s *greedySched) (*sim.Result, []sim.Event, [][4]int) {
-		rec := &pickRecorder{inner: s}
-		cfg := randomPickScenario(t, seed, rec)
-		var events []sim.Event
-		cfg.OnEvent = func(ev sim.Event) { events = append(events, ev) }
-		res, err := sim.Run(cfg)
-		if err != nil {
-			t.Fatalf("seed %d %s: %v", seed, s.Name(), err)
-		}
-		return res, events, rec.log
-	}
-
-	f := func(seed uint64, pickV uint8) bool {
-		name := names[int(pickV)%len(names)]
-		heap := variants[name]()
-		flat := variants[name]()
-		flat.noCache = true
-		resH, evH, picksH := runOnce(seed, heap)
-		resF, evF, picksF := runOnce(seed, flat)
-		if !reflect.DeepEqual(picksH, picksF) {
-			for i := range picksH {
-				if i < len(picksF) && picksH[i] != picksF[i] {
-					t.Logf("seed %d %s: first divergence at decision %d: heap %v, flat %v",
-						seed, name, i, picksH[i], picksF[i])
-					break
-				}
-			}
-			return false
-		}
-		return reflect.DeepEqual(resH, resF) && reflect.DeepEqual(evH, evF)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHeapArgminSlowCheckOracle runs the full-rescore oracle with the heap
-// path forced on: every heap decision is re-derived from a fresh linear
-// scan inside Pick, so a rotted continuation anchor panics.
-func TestHeapArgminSlowCheckOracle(t *testing.T) {
-	forceHeapArgmin(t, 1)
-	runner := sim.NewRunner()
-	runner.EnableSlowChecks()
-	for name, build := range greedyVariants() {
-		for seed := uint64(0); seed < 8; seed++ {
-			cfg := randomPickScenario(t, seed*17+3, build())
-			if _, err := runner.Run(cfg); err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-		}
-	}
-}
-
 // TestScoreHeapOrder drives the bare tree through the only operations
-// pickHeap uses — rebuild, rescoring the minimum (originals phase) and
+// Pick uses — rebuild, rescoring the minimum (originals phase) and
 // dropping it (replica phase) — against a reference linear argmin, over
 // random score vectors that deliberately include exact ties (shared values
 // drawn from a tiny set), −0 beside +0, +Inf, and NaN with either sign bit
@@ -207,44 +129,37 @@ func TestOrderKeyMatchesScoreLess(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedyArgmin times one originals-phase scheduling round on each
-// argmin path: n picks over a slate of n UP workers, in largep's shape
-// (m = n tasks, ncom = n/4, emct*). Each op opens a fresh round on a fresh
-// view revision, so the first pick scores the whole slate on both paths
-// and the corrected mode's factor steps force the heap's mid-round
-// rebuilds as they do in a real round.
+// BenchmarkGreedyArgmin times one originals-phase scheduling round: n
+// picks over a slate of n UP workers, in largep's shape (m = n tasks,
+// ncom = n/4, emct*). Each op opens a fresh round on a fresh view
+// revision, so the first pick scores the whole slate and the corrected
+// mode's factor steps force the tree's mid-round rebuilds as they do in a
+// real round.
 func BenchmarkGreedyArgmin(b *testing.B) {
 	for _, n := range []int{20, 128, 1000, 10000} {
-		for _, path := range []string{"linear", "heap"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) {
-				if path == "heap" {
-					forceHeapArgmin(b, 1)
-				} else {
-					forceHeapArgmin(b, n+1)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			v, eligible := argminBenchView(n)
+			s := NewEMCT(true)
+			rs := freshRound(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Epoch = int64(i + 1)
+				for q := range v.ProcEpochs {
+					v.ProcEpochs[q] = v.Epoch
 				}
-				v, eligible := argminBenchView(n)
-				s := NewEMCT(true)
-				rs := freshRound(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					v.Epoch = int64(i + 1)
-					for q := range v.ProcEpochs {
-						v.ProcEpochs[q] = v.Epoch
+				clear(rs.NQ)
+				rs.NActive, rs.Picks = 0, 0
+				for task := 0; task < n; task++ {
+					q := s.Pick(v, eligible, rs, sim.TaskInfo{Task: task})
+					if rs.NQ[q] == 0 && !v.Procs[q].Busy() {
+						rs.NActive++
 					}
-					clear(rs.NQ)
-					rs.NActive, rs.Picks = 0, 0
-					for task := 0; task < n; task++ {
-						q := s.Pick(v, eligible, rs, sim.TaskInfo{Task: task})
-						if rs.NQ[q] == 0 && !v.Procs[q].Busy() {
-							rs.NActive++
-						}
-						rs.NQ[q]++
-						rs.Picks++
-					}
+					rs.NQ[q]++
+					rs.Picks++
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pick")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pick")
+		})
 	}
 }
 

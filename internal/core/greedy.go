@@ -33,22 +33,22 @@ const (
 // scoring is incremental: scores live in a per-worker cache and only
 // candidates whose inputs changed — their view snapshot, their NQ entry
 // after a pick, or (corrected modes) the communication factor — are
-// re-evaluated; the argmin pass compares cached values under the same
-// scoreLess order as the reference scan. On untracked (hand-built) views,
-// every Pick is the reference full scan. Both paths are bit-identical by
-// construction and cross-checked by the slow-check oracle.
+// re-evaluated, and a loser tree over the cached scores (argmin.go) keeps
+// them in the same scoreLess order as the reference scan. On untracked
+// (hand-built) views, every Pick is the reference full scan. Both paths
+// are bit-identical by construction and cross-checked by the slow-check
+// oracle.
 type greedySched struct {
 	name string
 	mode correctionMode
 	// score maps (processor view, estimated completion time) to a
 	// lower-is-better score.
 	score func(pv *sim.ProcView, ct float64) float64
-	// cache is the incremental scoring state, created on first tracked
-	// Pick; noCache forces the reference path (the equivalence tests'
-	// "plain" scheduler). argmin is the large-slate tree (argmin.go),
-	// created the first time a slate reaches greedyHeapMinEligible.
-	cache   *pickCache
-	argmin  *scoreHeap
+	// cache is the incremental scoring state and argmin the tree over the
+	// slate (argmin.go); noCache forces the reference path (the
+	// equivalence tests' "plain" scheduler).
+	cache   pickCache
+	argmin  scoreHeap
 	noCache bool
 	// mutSkip* deliberately break one cache-invalidation source each
 	// (test-only): they exist so the mutation tests can prove the
@@ -128,28 +128,28 @@ func (s *greedySched) pickFlat(v *sim.View, eligible []int, rs *sim.RoundState) 
 // factor it was computed from — all compare equal to the present ones. The
 // factor is the caller's precomputed commFactor for q (ignored in plain
 // mode).
-func (s *greedySched) cachedIfValid(c *pickCache, v *sim.View, rs *sim.RoundState, q, factor int) (float64, bool) {
-	sc, ep, nq, fa := c.get(q)
-	if !s.mutSkipEpoch && ep != v.ProcEpochs[q] {
+func (s *greedySched) cachedIfValid(v *sim.View, rs *sim.RoundState, q, factor int) (float64, bool) {
+	e := &s.cache[q]
+	if !s.mutSkipEpoch && e.ep != v.ProcEpochs[q] {
 		return 0, false
 	}
-	if !s.mutSkipNQ && int(nq) != rs.NQ[q] {
+	if !s.mutSkipNQ && int(e.nq) != rs.NQ[q] {
 		return 0, false
 	}
-	if s.mode != plainComm && !s.mutSkipNA && int(fa) != factor {
+	if s.mode != plainComm && !s.mutSkipNA && int(e.factor) != factor {
 		return 0, false
 	}
-	return sc, true
+	return e.score, true
 }
 
 // cachedScore returns worker q's score through the cache: the cached value
 // when its inputs are current, a fresh evaluation (recorded back) otherwise.
-func (s *greedySched) cachedScore(c *pickCache, v *sim.View, rs *sim.RoundState, q, factor int) float64 {
-	if sc, ok := s.cachedIfValid(c, v, rs, q, factor); ok {
+func (s *greedySched) cachedScore(v *sim.View, rs *sim.RoundState, q, factor int) float64 {
+	if sc, ok := s.cachedIfValid(v, rs, q, factor); ok {
 		return sc
 	}
 	sc := s.scoreWithFactor(v, rs, q, factor)
-	c.put(q, sc, v.ProcEpochs[q], int32(rs.NQ[q]), int32(factor))
+	s.cache[q] = cacheEntry{score: sc, ep: v.ProcEpochs[q], nq: int32(rs.NQ[q]), factor: int32(factor)}
 	return sc
 }
 
@@ -167,18 +167,21 @@ func (s *greedySched) candidateFactor(v *sim.View, rs *sim.RoundState, q, factor
 	return factorEngaged
 }
 
-// Pick implements sim.Scheduler.
+// Pick implements sim.Scheduler. On a tracked view it is the argmin of
+// argmin.go: it continues the round's tree when only the recorded deltas
+// happened since the previous Pick — same view epoch, same pick chain,
+// same factor pair, and a slate that is either unchanged (originals
+// phase; the last pick's NQ moved, so the minimum is rescored in place) or
+// exactly the last pick shorter (replica phase; the minimum is dropped) —
+// and rebuilds it otherwise at the cost of one validated pass over the
+// slate. The tree minimum is returned; scoreLess being a strict total
+// order makes it the unique argmin of the reference scan.
 func (s *greedySched) Pick(v *sim.View, eligible []int, rs *sim.RoundState, ti sim.TaskInfo) int {
 	if s.noCache || v.Epoch == 0 || len(v.ProcEpochs) != len(v.Procs) {
 		best, _ := s.pickFlat(v, eligible, rs)
 		return best
 	}
-	c := s.cache
-	if c == nil {
-		c = &pickCache{}
-		s.cache = c
-	}
-	c.ensure(len(v.Procs))
+	s.cache.ensure(len(v.Procs))
 
 	// Both factor values a single Pick can need (corrected modes): per
 	// candidate, the effective n_active is rs.NActive plus one iff picking
@@ -189,52 +192,8 @@ func (s *greedySched) Pick(v *sim.View, eligible []int, rs *sim.RoundState, ti s
 		factorFresh = commFactor(rs.NActive+1, v.Params.Ncom)
 	}
 
-	var best int
-	if len(eligible) >= greedyHeapMinEligible {
-		best = s.pickHeap(c, v, eligible, rs, factorEngaged, factorFresh)
-	} else {
-		best = s.pickLinear(c, v, eligible, rs, factorEngaged, factorFresh)
-	}
-	if v.SlowChecks {
-		s.verifyAgainstRescan(c, v, eligible, rs, best)
-	}
-	return best
-}
-
-// pickLinear is the small-slate argmin: one validated pass over the slate —
-// per candidate, compare the cached score's recorded inputs against the
-// current ones (a handful of integer compares) and re-evaluate only on
-// mismatch, tracking the argmin in the same order and traversal as the
-// reference scan. Equivalence to pickFlat is structural; the per-decision
-// cost is O(changed evaluations + |eligible| compares).
-func (s *greedySched) pickLinear(c *pickCache, v *sim.View, eligible []int, rs *sim.RoundState, factorEngaged, factorFresh int) int {
-	best := -1
-	var bestScore float64
-	for _, q := range eligible {
-		factor := s.candidateFactor(v, rs, q, factorEngaged, factorFresh)
-		sc := s.cachedScore(c, v, rs, q, factor)
-		if best < 0 || scoreLess(sc, q, bestScore, best) {
-			best, bestScore = q, sc
-		}
-	}
-	return best
-}
-
-// pickHeap is the large-slate argmin (see argmin.go): it continues the
-// round's tree when only the recorded deltas happened since the previous
-// Pick — same view epoch, same pick chain, same factor pair, and a slate
-// that is either unchanged (originals phase; the last pick's NQ moved, so
-// the minimum is rescored in place) or exactly the last pick shorter
-// (replica phase; the minimum is dropped) — and rebuilds it otherwise at
-// linear-pass cost. The tree minimum is returned; scoreLess being a strict
-// total order makes it the unique linear argmin.
-func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *sim.RoundState, factorEngaged, factorFresh int) int {
-	h := s.argmin
-	if h == nil {
-		h = &scoreHeap{}
-		s.argmin = h
-	}
-	cont := h.valid && h.epoch == v.Epoch && rs.Picks == h.expectPicks &&
+	h := &s.argmin
+	cont := h.epoch == v.Epoch && rs.Picks == h.expectPicks &&
 		h.factorEngaged == factorEngaged && h.factorFresh == factorFresh &&
 		h.slatePtr == &eligible[0]
 	if cont {
@@ -246,7 +205,7 @@ func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *si
 			// Originals phase: the slate is unchanged and only the picked
 			// worker's NQ (and with it, possibly its factor choice) moved.
 			factor := s.candidateFactor(v, rs, q, factorEngaged, factorFresh)
-			h.rescoreMin(s.cachedScore(c, v, rs, q, factor))
+			h.rescoreMin(s.cachedScore(v, rs, q, factor))
 		case len(eligible) == h.live-1 && !slateContains(eligible, q):
 			// Replica phase: the engine compacted the picked worker out of
 			// the slate (order-preserving, so ascending order holds).
@@ -257,13 +216,17 @@ func (s *greedySched) pickHeap(c *pickCache, v *sim.View, eligible []int, rs *si
 	}
 	if !cont {
 		h.rebuild(eligible, func(q int) float64 {
-			return s.cachedScore(c, v, rs, q, s.candidateFactor(v, rs, q, factorEngaged, factorFresh))
+			return s.cachedScore(v, rs, q, s.candidateFactor(v, rs, q, factorEngaged, factorFresh))
 		})
 		h.epoch = v.Epoch
 		h.factorEngaged, h.factorFresh = factorEngaged, factorFresh
 	}
 	h.expectPicks = rs.Picks + 1
-	return h.slate[h.minIndex()]
+	best := h.slate[h.minIndex()]
+	if v.SlowChecks {
+		s.verifyAgainstRescan(v, eligible, rs, best)
+	}
+	return best
 }
 
 // slateContains reports whether worker q is on the (ascending) slate.
@@ -277,9 +240,9 @@ func slateContains(eligible []int, q int) bool {
 // its exact score bits) plus every valid cache entry on the slate. Any
 // divergence means an invalidation site rotted; panic like the engine's
 // own slow checks do.
-func (s *greedySched) verifyAgainstRescan(c *pickCache, v *sim.View, eligible []int, rs *sim.RoundState, best int) {
+func (s *greedySched) verifyAgainstRescan(v *sim.View, eligible []int, rs *sim.RoundState, best int) {
 	fb, fscore := s.pickFlat(v, eligible, rs)
-	bestCached, _, _, _ := c.get(best)
+	bestCached := s.cache[best].score
 	if fb != best || math.Float64bits(fscore) != math.Float64bits(bestCached) {
 		panic(fmt.Sprintf("core: %s: slot %d: incremental argmin (worker %d, score %v) != full rescan (worker %d, score %v)",
 			s.name, v.Slot, best, bestCached, fb, fscore))
@@ -289,7 +252,7 @@ func (s *greedySched) verifyAgainstRescan(c *pickCache, v *sim.View, eligible []
 		if s.mode != plainComm {
 			factor = commFactor(effectiveNActive(&v.Procs[q], rs), v.Params.Ncom)
 		}
-		cached, ok := s.cachedIfValid(c, v, rs, q, factor)
+		cached, ok := s.cachedIfValid(v, rs, q, factor)
 		if !ok {
 			continue
 		}

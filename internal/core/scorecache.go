@@ -21,10 +21,9 @@ package core
 // every use), and the slow-check oracle (View.SlowChecks) re-derives every
 // decision from a fresh scan and panics on any divergence.
 //
-// The argmin over the eligible slate is a linear pass under scoreLess on
-// paper-scale platforms, and a loser tree (argmin.go) once the slate
-// crosses greedyHeapMinEligible — pick-for-pick identical because scoreLess
-// is a strict total order.
+// The argmin over the eligible slate is the loser tree of argmin.go at
+// every slate size; its (key, leaf) order is scoreLess's, so it picks what
+// the reference scan picks.
 
 // scoreLess is the strict total order all argmin paths share: lower score
 // first, NaN after every non-NaN ("a NaN score can neither win nor shadow
@@ -47,75 +46,28 @@ func scoreLess(s1 float64, id1 int, s2 float64, id2 int) bool {
 	return id1 < id2
 }
 
-// Cache pages hold cachePageSize workers each; pages allocate lazily on
-// first write, so a scheduler's resident cache is O(workers actually
-// scored) — on a volunteer grid where most of a 100k-worker platform never
-// comes UP, the cache never materializes pages for the permanently-DOWN
-// span. cachePageShift is log2(cachePageSize).
-const (
-	cachePageShift = 9
-	cachePageSize  = 1 << cachePageShift
-)
-
-// cachePage is one fixed-size block of cache entries. A zero page is all
-// invalid: scoredEp 0 never equals a real change epoch (the engine's epoch
-// counter starts at 1), so fresh pages need no initialization.
-type cachePage struct {
-	score    [cachePageSize]float64
-	scoredEp [cachePageSize]int64
-	scoredNQ [cachePageSize]int32
-	// scoredFactor is the communication factor used (corrected modes only;
+// cacheEntry is one worker's cached score and the inputs it was computed
+// from. The zero entry is invalid: ep 0 never equals a real change epoch
+// (the engine's epoch counter starts at 1), so fresh entries need no
+// initialization.
+type cacheEntry struct {
+	score float64
+	ep    int64
+	nq    int32
+	// factor is the communication factor used (corrected modes only;
 	// plain mode never compares it).
-	scoredFactor [cachePageSize]int32
+	factor int32
 }
 
 // pickCache is the incremental state of one greedy scheduler instance,
-// indexed by worker ID. Stale content from earlier runs is harmless because
-// the engine's change epochs are process-wide unique (an old stamp never
-// equals a new one).
-type pickCache struct {
-	pages []*cachePage
-}
+// indexed by worker ID and grown to the largest platform seen. Stale
+// content from earlier runs is harmless because the engine's change epochs
+// are process-wide unique (an old stamp never equals a new one).
+type pickCache []cacheEntry
 
-// ensure sizes the page table for a platform of p processors (the pages
-// themselves stay nil until written).
+// ensure grows the cache to cover a platform of p processors.
 func (c *pickCache) ensure(p int) {
-	np := (p + cachePageSize - 1) >> cachePageShift
-	if len(c.pages) >= np {
-		return
+	if n := len(*c); n < p {
+		*c = append(*c, make([]cacheEntry, p-n)...)
 	}
-	if cap(c.pages) >= np {
-		c.pages = c.pages[:np]
-		return
-	}
-	pages := make([]*cachePage, np)
-	copy(pages, c.pages)
-	c.pages = pages
-}
-
-// get returns worker q's cache entry (zero values when its page was never
-// written — always invalid, since no real epoch is 0).
-func (c *pickCache) get(q int) (score float64, ep int64, nq, factor int32) {
-	pg := c.pages[q>>cachePageShift]
-	if pg == nil {
-		return 0, 0, 0, 0
-	}
-	off := q & (cachePageSize - 1)
-	return pg.score[off], pg.scoredEp[off], pg.scoredNQ[off], pg.scoredFactor[off]
-}
-
-// put records worker q's score and the inputs it was computed from,
-// materializing q's page on first touch.
-func (c *pickCache) put(q int, score float64, ep int64, nq, factor int32) {
-	pi := q >> cachePageShift
-	pg := c.pages[pi]
-	if pg == nil {
-		pg = new(cachePage)
-		c.pages[pi] = pg
-	}
-	off := q & (cachePageSize - 1)
-	pg.score[off] = score
-	pg.scoredEp[off] = ep
-	pg.scoredNQ[off] = nq
-	pg.scoredFactor[off] = factor
 }

@@ -49,9 +49,8 @@ func TestScenarioOptionsValidate(t *testing.T) {
 }
 
 // largePSweepDigests pins the SHA-256 of TestLargePConfigSweepRuns'
-// formatted result per clock. At P = 500 the greedy slates exceed
-// greedyHeapMinEligible, so these are the only pins in the main module on
-// the heap argmin at a real slate size without a forced threshold.
+// formatted result per clock: the main module's only pins on the greedy
+// argmin's tree at a slate of hundreds of workers (P = 500).
 var largePSweepDigests = map[Mode]string{
 	ModeSlot:  "682e123badce4c1f3d2e41684b1cab1329d17adf181ed47239380d89104a5770",
 	ModeEvent: "cec72a9cbaa4bdc272b6b0aad2d028591e7c4b4bc1284dc737bb2575e0113924",

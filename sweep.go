@@ -240,12 +240,14 @@ func (w *chunkRunner) run(ci int) *chunkResult {
 	scnSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), 0xA11CE)
 	scn := NewScenario(scnSeed, cfg.Cells[cellIdx], cfg.Options)
 	out := &chunkResult{instances: make([]*stats.InstanceResult, 0, cfg.Trials)}
+	// fitted holds the scenario's fit of each recorded trace file.
+	fitted := make([]*Scenario, len(w.plan.sets))
 	for tr := 0; tr < cfg.Trials; tr++ {
 		var ir *stats.InstanceResult
 		var nCens int
 		err := cfg.Faults.InstanceFault(ci, tr)
 		if err == nil {
-			ir, nCens, err = w.instance(scn, cellIdx, scenIdx, tr)
+			ir, nCens, err = w.instance(scn, fitted, cellIdx, scenIdx, tr)
 		}
 		switch {
 		case err == nil:
@@ -270,12 +272,13 @@ func (w *chunkRunner) run(ci int) *chunkResult {
 // instance runs every contender on one (cell, scenario, trial) instance
 // and returns their makespans with the instance's censored-run count. The
 // availability source is resolved once — a trace source swaps in the
-// instance's traced scenario — and every contender replays the same world.
-func (w *chunkRunner) instance(scn *Scenario, cellIdx, scenIdx, trialIdx int) (*stats.InstanceResult, int, error) {
+// instance's traced scenario, from the chunk's fits of recorded files —
+// and every contender replays the same world.
+func (w *chunkRunner) instance(scn *Scenario, fitted []*Scenario, cellIdx, scenIdx, trialIdx int) (*stats.InstanceResult, int, error) {
 	cfg := w.cfg
 	if cfg.Trace != nil {
 		var err error
-		if scn, err = w.plan.instanceTrace(scn, cfg, cellIdx, scenIdx, trialIdx); err != nil {
+		if scn, err = w.plan.instanceTrace(scn, fitted, cfg, cellIdx, scenIdx, trialIdx); err != nil {
 			return nil, 0, err
 		}
 	}

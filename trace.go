@@ -8,24 +8,14 @@ package volatile
 // internal/trace supplies FTA-style synthetic generators and the fitting
 // code, and this file wires them into the public API.
 //
-// Fitting a Markov model to a vector and parsing vector specs are pure
-// functions of the input, so each Scenario interns its traced scenarios —
-// parsed vectors plus a platform carrying the fitted models — in a small
-// keyed cache. The cache key is the full vector content, and a scenario
-// rebuild invalidates everything because the cache lives on the Scenario
-// itself. Repeated runs on the same explicit trace set (every heuristic
-// comparison does this) then reuse one fit — and one interned analytics
-// table (expect.Analytics) — instead of re-deriving both per run. A
-// sweep's synthetic trace sets are unique per (scenario, trial) and shared
-// across that instance's heuristics directly, so they bypass the cache
-// rather than bloat it.
+// A sweep fits models once per trace set it replays: a synthetic set is
+// unique per (scenario, trial) and shared by that instance's heuristics, a
+// recorded set once per (scenario, file) for the scenario's chunk (see
+// instanceTrace).
 
 import (
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"sync"
 
 	"repro/internal/avail"
 	"repro/internal/platform"
@@ -48,72 +38,30 @@ const (
 	TraceLogNormal = trace.LogNormal
 )
 
-// traceCacheLimit bounds the per-scenario cache. Sweeps run every heuristic
-// of an instance back to back on one trace set, so even a small cache gets
-// a hit for all but the first run; the limit only caps memory when many
-// distinct trace sets stream through one scenario.
-const traceCacheLimit = 32
-
-// traceCache interns traced scenarios per key. Safe for concurrent use.
-type traceCache struct {
-	mu      sync.Mutex
-	entries map[string]*Scenario
-}
-
-// traced returns the interned scenario for key, building it on a miss.
-// The build runs under the lock: duplicate fits would cost more than the
-// brief contention, and sweep workers overwhelmingly hit distinct scenarios
-// anyway.
-func (c *traceCache) traced(key string, build func() (*Scenario, error)) (*Scenario, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ts, ok := c.entries[key]; ok {
-		return ts, nil
-	}
-	ts, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if c.entries == nil {
-		c.entries = make(map[string]*Scenario, traceCacheLimit)
-	}
-	if len(c.entries) >= traceCacheLimit {
-		for k := range c.entries { // evict one arbitrary entry
-			delete(c.entries, k)
-			break
-		}
-	}
-	c.entries[key] = ts
-	return ts, nil
-}
-
 // Traced returns the scenario with explicit availability vectors (letters
 // u/r/d, one string per processor): the same processors, speeds and run
 // parameters, but every trial replays the vectors verbatim (then holds
 // their last state), and the platform carries Markov models fitted to each
 // vector, which the informed heuristics consult, mirroring a master that
 // estimated behaviour from history. Vector count must match the processor
-// count. The result is interned per scenario, so repeated calls on the same
-// vectors (comparing heuristics, sweeping seeds) parse and fit them only
-// once. Trace replay consumes no RNG, so deterministic heuristics produce
-// bit-identical results in both time bases; see EXPERIMENTS.md.
+// count. Each call parses and fits anew, so reuse the returned scenario to
+// run several heuristics or seeds on one trace set. Trace replay consumes
+// no RNG, so deterministic heuristics produce bit-identical results in
+// both time bases; see EXPERIMENTS.md.
 func (s *Scenario) Traced(vectors []string) (*Scenario, error) {
 	if len(vectors) != s.inner.Platform.P() {
 		return nil, fmt.Errorf("volatile: %d vectors for %d processors",
 			len(vectors), s.inner.Platform.P())
 	}
-	key := "vec\x00" + strings.Join(vectors, "\x00")
-	return s.traces.traced(key, func() (*Scenario, error) {
-		parsed := make([]avail.Vector, len(vectors))
-		for i, spec := range vectors {
-			v, err := avail.ParseVector(spec)
-			if err != nil {
-				return nil, fmt.Errorf("volatile: vector %d: %w", i, err)
-			}
-			parsed[i] = v
+	parsed := make([]avail.Vector, len(vectors))
+	for i, spec := range vectors {
+		v, err := avail.ParseVector(spec)
+		if err != nil {
+			return nil, fmt.Errorf("volatile: vector %d: %w", i, err)
 		}
-		return s.replaying(parsed)
-	})
+		parsed[i] = v
+	}
+	return s.replaying(parsed)
 }
 
 // replaying builds the traced scenario replaying already-parsed vectors:
@@ -168,8 +116,8 @@ type TraceSource struct {
 	// trace sets read from disk (the format trace.Set.Write produces —
 	// e.g. converted Failure Trace Archive data, or the output of
 	// cmd/volatrace). Trial t of every scenario replays
-	// Files[t mod len(Files)]; models are fitted once per (scenario, file)
-	// through the per-scenario intern cache. Every file must hold exactly
+	// Files[t mod len(Files)]; models are fitted once per (scenario, file),
+	// kept for the scenario's chunk of trials. Every file must hold exactly
 	// Options.Processors vectors (default 20) of length >= 2, and its
 	// content, not its path, enters the config digest, so a resume against
 	// an edited file is rejected.
@@ -206,19 +154,22 @@ func (p *sweepPlan) resolveTrace(src *TraceSource, opt ScenarioOptions) ([]strin
 }
 
 // instanceTrace returns the traced scenario of one instance. Recorded sets
-// repeat across scenarios (and across trials when Trials > len(Files)), so
-// they are interned through the per-scenario cache: one fit per (scenario,
-// file), keyed on the file's index in Trace.Files — stable for the sweep's
-// lifetime, which is exactly the cache's lifetime (it lives on the
-// Scenario). Each (scenario, trial) has a unique synthetic set, shared by
-// every heuristic of the instance directly, so interning it would only
-// retain memory — it is built uncached and dies with the instance.
-func (p *sweepPlan) instanceTrace(scn *Scenario, cfg *SweepConfig, cellIdx, scenIdx, trialIdx int) (*Scenario, error) {
+// repeat across trials when Trials > len(Files), so fitted holds the
+// chunk's fits, one per file index, filled on first use: one fit per
+// (scenario, file). Each (scenario, trial) has a unique synthetic set,
+// shared by every heuristic of the instance directly, so it is built
+// unkept and dies with the instance.
+func (p *sweepPlan) instanceTrace(scn *Scenario, fitted []*Scenario, cfg *SweepConfig, cellIdx, scenIdx, trialIdx int) (*Scenario, error) {
 	if p.sets != nil {
 		idx := trialIdx % len(p.sets)
-		return scn.traces.traced("file\x00"+strconv.Itoa(idx), func() (*Scenario, error) {
-			return scn.replaying(p.sets[idx].Vectors)
-		})
+		if fitted[idx] == nil {
+			ts, err := scn.replaying(p.sets[idx].Vectors)
+			if err != nil {
+				return nil, err
+			}
+			fitted[idx] = ts
+		}
+		return fitted[idx], nil
 	}
 	genSeed := deriveSeed(cfg.Seed, uint64(cellIdx), uint64(scenIdx), uint64(trialIdx), traceSeedSalt)
 	gen := rng.New(genSeed)

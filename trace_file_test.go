@@ -153,8 +153,8 @@ func TestTraceSweepFileRoundTrip(t *testing.T) {
 
 // TestTraceSweepFileWorkerCountDeterminism extends the worker-count
 // property to file-driven sweeps: reading recorded sets from disk and
-// interning their models per scenario must stay independent of the worker
-// count.
+// fitting their models once per scenario must stay independent of the
+// worker count.
 func TestTraceSweepFileWorkerCountDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	file, _ := writeTraceFile(t, dir, 11, 6, 100)

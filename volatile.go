@@ -199,9 +199,6 @@ type Scenario struct {
 	// vectors, non-nil on a traced scenario, replay verbatim in every trial;
 	// inner's platform then carries the Markov models fitted to them.
 	vectors []avail.Vector
-	// traces interns the traced scenarios derived from this one (see
-	// trace.go); it is safe for concurrent use by sweep workers.
-	traces traceCache
 }
 
 // NewScenario draws a scenario from the given seed using the generation

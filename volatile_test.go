@@ -114,9 +114,6 @@ func TestRunTrace(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("always-up trace censored")
 	}
-	if again, err := scn.Traced([]string{long, long}); err != nil || again != traced {
-		t.Fatalf("Traced on the same vectors returned %p, %v; want the interned %p", again, err, traced)
-	}
 	// Vector count mismatch.
 	if _, err := scn.Traced([]string{long}); err == nil {
 		t.Fatal("vector count mismatch accepted")
@@ -365,11 +362,11 @@ func TestRunSweepUnknownHeuristicFailsFast(t *testing.T) {
 	}
 }
 
-// TestTraceCacheConcurrentInterning hammers one scenario's trace-model
-// cache from many goroutines (the sweep-worker sharing pattern): all
-// callers must agree on the result, and the race detector must stay quiet
-// over the intern map, the fitted models and their interned analytics.
-func TestTraceCacheConcurrentInterning(t *testing.T) {
+// TestTracedConcurrentUse traces one scenario from many goroutines at
+// once (the sweep-worker sharing pattern): all callers must agree on the
+// result, and the race detector must stay quiet over the shared scenario,
+// the fitted models and their interned analytics.
+func TestTracedConcurrentUse(t *testing.T) {
 	scn := NewScenario(23, Cell{Tasks: 3, Ncom: 3, Wmin: 1}, ScenarioOptions{Processors: 4, Iterations: 1})
 	long := strings.Repeat("uurduuruuud", 10) + "u"
 	sets := [][]string{
