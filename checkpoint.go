@@ -74,26 +74,55 @@ func (e *InterruptedError) Error() string {
 // change the result — Workers, Progress, checkpoint placement, the
 // ContinueOnError failure policy, fault plans — are deliberately excluded,
 // so a sweep may be resumed under different parallelism or with fault
-// injection removed.
+// injection removed. The canonical text is one line per field, built in
+// one buffer and hashed once; existing checkpoints and cached results are
+// bound to it byte for byte.
 func sweepConfigDigest(flavour string, cells []Cell, heuristics []string,
 	scenarios, trials int, opt ScenarioOptions, mode Mode, seed uint64, extra ...string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "sweep-config v1\nflavour %s\nseed %d\nmode %s\nscenarios %d\ntrials %d\n",
-		flavour, seed, mode, scenarios, trials)
-	fmt.Fprintf(h, "options %d %d %d %d %d\n",
+	var buf [512]byte // fits a one-cell config; a paper grid grows it
+	b := buf[:0]
+	b = appendWordLine(b, "sweep-config", "v1")
+	b = appendWordLine(b, "flavour", flavour)
+	b = append(b, "seed "...)
+	b = strconv.AppendUint(b, seed, 10)
+	b = append(b, '\n')
+	b = appendWordLine(b, "mode", mode.String())
+	b = appendIntLine(b, "scenarios", scenarios)
+	b = appendIntLine(b, "trials", trials)
+	b = appendIntLine(b, "options",
 		opt.Processors, opt.Iterations, opt.CommScale, opt.MaxReplicas, opt.MaxSlots)
-	fmt.Fprintf(h, "cells %d\n", len(cells))
+	b = appendIntLine(b, "cells", len(cells))
 	for _, c := range cells {
-		fmt.Fprintf(h, "cell %d %d %d\n", c.Tasks, c.Ncom, c.Wmin)
+		b = appendIntLine(b, "cell", c.Tasks, c.Ncom, c.Wmin)
 	}
-	fmt.Fprintf(h, "heuristics %d\n", len(heuristics))
+	b = appendIntLine(b, "heuristics", len(heuristics))
 	for _, name := range heuristics {
-		fmt.Fprintf(h, "h %s\n", name)
+		b = appendWordLine(b, "h", name)
 	}
 	for _, e := range extra {
-		fmt.Fprintf(h, "extra %s\n", e)
+		b = appendWordLine(b, "extra", e)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendWordLine appends the line "key value\n".
+func appendWordLine(b []byte, key, value string) []byte {
+	b = append(b, key...)
+	b = append(b, ' ')
+	b = append(b, value...)
+	return append(b, '\n')
+}
+
+// appendIntLine appends key, then each value in decimal after a space,
+// then a newline.
+func appendIntLine(b []byte, key string, values ...int) []byte {
+	b = append(b, key...)
+	for _, v := range values {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, '\n')
 }
 
 // traceSetDigests hashes the content of each recorded trace set, so a

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/jobs"
@@ -98,9 +99,13 @@ func newServer(sched *jobs.Scheduler) http.Handler {
 			return
 		}
 		// A done job always holds its result: it is installed before the
-		// done event, or together with it for a cache hit.
-		res, _ := job.Result()
-		writeJSON(w, http.StatusOK, res)
+		// done event, or together with it for a cache hit. Its bytes were
+		// encoded once, at install, so a hit writes them as they are.
+		body, _ := job.ResultJSON()
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
 	})
 
 	mux.HandleFunc("POST /jobs/{id}/stop", func(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +248,79 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 	}
 }
 
+// checkResultBody fetches a done job's result and requires the body to be
+// results/<digest>.json under dir byte for byte, to be the
+// two-space-indented encoding of Job.Result()'s struct, and to carry a
+// Content-Length equal to its length. when labels the failure.
+func checkResultBody(t *testing.T, ts *httptest.Server, sched *jobs.Scheduler, dir, id, when string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: result status %d: %s", when, resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s: Content-Type %q, want application/json", when, ct)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || resp.ContentLength != int64(len(body)) {
+		t.Errorf("%s: Content-Length %q (parsed %d), body is %d bytes", when, cl, resp.ContentLength, len(body))
+	}
+	disk, err := os.ReadFile(filepath.Join(dir, "results", id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, disk) {
+		t.Errorf("%s: body differs from results/%s.json:\n%s\nfile:\n%s", when, id, body, disk)
+	}
+	job, ok := sched.Get(id)
+	if !ok {
+		t.Fatalf("%s: no job %s", when, id)
+	}
+	res, ok := job.Result()
+	if !ok {
+		t.Fatalf("%s: done job %s holds no result", when, id)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("%s: body differs from the indented encoding of Job.Result():\n%s\nwant:\n%s", when, body, want.Bytes())
+	}
+}
+
+// TestResultBodyIsStoredBytes pins the result endpoint's body
+// (checkResultBody) for a job the server just ran and for the same job
+// served from the disk cache by a rebooted server.
+func TestResultBodyIsStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	ts1, sched1 := newTestServer(t, dir)
+	sr, code := submit(t, ts1, fastReq())
+	if code != http.StatusCreated {
+		t.Fatalf("submit status %d", code)
+	}
+	followEvents(t, ts1, sr.ID)
+	checkResultBody(t, ts1, sched1, dir, sr.ID, "after the sweep")
+	ts1.Close()
+	sched1.Stop() // server restart
+
+	ts2, sched2 := newTestServer(t, dir)
+	sr2, code := submit(t, ts2, fastReq())
+	if code != http.StatusOK || sr2.Started || sr2.ID != sr.ID {
+		t.Fatalf("resubmit after reboot: code=%d started=%v id=%s, want 200/false/%s", code, sr2.Started, sr2.ID, sr.ID)
+	}
+	checkResultBody(t, ts2, sched2, dir, sr2.ID, "from the disk cache")
+}
+
 // TestStopRestartResume is the acceptance criterion at the HTTP level: a
 // job stopped mid-run via the API, its server torn down, resumes on a
 // fresh server over the same data dir and serves the digest of an
@@ -421,7 +497,8 @@ func TestEverySweepFamilyEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-family pass sweeps four 120-cell paper grids")
 	}
-	ts, sched := newTestServer(t, t.TempDir())
+	dir := t.TempDir()
+	ts, sched := newTestServer(t, dir)
 	seen := map[string]bool{}
 	for _, exp := range sweepreq.SweepExperiments() {
 		req := sweepreq.Request{Exp: exp, Scenarios: 1, Trials: 1, Seed: 5}
@@ -450,6 +527,9 @@ func TestEverySweepFamilyEndToEnd(t *testing.T) {
 		if !strings.Contains(res.Format, "emct") {
 			t.Fatalf("%s: formatted table does not rank the paper heuristics:\n%s", exp, res.Format)
 		}
+		// The 120-cell grids' bodies are far past net/http's 2 KB response
+		// buffer, where a body with no Content-Length goes out chunked.
+		checkResultBody(t, ts, sched, dir, sr.ID, exp)
 	}
 	if n := sched.SweepsStarted(); n != int64(len(seen)) {
 		t.Fatalf("SweepsStarted = %d, want %d", n, len(seen))
@@ -500,4 +580,59 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 		t.Fatalf("connection with unfinished headers still open after %v", time.Since(start))
 	}
 	t.Logf("unfinished-header connection closed after %v", time.Since(start))
+}
+
+// BenchmarkServeHit times one cache hit end to end over HTTP: a POST /jobs
+// of a done job's request (decode, sweepreq.Build, job-table lookup) and a
+// GET /jobs/{id}/result of its stored bytes, on one kept-alive connection.
+// The request is perfbench served-mixed's hit, table3x10 8 × 4, whose
+// result body is about 1.7 KB.
+func BenchmarkServeHit(b *testing.B) {
+	sched, err := jobs.New(jobs.Options{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(sched))
+	defer func() {
+		ts.Close()
+		sched.Stop()
+	}()
+	req := sweepreq.Request{Exp: "table3x10", Scenarios: 8, Trials: 4, Seed: 3, Workers: 1}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	job, _, err := sched.Submit(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	evs, cancel := job.Subscribe()
+	for range evs {
+	}
+	cancel()
+	if st := job.State(); st != jobs.StateDone {
+		b.Fatalf("set-up sweep ended %s", st)
+	}
+	client := ts.Client()
+	roundTrip := func(method, url string, in []byte) {
+		hreq, err := http.NewRequest(method, url, bytes.NewReader(in))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := client.Do(hreq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("%s %s: status %d, %v", method, url, resp.StatusCode, err)
+		}
+	}
+	resultURL := ts.URL + "/jobs/" + job.Digest + "/result"
+	b.ReportAllocs()
+	for b.Loop() {
+		roundTrip("POST", ts.URL+"/jobs", body)
+		roundTrip("GET", resultURL, nil)
+	}
 }

@@ -26,6 +26,9 @@ type Job struct {
 	subs        int // live Subscribe pumps; results-TTL eviction skips jobs with any
 	done, total int
 	result      *CachedResult
+	// resultJSON is result encoded once, when it is installed: the bytes
+	// of results/<digest>.json and of every GET /jobs/{id}/result.
+	resultJSON  []byte
 	submittedAt time.Time
 }
 
@@ -79,6 +82,15 @@ func (j *Job) Result() (*CachedResult, bool) {
 	return j.result, j.result != nil
 }
 
+// ResultJSON returns the cached result's JSON encoding, if the job is
+// done: the bytes stored in results/<digest>.json. Callers must not
+// modify them.
+func (j *Job) ResultJSON() ([]byte, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.resultJSON, j.resultJSON != nil
+}
+
 // stopChan returns the current stop channel (a restart replaces it).
 func (j *Job) stopChan() <-chan struct{} {
 	j.mu.Lock()
@@ -130,18 +142,25 @@ func (j *Job) progress(done, total int) {
 	j.mu.Unlock()
 }
 
-// setResult installs the completed result before the done event fires.
-func (j *Job) setResult(c *CachedResult) {
+// setResult installs the completed result and its encoding before the
+// done event fires.
+func (j *Job) setResult(c *CachedResult, data []byte) {
 	j.mu.Lock()
-	j.result = c
+	j.result, j.resultJSON = c, data
 	j.mu.Unlock()
 }
 
 // completeFromCache short-circuits a job whose result is already cached:
-// it is born done, with a replayable queued→done history.
-func (j *Job) completeFromCache(c *CachedResult) {
+// it is born done, with a replayable queued→done history. It encodes the
+// result once for every later GET; on an encoding error it leaves the job
+// untouched.
+func (j *Job) completeFromCache(c *CachedResult) error {
+	data, err := encodeResult(c)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
-	j.result = c
+	j.result, j.resultJSON = c, data
 	j.done, j.total = c.Instances, c.Instances
 	j.appendEventLocked(Event{Type: "queued"})
 	j.state = StateDone
@@ -150,6 +169,7 @@ func (j *Job) completeFromCache(c *CachedResult) {
 		Instances: c.Instances, ResultDigest: c.ResultDigest,
 	})
 	j.mu.Unlock()
+	return nil
 }
 
 // hasSubscribers reports whether any Subscribe pump is still attached.

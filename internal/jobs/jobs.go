@@ -8,6 +8,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -342,8 +343,11 @@ func (s *Scheduler) Submit(req sweepreq.Request) (*Job, bool, error) {
 	j := newJob(built.Exp, built)
 	s.jobs[built.Digest] = j
 	if cached, err := s.loadResult(built.Digest); err == nil && cached.ConfigDigest == built.Digest {
-		j.completeFromCache(cached)
-		return j, false, nil
+		// A cached result that does not encode is a miss: the sweep
+		// runs again and rewrites it.
+		if j.completeFromCache(cached) == nil {
+			return j, false, nil
+		}
 	}
 	j.appendEvent(Event{Type: "queued"})
 	s.persistRequest(built.Digest, req)
@@ -491,8 +495,12 @@ func (s *Scheduler) run(j *Job) {
 			Warnings:        res.Warnings,
 			CompletedAt:     time.Now().UTC(),
 		}
-		if werr := s.storeResult(cached); werr != nil {
-			j.setState(StateFailed, Event{Type: "failed", Error: werr.Error()})
+		data, err := encodeResult(cached)
+		if err == nil {
+			err = s.storeResult(j.Digest, data)
+		}
+		if err != nil {
+			j.setState(StateFailed, Event{Type: "failed", Error: err.Error()})
 			return
 		}
 		// The checkpoint and request stub are subsumed by the cached
@@ -500,7 +508,7 @@ func (s *Scheduler) run(j *Job) {
 		// completed sweep.
 		os.Remove(ckPath)
 		os.Remove(s.requestPath(j.Digest))
-		j.setResult(cached)
+		j.setResult(cached, data)
 		j.setState(StateDone, Event{
 			Type: "done", Done: res.Instances, Total: j.built.Instances,
 			Instances: res.Instances, ResultDigest: cached.ResultDigest,
@@ -508,11 +516,23 @@ func (s *Scheduler) run(j *Job) {
 	}
 }
 
-func (s *Scheduler) storeResult(c *CachedResult) error {
-	return atomicio.WriteFile(s.resultPath(c.ConfigDigest), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(c)
+// encodeResult renders a cached result the one way it is stored and
+// served: two-space-indented JSON ending in a newline.
+func encodeResult(c *CachedResult) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(c); err != nil {
+		return nil, fmt.Errorf("jobs: encoding result %s: %w", c.ConfigDigest, err)
+	}
+	return b.Bytes(), nil
+}
+
+// storeResult durably writes a result's encoding to results/<digest>.json.
+func (s *Scheduler) storeResult(digest string, data []byte) error {
+	return atomicio.WriteFile(s.resultPath(digest), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
 	})
 }
 

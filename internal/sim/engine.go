@@ -229,6 +229,9 @@ type engine struct {
 	// schedulers bind every plan at once and rank the bound chains
 	// (allocateChannels).
 	ranker ChannelRanker
+	// canceller is cfg.Scheduler's Canceller side, or nil: only such
+	// schedulers cancel copies at the start of a round (scheduleRound).
+	canceller Canceller
 	// mutateSkipDirty suppresses markDirty for worker mutateSkipDirty-1
 	// (mutation hook for the oracle tests; 0 — the zero value — disables
 	// the mutation). It survives reset, like slowChecks.
@@ -330,6 +333,7 @@ func (e *engine) reset(cfg Config) {
 	e.params = &e.cfg.Params
 	e.skipper, _ = cfg.Scheduler.(PickSkipper)
 	e.ranker, _ = cfg.Scheduler.(ChannelRanker)
+	e.canceller, _ = cfg.Scheduler.(Canceller)
 	p := cfg.Platform.P()
 	m := cfg.Params.M
 
@@ -717,8 +721,8 @@ func (e *engine) schedule() error {
 func (e *engine) scheduleRound() error {
 	e.buildView()
 
-	if canceller, ok := e.cfg.Scheduler.(Canceller); ok {
-		if cancels := canceller.Cancel(&e.view); len(cancels) > 0 {
+	if e.canceller != nil {
+		if cancels := e.canceller.Cancel(&e.view); len(cancels) > 0 {
 			for _, q := range cancels {
 				if q < 0 || q >= len(e.workers) {
 					return fmt.Errorf("sim: scheduler %q cancelled invalid processor %d",

@@ -44,8 +44,7 @@ func (e *engine) initClock(maxSlots int) error {
 			e.applyState(i, s)
 		}
 	}
-	_, canceller := e.cfg.Scheduler.(Canceller)
-	e.skipQuiet = e.cfg.Mode == ModeEvent && !canceller
+	e.skipQuiet = e.cfg.Mode == ModeEvent && e.canceller == nil
 	return nil
 }
 

@@ -276,3 +276,17 @@ func TestPinnedRequestDigests(t *testing.T) {
 		t.Errorf("pinned %d digests, SweepExperiments has %d (experiment, mode) pairs", len(pinnedRequestDigests), n)
 	}
 }
+
+// BenchmarkBuild times Build of the cache-hit request volaserved answers
+// most often in perfbench's served-mixed workload (table3x10, 8 scenarios
+// × 4 trials): validation, config construction and the config digest, the
+// service's whole per-submission cost before its job-table lookup.
+func BenchmarkBuild(b *testing.B) {
+	req := Request{Exp: "table3x10", Scenarios: 8, Trials: 4, Seed: 3, Workers: 1}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Build(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
